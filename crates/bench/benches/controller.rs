@@ -7,33 +7,33 @@ use autofl_fed::selection::RandomSelector;
 use autofl_nn::zoo::Workload;
 use criterion::{criterion_group, criterion_main, Criterion};
 
+/// The paper-default simulation with no round limit and an unreachable
+/// target, so every bench iteration can step one more round.
+fn open_ended_paper_run() -> Simulation {
+    Simulation::builder(Workload::CnnMnist)
+        .max_rounds(usize::MAX)
+        .target_accuracy(1.1)
+        .build()
+        .expect("paper defaults are valid")
+}
+
 /// One full AutoFL round on the 200-device paper fleet (the controller
 /// decision + learning cost dominates over the analytic cost model).
 fn autofl_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("controller");
     group.sample_size(20);
     group.bench_function("autofl_round_200_devices", |b| {
-        let mut sim = Simulation::builder(Workload::CnnMnist)
-            .build()
-            .expect("paper defaults are valid");
+        let mut sim = open_ended_paper_run();
         let mut agent = AutoFl::paper_default();
-        let mut round = 0usize;
-        b.iter(|| {
-            let record = sim.run_round(&mut agent, round);
-            round += 1;
-            record.round_time_s
-        });
+        b.iter(|| sim.step(&mut agent).expect("open-ended run").round_time_s);
     });
     group.bench_function("random_round_200_devices", |b| {
-        let mut sim = Simulation::builder(Workload::CnnMnist)
-            .build()
-            .expect("paper defaults are valid");
+        let mut sim = open_ended_paper_run();
         let mut selector = RandomSelector::new();
-        let mut round = 0usize;
         b.iter(|| {
-            let record = sim.run_round(&mut selector, round);
-            round += 1;
-            record.round_time_s
+            sim.step(&mut selector)
+                .expect("open-ended run")
+                .round_time_s
         });
     });
     group.finish();

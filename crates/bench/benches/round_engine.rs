@@ -32,16 +32,15 @@ fn estimate(c: &mut Criterion) {
     let mut group = c.benchmark_group("oracle");
     group.sample_size(20);
     group.bench_function("ofl_round_200_devices", |b| {
+        // No round limit and an unreachable target: every iteration can
+        // step one more round.
         let mut sim = Simulation::builder(Workload::CnnMnist)
+            .max_rounds(usize::MAX)
+            .target_accuracy(1.1)
             .build()
             .expect("paper defaults are valid");
         let mut oracle = OracleSelector::full();
-        let mut round = 0usize;
-        b.iter(|| {
-            let record = sim.run_round(&mut oracle, round);
-            round += 1;
-            record.round_time_s
-        });
+        b.iter(|| sim.step(&mut oracle).expect("open-ended run").round_time_s);
     });
     group.finish();
 }

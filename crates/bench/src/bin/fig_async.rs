@@ -9,7 +9,7 @@
 //! scheduler (how much fleet time one second of simulation buys).
 //!
 //! The `barrier` row is the control: the event scheduler with a full
-//! barrier is bit-identical to the lockstep engine (see
+//! barrier is synchronous lockstep FedAvg, the default driver (see
 //! `docs/async-runtime.md`), so every difference in the buffered rows is
 //! attributable to the buffer/staleness knobs, not to the scheduler.
 //!

@@ -65,8 +65,7 @@ fn run_scale(devices: usize, dynamics: bool) -> ScaleRow {
     let mut selector = RandomSelector::new();
     let t_rounds = Instant::now();
     let mut accuracy = 0.0;
-    for round in 0..ROUNDS {
-        let record = sim.run_round(&mut selector, round);
+    while let Some(record) = sim.step(&mut selector) {
         let k = sim.config().params.num_participants.min(devices);
         assert!(
             !record.participants.is_empty() && record.participants.len() <= k,

@@ -75,13 +75,10 @@ fn bench_surrogate_round(smoke: bool) -> (f64, usize) {
     let rounds = if smoke { 60 } else { 250 };
     let mut cfg = SimConfig::smoke(7);
     cfg.max_rounds = rounds;
+    cfg.target_accuracy = Some(1.1); // never converge: fixed round count
     let mut sim = Simulation::new(cfg);
     let mut sel = RandomSelector::new();
-    let ms = time_ms(|| {
-        for round in 0..rounds {
-            let _ = sim.run_round(&mut sel, round);
-        }
-    });
+    let ms = time_ms(|| while sim.step(&mut sel).is_some() {});
     (ms, rounds)
 }
 
@@ -93,13 +90,10 @@ fn bench_real_training_round(smoke: bool) -> (f64, usize) {
         eval_samples: 48,
     };
     cfg.max_rounds = rounds;
+    cfg.target_accuracy = Some(1.1);
     let mut sim = Simulation::new(cfg);
     let mut sel = RandomSelector::new();
-    let ms = time_ms(|| {
-        for round in 0..rounds {
-            let _ = sim.run_round(&mut sel, round);
-        }
-    });
+    let ms = time_ms(|| while sim.step(&mut sel).is_some() {});
     (ms, rounds)
 }
 
@@ -120,11 +114,7 @@ fn bench_scale_10k(smoke: bool) -> (f64, usize) {
         .build()
         .expect("10k scale config is valid");
     let mut sel = RandomSelector::new();
-    let ms = time_ms(|| {
-        for round in 0..rounds {
-            let _ = sim.run_round(&mut sel, round);
-        }
-    });
+    let ms = time_ms(|| while sim.step(&mut sel).is_some() {});
     (ms, rounds)
 }
 

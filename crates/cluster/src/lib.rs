@@ -5,8 +5,6 @@
 //! * [`mod@dbscan`] — density-based clustering, used by the paper to convert
 //!   continuous state features into the discrete bins of Table 1
 //!   ([`dbscan::Discretizer`]).
-//! * [`kmeans`] — k-means++ clustering, used to bind similar devices to a
-//!   shared Q-table when scaling AutoFL to large fleets (Section 6.4).
 //!
 //! # Examples
 //!
@@ -22,7 +20,5 @@
 #![warn(missing_debug_implementations)]
 
 pub mod dbscan;
-pub mod kmeans;
 
 pub use dbscan::{dbscan, Assignment, Discretizer};
-pub use kmeans::KMeans;

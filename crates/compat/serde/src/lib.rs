@@ -146,6 +146,14 @@ pub fn field_or_null<'a>(value: &'a Value, name: &str) -> &'a Value {
     value.get(name).unwrap_or(&NULL)
 }
 
+/// Deserializes map field `name` — an absent key reads as `null`, so
+/// `Option` fields may be omitted — and prefixes any error with the
+/// field's name. Derived `Deserialize` impls initialise every named field
+/// through this; hand-written state-restore code uses it the same way.
+pub fn field<T: Deserialize>(value: &Value, name: &str) -> Result<T, Error> {
+    T::from_value(field_or_null(value, name)).map_err(|e| e.at(name))
+}
+
 /// Wraps a data-carrying enum variant: `{ "Variant": payload }`.
 pub fn variant(name: &str, payload: Value) -> Value {
     Value::Map(vec![(name.to_string(), payload)])
@@ -367,6 +375,13 @@ mod tests {
     }
 
     #[derive(crate::Serialize, crate::Deserialize, Debug, PartialEq)]
+    struct Sparse {
+        x: u32,
+        #[serde(skip_serializing_if = "Option::is_none")]
+        note: Option<String>,
+    }
+
+    #[derive(crate::Serialize, crate::Deserialize, Debug, PartialEq)]
     struct Newtype(usize);
 
     #[derive(crate::Serialize, crate::Deserialize, Debug, PartialEq)]
@@ -410,6 +425,30 @@ mod tests {
         let v = Value::Map(vec![("x".into(), Value::UInt(1))]);
         let err = Plain::from_value(&v).unwrap_err();
         assert!(err.to_string().contains("label"), "{err}");
+    }
+
+    #[test]
+    fn skip_serializing_if_omits_the_field_and_absent_reads_back_none() {
+        let bare = Sparse { x: 1, note: None };
+        assert_eq!(
+            bare.to_value(),
+            Value::Map(vec![("x".into(), Value::UInt(1))])
+        );
+        roundtrip(bare);
+        let noted = Sparse {
+            x: 2,
+            note: Some("n".into()),
+        };
+        assert_eq!(noted.to_value().get("note"), Some(&Value::Str("n".into())));
+        roundtrip(noted);
+    }
+
+    #[test]
+    fn field_reads_absent_keys_as_null_and_names_the_failing_field() {
+        let v = Value::Map(vec![("n".into(), Value::Str("x".into()))]);
+        assert_eq!(field::<Option<u8>>(&v, "absent").unwrap(), None);
+        let err = field::<u8>(&v, "n").unwrap_err();
+        assert!(err.to_string().starts_with("n: "), "{err}");
     }
 
     #[test]

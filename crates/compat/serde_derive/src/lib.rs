@@ -8,10 +8,16 @@
 //! parser is hand-rolled over `proc_macro::TokenStream` (no `syn`), which
 //! covers every plain (non-generic) type in this workspace; generic items
 //! get no impl rather than a wrong one.
+//!
+//! One field attribute is understood, with serde's meaning:
+//! `#[serde(skip_serializing_if = "path")]` leaves a named field out of
+//! the serialized map whenever `path(&field)` is true. Absent keys read
+//! back as `null`, so an `Option` field marked `"Option::is_none"`
+//! round-trips. Any other `serde(...)` attribute fails the derive.
 
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Some(item) => gen_serialize(&item).parse().unwrap_or_default(),
@@ -19,7 +25,7 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     }
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
         Some(item) => gen_deserialize(&item).parse().unwrap_or_default(),
@@ -33,11 +39,17 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
 
 enum Fields {
     /// Named fields, in declaration order.
-    Named(Vec<String>),
+    Named(Vec<Field>),
     /// Tuple fields (arity only — the generated code never names types).
     Tuple(usize),
     /// No payload.
     Unit,
+}
+
+struct Field {
+    name: String,
+    /// The `skip_serializing_if` predicate path, if the field has one.
+    skip_if: Option<String>,
 }
 
 struct Variant {
@@ -165,19 +177,25 @@ fn split_top_level(stream: TokenStream) -> Vec<Vec<TokenTree>> {
     chunks
 }
 
-/// `#[attr] pub(crate) name: Type` → `name`, per top-level chunk.
-fn parse_named_fields(stream: TokenStream) -> Option<Vec<String>> {
+/// `#[attr] pub(crate) name: Type` → the field, per top-level chunk.
+fn parse_named_fields(stream: TokenStream) -> Option<Vec<Field>> {
     split_top_level(stream)
         .into_iter()
-        .map(|chunk| field_name(&chunk))
+        .map(|chunk| parse_field(&chunk))
         .collect()
 }
 
-fn field_name(chunk: &[TokenTree]) -> Option<String> {
+fn parse_field(chunk: &[TokenTree]) -> Option<Field> {
+    let mut skip_if = None;
     let mut i = 0;
     while i < chunk.len() {
         match &chunk[i] {
-            TokenTree::Punct(p) if p.as_char() == '#' => i += 2, // attr group
+            TokenTree::Punct(p) if p.as_char() == '#' => {
+                if let Some(TokenTree::Group(attr)) = chunk.get(i + 1) {
+                    skip_if = skip_if.or(skip_serializing_if(attr.stream()));
+                }
+                i += 2; // attr group
+            }
             TokenTree::Ident(id) if id.to_string() == "pub" => {
                 i += 1;
                 if let Some(TokenTree::Group(_)) = chunk.get(i) {
@@ -187,7 +205,10 @@ fn field_name(chunk: &[TokenTree]) -> Option<String> {
             TokenTree::Ident(id) => {
                 // The field name is the ident right before the `:`.
                 return match chunk.get(i + 1) {
-                    Some(TokenTree::Punct(p)) if p.as_char() == ':' => Some(id.to_string()),
+                    Some(TokenTree::Punct(p)) if p.as_char() == ':' => Some(Field {
+                        name: id.to_string(),
+                        skip_if,
+                    }),
                     _ => None,
                 };
             }
@@ -195,6 +216,36 @@ fn field_name(chunk: &[TokenTree]) -> Option<String> {
         }
     }
     None
+}
+
+/// The predicate path of a `serde(skip_serializing_if = "path")`
+/// attribute body; `None` for other tools' attributes (doc comments
+/// included).
+///
+/// # Panics
+///
+/// On any other `serde(...)` attribute, so the derive fails at the
+/// attribute instead of silently ignoring it.
+fn skip_serializing_if(attr: TokenStream) -> Option<String> {
+    let tokens: Vec<TokenTree> = attr.into_iter().collect();
+    let [TokenTree::Ident(tool), TokenTree::Group(args)] = tokens.as_slice() else {
+        return None;
+    };
+    if tool.to_string() != "serde" {
+        return None;
+    }
+    let inner: Vec<TokenTree> = args.stream().into_iter().collect();
+    match inner.as_slice() {
+        [TokenTree::Ident(key), TokenTree::Punct(eq), TokenTree::Literal(path)]
+            if key.to_string() == "skip_serializing_if" && eq.as_char() == '=' =>
+        {
+            Some(path.to_string().trim_matches('"').to_string())
+        }
+        _ => panic!(
+            "unsupported attribute `serde{args}`: the serde shim implements only \
+             `skip_serializing_if = \"path\"`"
+        ),
+    }
 }
 
 fn count_tuple_fields(stream: TokenStream) -> usize {
@@ -237,30 +288,43 @@ fn parse_variants(stream: TokenStream) -> Option<Vec<Variant>> {
 // Code generation.
 // ---------------------------------------------------------------------------
 
-/// `{ "field": to_value(&<prefix>field), ... }` map construction.
-fn ser_named(fields: &[String], prefix: &str) -> String {
-    let entries: Vec<String> = fields
+/// Map construction over named fields in declaration order. `access`
+/// renders an expression borrowing a field's value; a field with a
+/// `skip_serializing_if` predicate is left out whenever it holds.
+fn ser_named(fields: &[Field], access: impl Fn(&str) -> String) -> String {
+    let entry = |f: &Field| {
+        format!(
+            "(::std::string::String::from(\"{}\"), serde::Serialize::to_value({}))",
+            f.name,
+            access(&f.name)
+        )
+    };
+    if fields.iter().all(|f| f.skip_if.is_none()) {
+        let entries: Vec<String> = fields.iter().map(entry).collect();
+        return format!("serde::Value::Map(::std::vec![{}])", entries.join(", "));
+    }
+    let pushes: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!(
-                "(::std::string::String::from(\"{f}\"), \
-                 serde::Serialize::to_value(&{prefix}{f}))"
-            )
+        .map(|f| match &f.skip_if {
+            Some(skip) => format!(
+                "if !{skip}({}) {{ fields.push({}); }}",
+                access(&f.name),
+                entry(f)
+            ),
+            None => format!("fields.push({});", entry(f)),
         })
         .collect();
-    format!("serde::Value::Map(::std::vec![{}])", entries.join(", "))
+    format!(
+        "{{ let mut fields = ::std::vec::Vec::new(); {} serde::Value::Map(fields) }}",
+        pushes.join(" ")
+    )
 }
 
 /// Field-by-field struct-literal body for deserialization.
-fn de_named(fields: &[String], ty_path: &str, source: &str) -> String {
+fn de_named(fields: &[Field], ty_path: &str, source: &str) -> String {
     let inits: Vec<String> = fields
         .iter()
-        .map(|f| {
-            format!(
-                "{f}: serde::Deserialize::from_value(serde::field_or_null({source}, \"{f}\"))\
-                 .map_err(|e| e.at(\"{f}\"))?"
-            )
-        })
+        .map(|f| format!("{n}: serde::field({source}, \"{n}\")?", n = f.name))
         .collect();
     format!("{ty_path} {{ {} }}", inits.join(", "))
 }
@@ -269,7 +333,7 @@ fn gen_serialize(item: &Item) -> String {
     let (name, body) = match item {
         Item::Struct { name, fields } => {
             let body = match fields {
-                Fields::Named(fs) => ser_named(fs, "self."),
+                Fields::Named(fs) => ser_named(fs, |f| format!("&self.{f}")),
                 Fields::Tuple(1) => "serde::Serialize::to_value(&self.0)".to_string(),
                 Fields::Tuple(n) => {
                     let items: Vec<String> = (0..*n)
@@ -309,10 +373,12 @@ fn gen_serialize(item: &Item) -> String {
                             )
                         }
                         Fields::Named(fs) => {
-                            let map = ser_named(fs, "");
+                            // Match bindings are already references.
+                            let map = ser_named(fs, |f| f.to_string());
+                            let binds: Vec<&str> = fs.iter().map(|f| f.name.as_str()).collect();
                             format!(
                                 "{name}::{vn} {{ {} }} => serde::variant(\"{vn}\", {map}),",
-                                fs.join(", ")
+                                binds.join(", ")
                             )
                         }
                     }

@@ -12,7 +12,7 @@ use autofl_fed::selection::{top_k_by, RoundContext, RoundFeedback, SelectionDeci
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::time::Instant;
 
 /// Hyper-parameters of the AutoFL agent.
@@ -60,10 +60,10 @@ impl Default for AutoFlConfig {
 }
 
 /// What the agent committed to in one dispatched round, pending its
-/// reward. Under the lockstep engine at most one round is ever pending;
-/// the event-driven runtime (`autofl_fed::runtime`) can hold several
-/// cohorts in flight and deliver their feedback out of dispatch order,
-/// so pending rounds are keyed by round index.
+/// reward. Under the full barrier at most one round is ever pending; a
+/// buffered runtime (`autofl_fed::runtime`) can hold several cohorts in
+/// flight and deliver their feedback out of dispatch order, so pending
+/// rounds are keyed by round index.
 #[derive(Debug, Clone)]
 struct PendingRound {
     global_state: GlobalState,
@@ -502,8 +502,7 @@ impl Selector for AutoFl {
     }
 
     fn state_restore(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let tables = Option::<QTableSet>::from_value(serde::field_or_null(state, "tables"))
-            .map_err(|e| e.at("tables"))?;
+        let tables: Option<QTableSet> = serde::field(state, "tables")?;
         let pending_rows = match serde::field_or_null(state, "pending") {
             serde::Value::Seq(items) => items,
             other => return Err(serde::Error::invalid_type("sequence", other).at("pending")),
@@ -511,10 +510,9 @@ impl Selector for AutoFl {
         let mut pending = Vec::with_capacity(pending_rows.len());
         for (i, entry) in pending_rows.iter().enumerate() {
             let in_entry = |e: serde::Error| e.at(&format!("pending[{i}]"));
-            let round = usize::from_value(serde::field_or_null(entry, "round"))
-                .map_err(|e| in_entry(e.at("round")))?;
-            let global_state = GlobalState::from_value(serde::field_or_null(entry, "global_state"))
-                .map_err(|e| in_entry(e.at("global_state")))?;
+            let round: usize = serde::field(entry, "round").map_err(in_entry)?;
+            let global_state: GlobalState =
+                serde::field(entry, "global_state").map_err(in_entry)?;
             let device_rows = match serde::field_or_null(entry, "per_device") {
                 serde::Value::Seq(items) => items,
                 other => {
@@ -526,10 +524,8 @@ impl Selector for AutoFl {
             let mut per_device = Vec::with_capacity(device_rows.len());
             for (j, d) in device_rows.iter().enumerate() {
                 let in_device = |e: serde::Error| in_entry(e.at(&format!("per_device[{j}]")));
-                let l = LocalState::from_value(serde::field_or_null(d, "l"))
-                    .map_err(|e| in_device(e.at("l")))?;
-                let a = Action::from_value(serde::field_or_null(d, "a"))
-                    .map_err(|e| in_device(e.at("a")))?;
+                let l: LocalState = serde::field(d, "l").map_err(in_device)?;
+                let a: Action = serde::field(d, "a").map_err(in_device)?;
                 per_device.push((l, a));
             }
             pending.push((
@@ -540,16 +536,12 @@ impl Selector for AutoFl {
                 },
             ));
         }
-        let words =
-            Vec::<u64>::from_value(serde::field_or_null(state, "rng")).map_err(|e| e.at("rng"))?;
+        let words: Vec<u64> = serde::field(state, "rng")?;
         let rng_state: [u64; 4] = words.try_into().map_err(|w: Vec<u64>| {
             serde::Error::custom(format!("rng state needs 4 words, found {}", w.len())).at("rng")
         })?;
-        let reward_history = Vec::<f64>::from_value(serde::field_or_null(state, "reward_history"))
-            .map_err(|e| e.at("reward_history"))?;
-        let resolved_reward =
-            Option::<RewardConfig>::from_value(serde::field_or_null(state, "resolved_reward"))
-                .map_err(|e| e.at("resolved_reward"))?;
+        let reward_history: Vec<f64> = serde::field(state, "reward_history")?;
+        let resolved_reward: Option<RewardConfig> = serde::field(state, "resolved_reward")?;
         self.tables = tables;
         self.pending = pending;
         self.rng = SmallRng::from_state(rng_state);

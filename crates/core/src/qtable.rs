@@ -135,12 +135,9 @@ impl Deserialize for QTable {
         let mut entries = HashMap::with_capacity(rows.len());
         for (i, row) in rows.iter().enumerate() {
             let in_row = |e: serde::Error| e.at(&format!("rows[{i}]"));
-            let g = GlobalState::from_value(serde::field_or_null(row, "g"))
-                .map_err(|e| in_row(e.at("g")))?;
-            let l = LocalState::from_value(serde::field_or_null(row, "l"))
-                .map_err(|e| in_row(e.at("l")))?;
-            let q = Vec::<f64>::from_value(serde::field_or_null(row, "q"))
-                .map_err(|e| in_row(e.at("q")))?;
+            let g: GlobalState = serde::field(row, "g").map_err(in_row)?;
+            let l: LocalState = serde::field(row, "l").map_err(in_row)?;
+            let q: Vec<f64> = serde::field(row, "q").map_err(in_row)?;
             if q.len() != Action::COUNT {
                 return Err(in_row(serde::Error::custom(format!(
                     "Q row holds {} values but the action space has {}",
@@ -150,8 +147,7 @@ impl Deserialize for QTable {
             }
             entries.insert((g, l), q);
         }
-        let words =
-            Vec::<u64>::from_value(serde::field_or_null(value, "rng")).map_err(|e| e.at("rng"))?;
+        let words: Vec<u64> = serde::field(value, "rng")?;
         let state: [u64; 4] = words.try_into().map_err(|w: Vec<u64>| {
             serde::Error::custom(format!("rng state needs 4 words, found {}", w.len())).at("rng")
         })?;
@@ -251,12 +247,9 @@ impl Serialize for QTableSet {
 
 impl Deserialize for QTableSet {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        let sharing = QSharing::from_value(serde::field_or_null(value, "sharing"))
-            .map_err(|e| e.at("sharing"))?;
-        let tables = Vec::<QTable>::from_value(serde::field_or_null(value, "tables"))
-            .map_err(|e| e.at("tables"))?;
-        let index = Vec::<usize>::from_value(serde::field_or_null(value, "index"))
-            .map_err(|e| e.at("index"))?;
+        let sharing: QSharing = serde::field(value, "sharing")?;
+        let tables: Vec<QTable> = serde::field(value, "tables")?;
+        let index: Vec<usize> = serde::field(value, "index")?;
         if let Some(bad) = index.iter().find(|&&i| i >= tables.len()) {
             return Err(serde::Error::custom(format!(
                 "device maps to table {bad} but only {} tables exist",

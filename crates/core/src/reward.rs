@@ -88,8 +88,8 @@ pub struct RewardInputs {
     /// How this device's participation ended.
     pub outcome: ParticipationOutcome,
     /// Mean staleness (in global aggregation steps) of the cohort's
-    /// updates when they were folded in. Always 0 under the lockstep
-    /// engine; positive only under buffered asynchronous aggregation.
+    /// updates when they were folded in. Always 0 under the full
+    /// barrier; positive only under buffered asynchronous aggregation.
     pub staleness: f64,
     /// Bytes the cohort uplinked this round (encoded updates). Always 0
     /// without a network fabric.

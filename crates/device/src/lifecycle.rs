@@ -6,7 +6,7 @@
 //! module holds the slow-moving per-device state those effects evolve —
 //! battery state-of-charge, charging status, thermal throttle level,
 //! foreground-user sessions and connectivity — which
-//! `autofl_fed::fleet::FleetState` advances round by round with
+//! `autofl_fed::fleet::FleetStore` advances round by round with
 //! per-device RNG streams.
 
 use serde::{Deserialize, Serialize};

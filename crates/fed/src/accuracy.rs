@@ -81,10 +81,6 @@ pub trait AccuracyEngine: Send {
     fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error>;
 }
 
-fn state_field<T: serde::Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-    T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-}
-
 /// Cohort drift below this level is benign: oppositely-skewed updates
 /// average out and the aggregation neither regresses nor caps convergence.
 /// Shared by the surrogate's penalty and the oracle's composition score so
@@ -272,8 +268,8 @@ impl AccuracyEngine for SurrogateEngine {
     }
 
     fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        self.acc = state_field(value, "acc")?;
-        let words: Vec<u64> = state_field(value, "rng")?;
+        self.acc = serde::field(value, "acc")?;
+        let words: Vec<u64> = serde::field(value, "rng")?;
         let state: [u64; 4] = words
             .try_into()
             .map_err(|_| serde::Error::custom("surrogate rng state must have 4 words").at("rng"))?;
@@ -582,7 +578,7 @@ impl AccuracyEngine for RealTrainingEngine {
     }
 
     fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let global: Vec<f32> = state_field(value, "global")?;
+        let global: Vec<f32> = serde::field(value, "global")?;
         if global.len() != self.global.len() {
             return Err(serde::Error::custom(format!(
                 "global model has {} parameters, checkpoint holds {}",
@@ -591,10 +587,10 @@ impl AccuracyEngine for RealTrainingEngine {
             ))
             .at("global"));
         }
-        self.acc = state_field(value, "acc")?;
+        self.acc = serde::field(value, "acc")?;
         self.global = global;
-        self.prev_global_grad = state_field(value, "prev_global_grad")?;
-        self.rounds_applied = state_field(value, "rounds_applied")?;
+        self.prev_global_grad = serde::field(value, "prev_global_grad")?;
+        self.rounds_applied = serde::field(value, "rounds_applied")?;
         Ok(())
     }
 }

@@ -570,21 +570,13 @@ impl SimBuilder {
         self
     }
 
-    /// Routes the simulation through the event-driven scheduler
-    /// ([`crate::runtime`]) with the given runtime block.
-    /// [`AsyncRuntime::barrier`] reproduces the lockstep engine bit for
-    /// bit; [`AsyncRuntime::buffered`] enables FedBuff-style
-    /// staleness-weighted aggregation.
+    /// Sets how the event scheduler ([`crate::runtime`]) aggregates.
+    /// Without a runtime block a run uses [`AsyncRuntime::barrier`]
+    /// (synchronous rounds); [`AsyncRuntime::buffered`] enables
+    /// FedBuff-style staleness-weighted aggregation.
     #[must_use]
     pub fn runtime(mut self, runtime: AsyncRuntime) -> Self {
         self.config.runtime = Some(runtime);
-        self
-    }
-
-    /// Restores the classic lockstep round loop (the default).
-    #[must_use]
-    pub fn lockstep(mut self) -> Self {
-        self.config.runtime = None;
         self
     }
 
@@ -1154,12 +1146,6 @@ mod tests {
             cfg.runtime,
             Some(AsyncRuntime::buffered(4, 0.5).concurrent_cohorts(2))
         );
-        let cfg = Simulation::builder(Workload::TinyTest)
-            .runtime(AsyncRuntime::barrier())
-            .lockstep()
-            .build_config()
-            .expect("lockstep is valid");
-        assert_eq!(cfg.runtime, None);
     }
 
     #[test]

@@ -60,13 +60,13 @@ pub struct SimConfig {
     /// dropout and the straggler policy). `None` — the default — keeps
     /// the fleet static and reproduces pre-dynamics runs bit for bit.
     pub fleet: Option<FleetDynamics>,
-    /// Event-driven asynchronous aggregation
-    /// ([`crate::runtime::AsyncRuntime`]). `None` — the default — runs
-    /// the classic lockstep round loop; `Some(AsyncRuntime::barrier())`
-    /// routes through the discrete-event scheduler and reproduces the
-    /// lockstep engine bit for bit (see `docs/async-runtime.md`).
-    /// Deserializes to `None` when absent from serialized specs, so
-    /// pre-runtime spec files keep loading.
+    /// How the event scheduler ([`crate::runtime`]) aggregates: the full
+    /// barrier, or FedBuff-style buffered aggregation with cohorts in
+    /// flight concurrently ([`crate::runtime::AsyncRuntime`]). `None` —
+    /// the default — reads as [`crate::runtime::AsyncRuntime::barrier`]:
+    /// synchronous rounds, one cohort in flight (see
+    /// `docs/async-runtime.md`). Deserializes to `None` when absent from
+    /// serialized specs, so pre-runtime spec files keep loading.
     pub runtime: Option<crate::runtime::AsyncRuntime>,
     /// Network fabric between dispatch and aggregation: per-device link
     /// latency/loss, scripted partitions and update codecs
@@ -182,14 +182,13 @@ impl SimConfig {
 
 /// Everything measured in one aggregation round.
 ///
-/// Serialization is hand-written (not derived) with one quirk: the
-/// opt-in subsystem fields — `net` (network fabric) and
-/// `adversarial`/`flagged` (adversary roles) — are *omitted*, not
-/// `null`, when their subsystem is off, so subsystem-less round traces
-/// stay byte-identical to earlier releases (pinned by the golden
-/// `smoke_trace.jsonl`). Absent fields deserialize to `None`, so older
-/// traces keep loading.
-#[derive(Debug, Clone)]
+/// The opt-in subsystem fields — `net` (network fabric) and
+/// `adversarial`/`flagged` (adversary roles) — are *omitted* from
+/// serialized records, not `null`, when their subsystem is off, so
+/// subsystem-less round traces stay byte-identical to earlier releases
+/// (pinned by the golden `smoke_trace.jsonl`). Absent fields deserialize
+/// to `None`, so older traces keep loading.
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct RoundRecord {
     /// Round index (0-based).
     pub round: usize,
@@ -216,102 +215,36 @@ pub struct RoundRecord {
     pub dropouts: Vec<DeviceId>,
     /// Devices that failed the eligibility check-in before selection.
     pub ineligible: usize,
-    /// Logical time at which this round's cohort was dispatched, in
-    /// simulated seconds since the start of the run. Under the lockstep
-    /// loop this is the cumulative duration of all earlier rounds; under
-    /// the event-driven runtime it is the scheduler clock at dispatch.
+    /// Logical time at which this round's cohort was dispatched: the
+    /// scheduler clock at dispatch, in simulated seconds since the start
+    /// of the run. With one cohort in flight (the barrier) this is the
+    /// cumulative duration of all earlier rounds.
     pub dispatch_time_s: f64,
     /// Logical time at which this round's cohort completed (its record
-    /// was emitted): `dispatch_time_s + round_time_s`. Monotone across
-    /// rounds under the lockstep loop; under the event-driven runtime
-    /// with concurrent cohorts, completion order may differ from
-    /// dispatch order.
+    /// was emitted): `dispatch_time_s + round_time_s`. Monotone in
+    /// emission order; with concurrent cohorts, completion order may
+    /// differ from dispatch order.
     pub logical_time_s: f64,
     /// Mean staleness (in aggregation versions) of this cohort's updates
-    /// at the moment they were aggregated. Always 0 under the lockstep
-    /// loop and the full-barrier runtime with one cohort in flight.
+    /// at the moment they were aggregated. Always 0 under the full
+    /// barrier.
     pub mean_staleness: f64,
     /// Network-fabric accounting (bytes, drops, partitions). `Some` iff
     /// [`SimConfig::network`] is attached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub net: Option<RoundNetStats>,
     /// Number of *adversarial* devices (any non-honest role) among this
     /// round's participants. `Some` iff [`SimConfig::adversary`] is
-    /// attached; omitted from serialized records when `None`, so
-    /// adversary-less traces stay byte-identical to earlier releases.
+    /// attached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub adversarial: Option<usize>,
     /// Number of adversarial updates the server-side defenses neutralised
     /// this round: free-riders' zero-mass updates always count; poisoners
     /// and scalers count iff the configured aggregator has positive
     /// [`AggregationAlgorithm::poison_robustness`]. `Some` iff
-    /// [`SimConfig::adversary`] is attached; omitted when `None`.
+    /// [`SimConfig::adversary`] is attached.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub flagged: Option<usize>,
-}
-
-impl Serialize for RoundRecord {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("round".to_string(), self.round.to_value()),
-            ("participants".to_string(), self.participants.to_value()),
-            ("plans".to_string(), self.plans.to_value()),
-            ("round_time_s".to_string(), self.round_time_s.to_value()),
-            (
-                "active_energy_j".to_string(),
-                self.active_energy_j.to_value(),
-            ),
-            ("idle_energy_j".to_string(), self.idle_energy_j.to_value()),
-            ("accuracy".to_string(), self.accuracy.to_value()),
-            ("dropped".to_string(), self.dropped.to_value()),
-            (
-                "update_fractions".to_string(),
-                self.update_fractions.to_value(),
-            ),
-            ("dropouts".to_string(), self.dropouts.to_value()),
-            ("ineligible".to_string(), self.ineligible.to_value()),
-            (
-                "dispatch_time_s".to_string(),
-                self.dispatch_time_s.to_value(),
-            ),
-            ("logical_time_s".to_string(), self.logical_time_s.to_value()),
-            ("mean_staleness".to_string(), self.mean_staleness.to_value()),
-        ];
-        if let Some(net) = &self.net {
-            fields.push(("net".to_string(), net.to_value()));
-        }
-        if let Some(adversarial) = &self.adversarial {
-            fields.push(("adversarial".to_string(), adversarial.to_value()));
-        }
-        if let Some(flagged) = &self.flagged {
-            fields.push(("flagged".to_string(), flagged.to_value()));
-        }
-        serde::Value::Map(fields)
-    }
-}
-
-impl Deserialize for RoundRecord {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
-        Ok(RoundRecord {
-            round: field(value, "round")?,
-            participants: field(value, "participants")?,
-            plans: field(value, "plans")?,
-            round_time_s: field(value, "round_time_s")?,
-            active_energy_j: field(value, "active_energy_j")?,
-            idle_energy_j: field(value, "idle_energy_j")?,
-            accuracy: field(value, "accuracy")?,
-            dropped: field(value, "dropped")?,
-            update_fractions: field(value, "update_fractions")?,
-            dropouts: field(value, "dropouts")?,
-            ineligible: field(value, "ineligible")?,
-            dispatch_time_s: field(value, "dispatch_time_s")?,
-            logical_time_s: field(value, "logical_time_s")?,
-            mean_staleness: field(value, "mean_staleness")?,
-            net: field(value, "net")?,
-            adversarial: field(value, "adversarial")?,
-            flagged: field(value, "flagged")?,
-        })
-    }
 }
 
 impl RoundRecord {
@@ -473,13 +406,16 @@ struct RoundScratch {
 
 /// Everything a dispatched cohort carries between check-in/execution
 /// ([`Simulation::dispatch_round`]) and the aggregation + lifecycle +
-/// feedback steps that complete it. The lockstep loop completes a cohort
-/// immediately; the event-driven runtime ([`crate::runtime`]) holds the
-/// outcome in flight until its scheduled upload/completion events fire.
-/// Serializable so a checkpoint ([`crate::serve`]) can capture cohorts
-/// that are in flight when the process dies.
+/// feedback steps that complete it
+/// ([`Simulation::complete_cohort`]). The event scheduler
+/// ([`crate::runtime`]) holds the outcome in flight until its scheduled
+/// upload/completion events fire. Serializable so a checkpoint
+/// ([`crate::serve`]) can capture cohorts that are in flight when the
+/// process dies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct DispatchOutcome {
+    /// The round (cohort index) this outcome belongs to.
+    pub round: usize,
     /// Devices excluded from this round's pool by fleet dynamics.
     pub ineligible: usize,
     /// Global accuracy at dispatch time (before this cohort aggregates).
@@ -527,10 +463,10 @@ pub struct Simulation {
     scratch: RoundScratch,
     /// Per-device lifecycle state; `Some` iff `config.fleet` is enabled.
     fleet_state: Option<FleetStore>,
-    /// Logical clock in simulated seconds: the cumulative duration of
-    /// every completed round (the lockstep counterpart of the event
-    /// scheduler's clock).
-    clock_s: f64,
+    /// The round driver's state ([`crate::runtime`]): pending events,
+    /// cohorts in flight and the dispatch cursor that
+    /// [`Simulation::step`] advances.
+    pub(crate) sched: crate::runtime::Scheduler,
 }
 
 impl std::fmt::Debug for Simulation {
@@ -660,7 +596,7 @@ impl Simulation {
             rng,
             scratch: RoundScratch::default(),
             fleet_state,
-            clock_s: 0.0,
+            sched: crate::runtime::Scheduler::new(),
         }
     }
 
@@ -698,63 +634,35 @@ impl Simulation {
         self.engine.accuracy()
     }
 
-    /// Runs one aggregation round under `selector` and returns its record.
-    pub fn run_round(&mut self, selector: &mut dyn Selector, round: usize) -> RoundRecord {
-        self.run_round_shadowed(selector, round, None).0
-    }
-
-    /// Like [`Simulation::run_round`], but additionally asks `shadow` what
-    /// it *would* have decided for the same round context, without
-    /// executing it. Used to measure prediction accuracy against the
-    /// oracle (Figure 12).
-    pub fn run_round_shadowed(
+    /// Closes out a cohort whose completion event fired: charges the idle
+    /// fleet, advances the device lifecycles, feeds the outcome back to
+    /// `selector` and assembles the round's record — the one place a
+    /// [`RoundRecord`] is built. `accuracy` is the global accuracy after
+    /// the cohort's closing aggregation step; the times are the
+    /// scheduler's logical clock at dispatch and at completion.
+    pub(crate) fn complete_cohort(
         &mut self,
+        outcome: DispatchOutcome,
+        accuracy: f64,
+        dispatch_time_s: f64,
+        logical_time_s: f64,
+        mean_staleness: f64,
         selector: &mut dyn Selector,
-        round: usize,
-        shadow: Option<&mut dyn Selector>,
-    ) -> (RoundRecord, Option<SelectionDecision>) {
-        let (outcome, shadow_decision) = self.dispatch_round(selector, round, shadow);
+    ) -> RoundRecord {
         let idle_energy = self.idle_energy_for(&outcome.participants, outcome.round_time_s);
-
-        // Aggregate: update global accuracy from the surviving cohort
-        // (every update at staleness 0 — the lockstep loop aggregates a
-        // round the instant it completes).
-        let survivors: Vec<DeviceId> = outcome
-            .participants
-            .iter()
-            .zip(&outcome.fractions)
-            .filter(|(_, &f)| f > 0.0)
-            .map(|(id, _)| *id)
-            .collect();
-        // The codec's surrogate fidelity scales the surviving update
-        // fractions at the aggregation input (and only there — records
-        // report raw fractions): a lossy uplink contributes a slightly
-        // weaker update. Exactly 1.0 without a fabric, so the multiply is
-        // a bit-exact pass-through.
-        let survivor_fractions: Vec<f64> = outcome
-            .fractions
-            .iter()
-            .copied()
-            .filter(|&f| f > 0.0)
-            .map(|f| f * outcome.codec_fidelity)
-            .collect();
-        let accuracy = self.aggregate_update(survivors, survivor_fractions);
-
         self.end_round_lifecycle(
             outcome.round_time_s,
             &outcome.participants,
             &outcome.completion,
             &outcome.per_participant_energy,
         );
-
-        // Feed the outcome back to learning selectors.
         let idle_per_device = if self.fleet.len() > outcome.participants.len() {
             idle_energy / (self.fleet.len() - outcome.participants.len()) as f64
         } else {
             0.0
         };
         selector.observe(&RoundFeedback {
-            round,
+            round: outcome.round,
             participants: &outcome.participants,
             per_participant_energy_j: &outcome.per_participant_energy,
             idle_energy_per_device_j: idle_per_device,
@@ -764,15 +672,11 @@ impl Simulation {
             prev_accuracy: outcome.prev_accuracy,
             dropped: &outcome.dropped,
             dropouts: &outcome.dropouts,
-            mean_staleness: 0.0,
+            mean_staleness,
             bytes_uplinked: outcome.net.map_or(0, |n| n.bytes_uplinked),
         });
-
-        let dispatch_time_s = self.clock_s;
-        let logical_time_s = dispatch_time_s + outcome.round_time_s;
-        self.clock_s = logical_time_s;
-        let record = RoundRecord {
-            round,
+        RoundRecord {
+            round: outcome.round,
             participants: outcome.participants,
             plans: outcome.plans,
             round_time_s: outcome.round_time_s,
@@ -785,26 +689,24 @@ impl Simulation {
             ineligible: outcome.ineligible,
             dispatch_time_s,
             logical_time_s,
-            mean_staleness: 0.0,
+            mean_staleness,
             net: outcome.net,
             adversarial: outcome.adversarial,
             flagged: outcome.flagged,
-        };
-        (record, shadow_decision)
+        }
     }
 
-    /// Check-in, selection and execution of one cohort — everything up to
-    /// (but not including) aggregation, lifecycle advancement and
-    /// feedback, which the lockstep loop performs immediately and the
-    /// event-driven runtime (`crate::runtime`) defers to scheduled
-    /// events. Both drivers call this in strictly increasing dispatch
-    /// order, so the sequential engine RNG consumes draws identically.
+    /// Check-in, selection and execution of cohort `round` — everything
+    /// up to (but not including) aggregation, lifecycle advancement and
+    /// feedback, which the scheduler ([`crate::runtime`]) defers to the
+    /// cohort's upload and completion events. Called in strictly
+    /// increasing round order, so the sequential engine RNG consumes
+    /// draws identically under every runtime.
     pub(crate) fn dispatch_round(
         &mut self,
         selector: &mut dyn Selector,
         round: usize,
-        mut shadow: Option<&mut dyn Selector>,
-    ) -> (DispatchOutcome, Option<SelectionDecision>) {
+    ) -> DispatchOutcome {
         // 0. Fleet dynamics: evolve per-device lifecycle sessions
         // (charging, foreground, connectivity) shard-parallel and refresh
         // the stored availability. Disabled dynamics report every device
@@ -953,16 +855,6 @@ impl Simulation {
                     .map(|id| adv.role_of(self.config.seed, id.0)),
             );
         }
-        let shadow_decision = shadow.as_mut().map(|s| {
-            // The shadow gets its own tagged RNG stream (TAG_SHADOW in
-            // the (seed, tag, round, id) discipline of
-            // docs/determinism.md) so it cannot perturb the main run's
-            // determinism and never collides with another stream across
-            // (seed, round) pairs.
-            let mut shadow_rng =
-                SmallRng::seed_from_u64(crate::fleet::shadow_stream_seed(self.config.seed, round));
-            s.select(&ctx, &mut shadow_rng)
-        });
         // Task construction is two field reads per participant; the heavy
         // per-device work (cost execution) fans out inside estimate_round.
         self.scratch.tasks.clear();
@@ -1181,7 +1073,8 @@ impl Simulation {
             (None, None)
         };
 
-        let outcome = DispatchOutcome {
+        DispatchOutcome {
+            round,
             ineligible: ineligible + partitioned,
             prev_accuracy,
             participants,
@@ -1197,13 +1090,12 @@ impl Simulation {
             codec_fidelity,
             adversarial,
             flagged,
-        };
-        (outcome, shadow_decision)
+        }
     }
 
     /// Idle energy of every non-participant over a round of
     /// `round_time_s` seconds (Eq. 5 else branch), summed in fleet order.
-    pub(crate) fn idle_energy_for(&mut self, participants: &[DeviceId], round_time_s: f64) -> f64 {
+    fn idle_energy_for(&mut self, participants: &[DeviceId], round_time_s: f64) -> f64 {
         let is_participant = &mut self.scratch.is_participant;
         is_participant.clear();
         is_participant.resize(self.fleet.len(), false);
@@ -1240,9 +1132,10 @@ impl Simulation {
     /// Applies one aggregation step: folds the surviving updates —
     /// `survivors` with their (possibly staleness-discounted) update
     /// fractions, in `(round, participant-slot)` order — into the global
-    /// model and returns the new test accuracy. Called exactly once per
-    /// lockstep round; the event-driven runtime calls it once per buffer
-    /// flush, with updates that may span several dispatched cohorts.
+    /// model and returns the new test accuracy. The scheduler calls it
+    /// once per aggregation step: once per cohort under the barrier, once
+    /// per buffer flush — with updates that may span several dispatched
+    /// cohorts — under buffered aggregation.
     pub(crate) fn aggregate_update(
         &mut self,
         survivors: Vec<DeviceId>,
@@ -1337,10 +1230,9 @@ impl Simulation {
 
     /// Advances the lifecycle states with what the cohort's round
     /// actually cost each device (battery drain, heating, cooling).
-    /// Non-members idle-cool over `round_time_s` seconds. The lockstep
-    /// loop calls this once per round; the event runtime calls it at the
+    /// Non-members idle-cool over `round_time_s` seconds. Runs at the
     /// cohort's completion event.
-    pub(crate) fn end_round_lifecycle(
+    fn end_round_lifecycle(
         &mut self,
         round_time_s: f64,
         participants: &[DeviceId],
@@ -1392,31 +1284,20 @@ impl Simulation {
         policy: String,
         observers: &mut [&mut dyn crate::observe::RoundObserver],
     ) -> std::io::Result<SimResult> {
-        if self.config.runtime.is_some() {
-            // Event-driven scheduling on logical time; the full-barrier
-            // special case reproduces this lockstep loop bit for bit
-            // (pinned in tests/async_runtime.rs).
-            return crate::runtime::run_event_driven(self, selector, policy, observers);
-        }
-        let target = self.config.target();
         let mut records = Vec::new();
-        for round in 0..self.config.max_rounds {
-            for obs in observers.iter_mut() {
-                obs.on_round_start(round)?;
-            }
-            let record = self.run_round(selector, round);
+        while let Some(record) = self.step(selector) {
             for obs in observers.iter_mut() {
                 obs.on_round_end(&record)?;
             }
-            let reached = record.accuracy >= target;
             records.push(record);
-            if reached {
-                break;
-            }
         }
+        // Concurrent cohorts can complete out of dispatch order; reports
+        // and sinks expect round order (`logical_time_s` keeps the
+        // completion order).
+        records.sort_by_key(|r| r.round);
         let result = SimResult {
             policy,
-            target_accuracy: target,
+            target_accuracy: self.config.target(),
             records,
         };
         if result.converged() {
@@ -1441,13 +1322,12 @@ impl Simulation {
     /// Serializes the simulation's live mutable state — the sequential
     /// engine RNG position, the accuracy engine (global model or
     /// surrogate curve + noise stream), the fleet lifecycle store, the
-    /// logical clock and the (possibly controller-tuned) global
-    /// parameters. Everything else (fleet, dataset, scratch, condition
+    /// (possibly controller-tuned) global parameters and the event
+    /// scheduler. Everything else (fleet, dataset, scratch, condition
     /// streams) is a deterministic function of [`SimConfig`] and is
     /// rebuilt by [`Simulation::new`] on resume, not checkpointed.
     pub fn state_snapshot(&self) -> serde::Value {
         serde::Value::Map(vec![
-            ("clock_s".to_string(), self.clock_s.to_value()),
             ("rng".to_string(), self.rng.state().to_vec().to_value()),
             ("params".to_string(), self.config.params.to_value()),
             ("engine".to_string(), self.engine.state_snapshot()),
@@ -1458,24 +1338,23 @@ impl Simulation {
                     None => serde::Value::Null,
                 },
             ),
+            ("scheduler".to_string(), self.sched.state_snapshot()),
         ])
     }
 
     /// Restores the state captured by [`Simulation::state_snapshot`] onto
     /// a freshly built simulation of the *same* [`SimConfig`]. After
     /// this, continuing the run reproduces the uninterrupted run bit for
-    /// bit (pinned in `tests/checkpoint.rs`).
+    /// bit (pinned in `tests/checkpoint.rs`). A scheduler state that is
+    /// inconsistent with itself or the fleet is an error, not a later
+    /// panic.
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
-        self.clock_s = field(value, "clock_s")?;
-        let rng_words: Vec<u64> = field(value, "rng")?;
+        let rng_words: Vec<u64> = serde::field(value, "rng")?;
         let rng_state: [u64; 4] = rng_words
             .try_into()
             .map_err(|_| serde::Error::custom("engine rng state must have 4 words").at("rng"))?;
         self.rng = SmallRng::from_state(rng_state);
-        self.config.params = field(value, "params")?;
+        self.config.params = serde::field(value, "params")?;
         self.engine
             .state_restore(serde::field_or_null(value, "engine"))
             .map_err(|e| e.at("engine"))?;
@@ -1499,6 +1378,11 @@ impl Simulation {
                 )))
             }
         }
+        self.sched = crate::runtime::Scheduler::restore(
+            serde::field_or_null(value, "scheduler"),
+            self.fleet.len(),
+        )
+        .map_err(|e| e.at("scheduler"))?;
         Ok(())
     }
 }
@@ -1610,7 +1494,7 @@ mod tests {
     #[test]
     fn round_energy_includes_idle_fleet() {
         let mut sim = Simulation::new(SimConfig::tiny_test(3));
-        let rec = sim.run_round(&mut RandomSelector::new(), 0);
+        let rec = sim.step(&mut RandomSelector::new()).expect("round 0");
         assert!(rec.idle_energy_j > 0.0);
         assert!(rec.active_energy_j > 0.0);
         assert_eq!(rec.participants.len(), 4);
@@ -1742,7 +1626,9 @@ mod tests {
                 ..crate::fleet::FleetDynamics::realistic()
             };
             cfg.fleet = Some(calm.straggler(crate::fleet::StragglerPolicy::Drop));
-            Simulation::new(cfg).run_round(&mut RandomSelector::new(), 0)
+            Simulation::new(cfg)
+                .step(&mut RandomSelector::new())
+                .expect("round 0")
         };
         let without = run(0.0);
         let with = run(0.9);

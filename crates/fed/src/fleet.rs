@@ -234,16 +234,17 @@ pub(crate) const TAG_CODEC: u64 = 0xc0de;
 /// [`crate::adversary`].
 pub(crate) const TAG_ADV: u64 = 0xadfe;
 
-/// Seed of the shadow selector's per-round RNG stream (`TAG_SHADOW`).
+/// Seed of a shadow selector's per-round RNG stream (`TAG_SHADOW`).
 ///
-/// The shadow selector of [`crate::engine::Simulation::run_round_shadowed`]
-/// draws from its own tagged stream so it can never perturb the main
-/// run's RNG; routing it through the same `(seed, tag, round, id)`
-/// construction as every other stream keeps the seeds collision-free
-/// across `(seed, round)` pairs (the previous ad-hoc
-/// `seed ^ round * constant` mix collided whenever two pairs XOR-ed to
-/// the same value, e.g. any round 0 against any seed).
-pub(crate) fn shadow_stream_seed(seed: u64, round: usize) -> u64 {
+/// A shadow selector — asked what it *would* decide on a round's context
+/// without executing it, like the Figure 12 oracle — draws from its own
+/// tagged stream so it can never perturb the main run's RNG; routing it
+/// through the same `(seed, tag, round, id)` construction as every other
+/// stream keeps the seeds collision-free across `(seed, round)` pairs
+/// (the previous ad-hoc `seed ^ round * constant` mix collided whenever
+/// two pairs XOR-ed to the same value, e.g. any round 0 against any
+/// seed).
+pub fn shadow_stream_seed(seed: u64, round: usize) -> u64 {
     device_stream_seed(seed, TAG_SHADOW, round as u64, 0)
 }
 
@@ -300,10 +301,6 @@ pub struct FleetStore {
     /// Reusable fleet-sized participant-slot scratch for `end_round`.
     participant_slot: Vec<usize>,
 }
-
-/// The pre-sharding name of [`FleetStore`], kept as an alias for
-/// downstream code written against PR 4's API.
-pub type FleetState = FleetStore;
 
 impl FleetStore {
     /// Initial state for a fleet in `shards` contiguous extents:
@@ -455,11 +452,8 @@ impl FleetStore {
     /// store freshly built from the same config (same fleet size and
     /// shard count).
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        let len: usize =
-            Deserialize::from_value(serde::field_or_null(value, "len")).map_err(|e| e.at("len"))?;
-        let shards: Vec<FleetShard> =
-            Deserialize::from_value(serde::field_or_null(value, "shards"))
-                .map_err(|e| e.at("shards"))?;
+        let len: usize = serde::field(value, "len")?;
+        let shards: Vec<FleetShard> = serde::field(value, "shards")?;
         if len != self.len || shards.len() != self.shards.len() {
             return Err(serde::Error::custom(format!(
                 "fleet geometry mismatch: store is {} devices / {} shards, checkpoint holds {} / {}",

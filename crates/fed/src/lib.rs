@@ -27,10 +27,11 @@
 //! * [`engine`] — the round simulator with straggler handling and energy
 //!   accounting, producing [`engine::SimResult`]s whose `ppw_*` ratios are
 //!   the paper's reported numbers.
-//! * [`runtime`] — the deterministic discrete-event scheduler on logical
-//!   time: FedBuff-style buffered aggregation with staleness-weighted
-//!   updates ([`runtime::AsyncRuntime`]), whose full-barrier special case
-//!   reproduces the lockstep engine bit for bit.
+//! * [`runtime`] — the round driver every run steps
+//!   ([`engine::Simulation::step`]): a deterministic discrete-event
+//!   scheduler on logical time whose full barrier (the default) is
+//!   synchronous FedAvg, with FedBuff-style buffered aggregation of
+//!   staleness-weighted updates opt-in ([`runtime::AsyncRuntime`]).
 //! * [`fabric`] — the opt-in network fabric between dispatch and
 //!   aggregation: per-device link latency/loss on tagged RNG streams,
 //!   scripted [`fabric::PartitionSchedule`]s, and communication-efficient
@@ -108,8 +109,8 @@ pub use fabric::{
     PartitionSchedule, PeriodicFullSync, RoundNetStats, TopK, TopKInt8, UpdateCodec,
 };
 pub use fleet::{
-    survivor_weights, AvailabilityView, DeviceAvailability, FleetDynamics, FleetState, FleetStore,
-    ShardBin, StragglerPolicy,
+    survivor_weights, AvailabilityView, DeviceAvailability, FleetDynamics, FleetStore, ShardBin,
+    StragglerPolicy,
 };
 pub use global::GlobalParams;
 pub use observe::{CsvSink, JsonlSink, Progress, RoundObserver};

@@ -36,12 +36,6 @@ use std::io::{self, Write};
 /// mid-experiment, and the run stops at the failing round (fail-fast — no
 /// further rounds execute once an observer errors).
 pub trait RoundObserver {
-    /// Called before the round's conditions are sampled.
-    fn on_round_start(&mut self, round: usize) -> io::Result<()> {
-        let _ = round;
-        Ok(())
-    }
-
     /// Called with the completed round's record.
     fn on_round_end(&mut self, record: &RoundRecord) -> io::Result<()> {
         let _ = record;
@@ -60,9 +54,10 @@ pub trait RoundObserver {
 /// Columns: `round,accuracy,round_time_s,active_energy_j,idle_energy_j,`
 /// `participants,dropped,dropouts,ineligible,logical_time_s,`
 /// `mean_staleness` — the id lists are space-separated so the file stays
-/// quote-free. The last two columns carry the event runtime's logical
-/// clock and staleness (see `docs/async-runtime.md`); under the lockstep
-/// engine they are the cumulative round time and 0.
+/// quote-free. The `logical_time_s` and `mean_staleness` columns carry
+/// the event scheduler's clock and staleness (see
+/// `docs/async-runtime.md`); under the full barrier they are the
+/// cumulative round time and 0.
 pub struct CsvSink<W: Write> {
     out: W,
     wrote_header: bool,

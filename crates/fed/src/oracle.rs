@@ -288,7 +288,7 @@ mod tests {
         cfg.max_rounds = 40;
         let mut sim = Simulation::new(cfg);
         let mut oracle = OracleSelector::participant();
-        let rec = sim.run_round(&mut oracle, 0);
+        let rec = sim.step(&mut oracle).expect("round 0");
         let partition = sim.data().partition.clone();
         let non_iid_selected = rec
             .participants
@@ -310,8 +310,8 @@ mod tests {
         let mut sim = Simulation::new(cfg);
         let mut ofl = OracleSelector::full();
         let mut saw_non_max = false;
-        for round in 0..5 {
-            let rec = sim.run_round(&mut ofl, round);
+        for _ in 0..5 {
+            let rec = sim.step(&mut ofl).expect("within the 120-round horizon");
             for (id, plan) in rec.participants.iter().zip(&rec.plans) {
                 let tier = sim.fleet().device(*id).tier();
                 let table = DvfsTable::for_tier(tier, plan.target);

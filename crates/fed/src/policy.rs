@@ -13,6 +13,7 @@
 //! name, and spec files refer to policies *by that name*, so a new
 //! baseline needs no changes to the runner binaries.
 
+use crate::builder::ConfigError;
 use crate::clusters::CharacterizationCluster;
 use crate::engine::{SimConfig, SimResult, Simulation};
 use crate::global::GlobalParams;
@@ -67,18 +68,29 @@ pub fn run_policy_observed(
     policy: &dyn Policy,
     observers: &mut [&mut dyn RoundObserver],
 ) -> std::io::Result<SimResult> {
+    let config = tuned_config(config, policy).unwrap_or_else(|e| {
+        panic!(
+            "policy `{}` tuned an invalid configuration: {e}",
+            policy.name()
+        )
+    });
+    let mut selector = policy.make_selector();
+    Simulation::new(config).run_labeled(selector.as_mut(), policy.name().to_string(), observers)
+}
+
+/// `config` with `policy`'s start-of-run [`Policy::tune`] applied and
+/// re-validated — the one tune-and-validate step behind
+/// [`run_policy_observed`] and [`crate::serve::ExperimentRun::new`].
+pub(crate) fn tuned_config(
+    config: &SimConfig,
+    policy: &dyn Policy,
+) -> Result<SimConfig, ConfigError> {
     let mut config = config.clone();
     if let Some(params) = policy.tune(&config) {
         config.params = params;
-        if let Err(e) = config.validate() {
-            panic!(
-                "policy `{}` tuned an invalid configuration: {e}",
-                policy.name()
-            );
-        }
+        config.validate()?;
     }
-    let mut selector = policy.make_selector();
-    Simulation::new(config).run_labeled(selector.as_mut(), policy.name().to_string(), observers)
+    Ok(config)
 }
 
 /// An ordered, name-addressed collection of policies.

@@ -1,63 +1,59 @@
-//! Deterministic discrete-event runtime on logical time.
+//! The round driver: a deterministic discrete-event scheduler on logical
+//! time.
 //!
-//! The lockstep engine ([`crate::engine`]) advances one full barrier per
-//! round: every participant's upload lands at once, and aggregation,
-//! lifecycle advancement and feedback happen immediately. This module
-//! replays the same per-cohort work as *timestamped events* on a logical
-//! clock — device check-in/training/upload durations come from the
-//! existing per-device cost model — so the server can aggregate
-//! asynchronously, FedBuff-style: updates accumulate in a buffer of size
-//! `M` and each is discounted by its staleness (the number of global
-//! aggregation steps that happened since its cohort was dispatched) with
-//! weight `1 / (1 + staleness)^a`.
+//! Every run advances through [`Simulation::step`]. A cohort's check-in,
+//! selection and execution run at dispatch; its uploads and its
+//! completion become *timestamped events* on a logical clock, with
+//! durations from the per-device cost model. How the server folds
+//! updates into the global model is the run's [`AsyncRuntime`]:
 //!
-//! Two contracts make this safe to adopt incrementally:
+//! - the **full barrier** ([`AsyncRuntime::barrier`], which
+//!   [`crate::engine::SimConfig::runtime`] `= None` means) aggregates
+//!   each cohort when its slowest survivor finishes, one cohort in
+//!   flight: synchronous (lockstep) FedAvg;
+//! - **buffered** aggregation is asynchronous, FedBuff-style: updates
+//!   accumulate in a buffer of size `M` and each is discounted by its
+//!   staleness (the number of global aggregation steps since its cohort
+//!   was dispatched) with weight `1 / (1 + staleness)^a`.
 //!
-//! 1. **Barrier equivalence.** [`AsyncRuntime::barrier`] (buffer = whole
-//!    cohort, staleness exponent 0, one cohort in flight) reproduces the
-//!    lockstep engine *bit for bit* — same selections, plans, energies,
-//!    accuracies and logical times — pinned for every registered policy
-//!    in `tests/async_runtime.rs`.
-//! 2. **Determinism.** The event loop runs in-process on a
-//!    [`std::collections::BinaryHeap`] ordered by `(time, sequence)`;
-//!    all stochastic inputs flow through the engine's existing seeded
-//!    streams, so the same seed reproduces a run bit for bit at any
-//!    `AUTOFL_THREADS` or shard count (see `docs/async-runtime.md`).
+//! The event loop runs in-process on a [`std::collections::BinaryHeap`]
+//! ordered by `(time, sequence)`; all stochastic inputs flow through the
+//! engine's seeded streams, so the same seed reproduces a run bit for bit
+//! at any `AUTOFL_THREADS` or shard count (see `docs/async-runtime.md`).
 
-use crate::engine::{DispatchOutcome, RoundRecord, SimResult, Simulation};
-use crate::observe::RoundObserver;
-use crate::selection::{RoundFeedback, Selector};
+use crate::engine::{DispatchOutcome, RoundRecord, Simulation};
+use crate::selection::Selector;
 use autofl_device::fleet::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 
-/// Configuration of the event-driven asynchronous aggregation runtime.
+/// How the event scheduler aggregates.
 ///
 /// Attach one to a simulation with
 /// [`crate::builder::SimBuilder::runtime`] (or by setting
-/// [`crate::engine::SimConfig::runtime`] on a profile); `None` keeps the
-/// classic lockstep loop.
+/// [`crate::engine::SimConfig::runtime`] on a profile); without one a run
+/// uses [`AsyncRuntime::barrier`].
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct AsyncRuntime {
     /// Server aggregation buffer size `M`: the global model folds in
     /// buffered updates as soon as `M` have arrived. `None` is the full
     /// barrier — each cohort aggregates exactly when its slowest
-    /// surviving member finishes, reproducing lockstep FedAvg.
+    /// surviving member finishes (synchronous FedAvg).
     pub buffer_size: Option<usize>,
     /// Staleness-discount exponent `a` in `1 / (1 + staleness)^a`.
     /// `0.0` weights every update fully regardless of staleness.
     pub staleness_exponent: f64,
     /// Number of cohorts in flight at once. The scheduler keeps this
     /// many dispatched: a new cohort starts the moment one completes.
-    /// `1` is sequential dispatch (required for barrier equivalence).
+    /// `1` is sequential dispatch.
     pub concurrent_cohorts: usize,
 }
 
 impl AsyncRuntime {
-    /// The full-barrier special case: aggregate each cohort exactly at
-    /// its completion event, no staleness discount, one cohort in
-    /// flight. Bit-identical to the lockstep engine.
+    /// The full barrier: aggregate each cohort exactly at its completion
+    /// event, no staleness discount, one cohort in flight — synchronous
+    /// (lockstep) FedAvg, and what runs when no runtime is configured.
     pub fn barrier() -> Self {
         AsyncRuntime {
             buffer_size: None,
@@ -89,8 +85,8 @@ impl AsyncRuntime {
 ///
 /// Exactly `1.0` (not merely approximately) when `staleness == 0` or
 /// `exponent == 0.0`, so a fresh update's fraction passes through the
-/// multiplication bit-unchanged — the identity the barrier-equivalence
-/// contract rests on. Deterministic: a pure function of its arguments.
+/// multiplication bit-unchanged — the identity the barrier's exact
+/// aggregation rests on. Deterministic: a pure function of its arguments.
 pub fn staleness_weight(staleness: u64, exponent: f64) -> f64 {
     if staleness == 0 || exponent == 0.0 {
         1.0
@@ -155,8 +151,63 @@ struct InFlight {
     outcome: DispatchOutcome,
 }
 
-/// One update sitting in the server's aggregation buffer.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+impl InFlight {
+    /// The update participant `slot` delivers.
+    fn update(&self, slot: usize) -> BufferedUpdate {
+        BufferedUpdate {
+            round: self.outcome.round,
+            slot,
+            id: self.outcome.participants[slot],
+            fraction: self.outcome.fractions[slot],
+        }
+    }
+
+    /// Every surviving update, in slot order: the barrier's closing
+    /// aggregation input.
+    fn survivors(&self) -> Vec<BufferedUpdate> {
+        (0..self.outcome.participants.len())
+            .filter(|&slot| self.outcome.fractions[slot] > 0.0)
+            .map(|slot| self.update(slot))
+            .collect()
+    }
+
+    /// Rejects a restored cohort whose per-participant columns disagree
+    /// in length, that names a device outside a fleet of `devices`, or
+    /// that claims a dispatch version later than `version`.
+    fn check(&self, devices: usize, version: u64) -> Result<(), serde::Error> {
+        let o = &self.outcome;
+        let err = |msg: String| serde::Error::custom(format!("round {}: {msg}", o.round));
+        let n = o.participants.len();
+        let columns = [
+            o.plans.len(),
+            o.completion.len(),
+            o.fractions.len(),
+            o.per_participant_energy.len(),
+        ];
+        if columns.iter().any(|&len| len != n) {
+            return Err(err(format!(
+                "per-participant columns {columns:?} do not match {n} participants"
+            )));
+        }
+        let mut ids = o.participants.iter().chain(&o.dropped).chain(&o.dropouts);
+        if let Some(id) = ids.find(|id| id.0 >= devices) {
+            return Err(err(format!(
+                "device {} is outside the {devices}-device fleet",
+                id.0
+            )));
+        }
+        if self.version_at_dispatch > version {
+            return Err(err(format!(
+                "dispatched at version {} after the current version {version}",
+                self.version_at_dispatch
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// One update waiting in the server's aggregation buffer.
+#[derive(Debug, Clone, Copy)]
 struct BufferedUpdate {
     round: usize,
     slot: usize,
@@ -164,41 +215,55 @@ struct BufferedUpdate {
     fraction: f64,
 }
 
-/// The scheduler state threaded through the event loop.
-struct EventLoop {
-    rt: AsyncRuntime,
+/// The scheduler state that carries over between two
+/// [`Simulation::step`] calls: pending events, cohorts in flight and the
+/// dispatch cursor. The aggregation buffer is not part of it: every
+/// cohort completion drains the buffer, so it is empty whenever a step
+/// returns.
+#[derive(Debug)]
+pub(crate) struct Scheduler {
     heap: BinaryHeap<Reverse<Event>>,
+    /// Sequence number of the next scheduled event.
     seq: u64,
     in_flight: BTreeMap<usize, InFlight>,
-    buffer: Vec<BufferedUpdate>,
     /// Global aggregation version: the number of flushes applied so far.
     version: u64,
+    /// The next round to dispatch.
+    next_round: usize,
+    /// Cleared once a record reaches the accuracy target: cohorts in
+    /// flight drain, no new ones start.
+    dispatching: bool,
+    /// Logical time of the latest cohort completion, where top-up
+    /// dispatches start.
+    last_completion_s: f64,
 }
 
-impl EventLoop {
+impl Scheduler {
+    /// A scheduler with nothing dispatched, at logical time zero.
+    pub(crate) fn new() -> Self {
+        Scheduler {
+            heap: BinaryHeap::new(),
+            seq: 0,
+            in_flight: BTreeMap::new(),
+            version: 0,
+            next_round: 0,
+            dispatching: true,
+            last_completion_s: 0.0,
+        }
+    }
+
     fn schedule(&mut self, time: f64, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
         self.heap.push(Reverse(Event { time, seq, kind }));
     }
 
-    /// Dispatches cohort `round` at logical time `at`: check-in,
-    /// selection and execution run immediately (consuming the engine's
-    /// sequential RNG in dispatch order); upload/completion land on the
-    /// heap at their cost-model times.
-    fn dispatch(
-        &mut self,
-        sim: &mut Simulation,
-        selector: &mut dyn Selector,
-        observers: &mut [&mut dyn RoundObserver],
-        round: usize,
-        at: f64,
-    ) -> std::io::Result<()> {
-        for obs in observers.iter_mut() {
-            obs.on_round_start(round)?;
-        }
-        let (outcome, _) = sim.dispatch_round(selector, round, None);
-        if self.rt.buffer_size.is_some() {
+    /// Puts a cohort dispatched at logical time `at` in flight: its
+    /// surviving uploads (buffered mode only) and its completion land on
+    /// the heap at their cost-model times.
+    fn launch(&mut self, outcome: DispatchOutcome, at: f64, buffered: bool) {
+        let round = outcome.round;
+        if buffered {
             // Uploads are scheduled before the cohort's completion so
             // an upload tied with CohortDone at the same instant (the
             // slowest survivor's own update) is buffered first.
@@ -222,140 +287,122 @@ impl EventLoop {
                 outcome,
             },
         );
-        Ok(())
     }
 
-    /// Folds `entries` into the global model as one aggregation step and
-    /// returns the new accuracy. Entries are ordered by `(round, slot)`
-    /// — dispatch order, never arrival order — so aggregation is
-    /// independent of how uploads interleaved on the clock. Always
-    /// aggregates, even with zero entries: the surrogate engine draws
-    /// from its RNG once per aggregation step (exactly as the lockstep
-    /// loop does for a fully-dropped round), and the barrier contract
-    /// needs that draw count preserved.
-    fn flush(&mut self, sim: &mut Simulation, mut entries: Vec<BufferedUpdate>) -> f64 {
-        entries.sort_by_key(|e| (e.round, e.slot));
-        let mut ids = Vec::with_capacity(entries.len());
-        let mut fractions = Vec::with_capacity(entries.len());
-        for e in &entries {
-            let fl = self
-                .in_flight
-                .get_mut(&e.round)
-                .expect("buffered update from a cohort not in flight");
-            let staleness = self.version - fl.version_at_dispatch;
-            fl.staleness_sum += staleness as f64;
-            fl.aggregated += 1;
-            ids.push(e.id);
-            // Both discounts are exactly 1.0 in their disabled cases
-            // (fresh update / no fabric), so each multiply passes the
-            // fraction through bit-unchanged — the barrier-equivalence
-            // and fabric-off contracts rest on this. `codec_fidelity` is
-            // read per entry: a mixed flush may span cohorts.
-            fractions.push(
-                e.fraction
-                    * staleness_weight(staleness, self.rt.staleness_exponent)
-                    * fl.outcome.codec_fidelity,
-            );
+    /// Serializes the full scheduler state — pending events in pop
+    /// order, cohorts in flight with their execution outcomes, the
+    /// version and the dispatch cursor.
+    pub(crate) fn state_snapshot(&self) -> serde::Value {
+        let mut events: Vec<&Event> = self.heap.iter().map(|Reverse(e)| e).collect();
+        events.sort();
+        let in_flight: Vec<&InFlight> = self.in_flight.values().collect();
+        serde::Value::Map(vec![
+            ("seq".to_string(), self.seq.to_value()),
+            ("version".to_string(), self.version.to_value()),
+            ("events".to_string(), events.to_value()),
+            ("in_flight".to_string(), in_flight.to_value()),
+            ("next_round".to_string(), self.next_round.to_value()),
+            ("dispatching".to_string(), self.dispatching.to_value()),
+            (
+                "last_completion_s".to_string(),
+                self.last_completion_s.to_value(),
+            ),
+        ])
+    }
+
+    /// Rebuilds a scheduler from [`Scheduler::state_snapshot`] output for
+    /// a fleet of `devices`. A checkpoint can pass its digest and still
+    /// be inconsistent, so everything [`Simulation::step`] will index is
+    /// checked here: every pending event must name a cohort in flight
+    /// (and an upload a slot inside its participant list), and every
+    /// cohort must pass [`InFlight::check`].
+    pub(crate) fn restore(value: &serde::Value, devices: usize) -> Result<Self, serde::Error> {
+        let version: u64 = serde::field(value, "version")?;
+        let mut in_flight = BTreeMap::new();
+        for fl in serde::field::<Vec<InFlight>>(value, "in_flight")? {
+            fl.check(devices, version).map_err(|e| e.at("in_flight"))?;
+            let round = fl.outcome.round;
+            if in_flight.insert(round, fl).is_some() {
+                return Err(
+                    serde::Error::custom(format!("round {round} is in flight twice"))
+                        .at("in_flight"),
+                );
+            }
         }
-        let accuracy = sim.aggregate_update(ids, fractions);
-        self.version += 1;
-        accuracy
+        let events: Vec<Event> = serde::field(value, "events")?;
+        let dangling = events.iter().find(|e| match e.kind {
+            EventKind::Upload { round, slot } => !in_flight
+                .get(&round)
+                .is_some_and(|fl| slot < fl.outcome.participants.len()),
+            EventKind::CohortDone { round } => !in_flight.contains_key(&round),
+        });
+        if let Some(event) = dangling {
+            return Err(serde::Error::custom(format!(
+                "{:?} names no cohort slot in flight",
+                event.kind
+            ))
+            .at("events"));
+        }
+        Ok(Scheduler {
+            heap: events.into_iter().map(Reverse).collect(),
+            seq: serde::field(value, "seq")?,
+            in_flight,
+            version,
+            next_round: serde::field(value, "next_round")?,
+            dispatching: serde::field(value, "dispatching")?,
+            last_completion_s: serde::field(value, "last_completion_s")?,
+        })
     }
 }
 
-/// A resumable event-driven run: the scheduler state of
-/// [`run_event_driven`] lifted into a struct that can stop after any
-/// emitted record, serialize itself into a checkpoint
-/// ([`crate::serve`]), and continue — on this process or a later one —
-/// bit-identically to a run that never stopped.
-pub(crate) struct EventDrivenRun {
-    ev: EventLoop,
-    target: f64,
-    max_rounds: usize,
-    barrier: bool,
-    /// Completed records in *emission* order (completion order, not round
-    /// order): the order round traces stream in, and therefore the order
-    /// a checkpoint must replay them in.
-    records: Vec<RoundRecord>,
-    next_round: usize,
-    dispatching: bool,
-}
-
-impl EventDrivenRun {
-    /// An empty scheduler for `sim` (nothing dispatched yet). Call
-    /// [`EventDrivenRun::prime`] to start a fresh run, or
-    /// [`EventDrivenRun::state_restore`] to continue a checkpointed one.
-    pub(crate) fn new(sim: &Simulation) -> Self {
-        let rt = sim
-            .config()
-            .runtime
-            .expect("EventDrivenRun requires config.runtime");
-        EventDrivenRun {
-            ev: EventLoop {
-                rt,
-                heap: BinaryHeap::new(),
-                seq: 0,
-                in_flight: BTreeMap::new(),
-                buffer: Vec::new(),
-                version: 0,
-            },
-            target: sim.config().target(),
-            max_rounds: sim.config().max_rounds,
-            barrier: rt.buffer_size.is_none(),
-            records: Vec::new(),
-            next_round: 0,
-            dispatching: true,
+impl Simulation {
+    /// Advances the run to its next record: tops the pipeline up to the
+    /// runtime's `concurrent_cohorts` dispatches at the time of the
+    /// latest completion, then fires events until a cohort completes,
+    /// and returns that cohort's record. Returns `None` once the run is
+    /// over — the accuracy target was reached or `max_rounds` cohorts
+    /// were dispatched, and every cohort in flight has completed.
+    ///
+    /// Dispatching at the start of the call, not at the end of the
+    /// previous one, means whatever the caller changes between two
+    /// records (a convergence controller retuning `K` through
+    /// [`Simulation::set_params`]) reaches the very next cohort.
+    ///
+    /// ```
+    /// use autofl_fed::engine::{SimConfig, Simulation};
+    /// use autofl_fed::selection::RandomSelector;
+    ///
+    /// let mut config = SimConfig::tiny_test(1);
+    /// config.max_rounds = 3;
+    /// config.target_accuracy = Some(1.1); // never converge: run the horizon
+    /// let mut sim = Simulation::new(config);
+    /// let mut selector = RandomSelector::new();
+    /// let mut rounds = Vec::new();
+    /// while let Some(record) = sim.step(&mut selector) {
+    ///     rounds.push(record.round);
+    /// }
+    /// assert_eq!(rounds, [0, 1, 2]);
+    /// assert!(sim.step(&mut selector).is_none(), "a finished run stays finished");
+    /// ```
+    pub fn step(&mut self, selector: &mut dyn Selector) -> Option<RoundRecord> {
+        let rt = self.config().runtime.unwrap_or_else(AsyncRuntime::barrier);
+        while self.sched.dispatching
+            && self.sched.next_round < self.config().max_rounds
+            && self.sched.in_flight.len() < rt.concurrent_cohorts.max(1)
+        {
+            let round = self.sched.next_round;
+            let outcome = self.dispatch_round(selector, round);
+            self.sched.next_round += 1;
+            let at = self.sched.last_completion_s;
+            self.sched.launch(outcome, at, rt.buffer_size.is_some());
         }
-    }
-
-    /// Primes the pipeline: `concurrent_cohorts` cohorts dispatched at
-    /// t = 0 in round order.
-    pub(crate) fn prime(
-        &mut self,
-        sim: &mut Simulation,
-        selector: &mut dyn Selector,
-        observers: &mut [&mut dyn RoundObserver],
-    ) -> std::io::Result<()> {
-        let initial = self.ev.rt.concurrent_cohorts.max(1).min(self.max_rounds);
-        for _ in 0..initial {
-            self.ev
-                .dispatch(sim, selector, observers, self.next_round, 0.0)?;
-            self.next_round += 1;
-        }
-        Ok(())
-    }
-
-    /// Records emitted so far, in emission order.
-    pub(crate) fn records(&self) -> &[RoundRecord] {
-        &self.records
-    }
-
-    /// Fires events until the next cohort completes and returns its
-    /// record (also appended to [`EventDrivenRun::records`]), or `None`
-    /// when the run has drained. The state between two `step` calls is
-    /// exactly what [`EventDrivenRun::state_snapshot`] captures.
-    pub(crate) fn step(
-        &mut self,
-        sim: &mut Simulation,
-        selector: &mut dyn Selector,
-        observers: &mut [&mut dyn RoundObserver],
-    ) -> std::io::Result<Option<RoundRecord>> {
-        while let Some(Reverse(event)) = self.ev.heap.pop() {
-            let now = event.time;
+        let mut buffer = Vec::new();
+        while let Some(Reverse(event)) = self.sched.heap.pop() {
             match event.kind {
                 EventKind::Upload { round, slot } => {
-                    let fl = &self.ev.in_flight[&round];
-                    self.ev.buffer.push(BufferedUpdate {
-                        round,
-                        slot,
-                        id: fl.outcome.participants[slot],
-                        fraction: fl.outcome.fractions[slot],
-                    });
-                    if let Some(m) = self.ev.rt.buffer_size {
-                        if self.ev.buffer.len() >= m {
-                            let entries = std::mem::take(&mut self.ev.buffer);
-                            self.ev.flush(sim, entries);
-                        }
+                    buffer.push(self.sched.in_flight[&round].update(slot));
+                    if rt.buffer_size.is_some_and(|m| buffer.len() >= m) {
+                        self.flush(std::mem::take(&mut buffer), rt.staleness_exponent);
                     }
                 }
                 EventKind::CohortDone { round } => {
@@ -363,202 +410,78 @@ impl EventDrivenRun {
                     // survivors under a barrier; everything still buffered
                     // (this cohort's tail plus any other cohort's early
                     // uploads) under buffered aggregation.
-                    let entries: Vec<BufferedUpdate> = if self.barrier {
-                        let fl = &self.ev.in_flight[&round];
-                        fl.outcome
-                            .participants
-                            .iter()
-                            .enumerate()
-                            .filter(|(slot, _)| fl.outcome.fractions[*slot] > 0.0)
-                            .map(|(slot, &id)| BufferedUpdate {
-                                round,
-                                slot,
-                                id,
-                                fraction: fl.outcome.fractions[slot],
-                            })
-                            .collect()
-                    } else {
-                        std::mem::take(&mut self.ev.buffer)
+                    let entries = match rt.buffer_size {
+                        None => self.sched.in_flight[&round].survivors(),
+                        Some(_) => std::mem::take(&mut buffer),
                     };
-                    let accuracy = self.ev.flush(sim, entries);
+                    let accuracy = self.flush(entries, rt.staleness_exponent);
                     let fl = self
-                        .ev
+                        .sched
                         .in_flight
                         .remove(&round)
-                        .expect("completed cohort not in flight");
-                    let outcome = fl.outcome;
-                    let idle_energy =
-                        sim.idle_energy_for(&outcome.participants, outcome.round_time_s);
-                    sim.end_round_lifecycle(
-                        outcome.round_time_s,
-                        &outcome.participants,
-                        &outcome.completion,
-                        &outcome.per_participant_energy,
-                    );
+                        .expect("completed cohort is in flight");
                     let mean_staleness = if fl.aggregated > 0 {
                         fl.staleness_sum / fl.aggregated as f64
                     } else {
                         0.0
                     };
-                    let idle_per_device = if sim.fleet().len() > outcome.participants.len() {
-                        idle_energy / (sim.fleet().len() - outcome.participants.len()) as f64
-                    } else {
-                        0.0
-                    };
-                    selector.observe(&RoundFeedback {
-                        round,
-                        participants: &outcome.participants,
-                        per_participant_energy_j: &outcome.per_participant_energy,
-                        idle_energy_per_device_j: idle_per_device,
-                        global_energy_j: outcome.active_energy_j + idle_energy,
-                        round_time_s: outcome.round_time_s,
+                    self.sched.last_completion_s = event.time;
+                    let record = self.complete_cohort(
+                        fl.outcome,
                         accuracy,
-                        prev_accuracy: outcome.prev_accuracy,
-                        dropped: &outcome.dropped,
-                        dropouts: &outcome.dropouts,
+                        fl.dispatch_time_s,
+                        event.time,
                         mean_staleness,
-                        bytes_uplinked: outcome.net.map_or(0, |n| n.bytes_uplinked),
-                    });
-                    let record = RoundRecord {
-                        round,
-                        participants: outcome.participants,
-                        plans: outcome.plans,
-                        round_time_s: outcome.round_time_s,
-                        active_energy_j: outcome.active_energy_j,
-                        idle_energy_j: idle_energy,
-                        accuracy,
-                        dropped: outcome.dropped,
-                        update_fractions: outcome.fractions,
-                        dropouts: outcome.dropouts,
-                        ineligible: outcome.ineligible,
-                        dispatch_time_s: fl.dispatch_time_s,
-                        logical_time_s: now,
-                        mean_staleness,
-                        net: outcome.net,
-                        adversarial: outcome.adversarial,
-                        flagged: outcome.flagged,
-                    };
-                    for obs in observers.iter_mut() {
-                        obs.on_round_end(&record)?;
-                    }
-                    if record.accuracy >= self.target {
+                        selector,
+                    );
+                    if record.accuracy >= self.config().target() {
                         // Stop dispatching; cohorts already in flight
                         // drain to completion so no consumed device work
                         // is lost.
-                        self.dispatching = false;
+                        self.sched.dispatching = false;
                     }
-                    self.records.push(record.clone());
-                    if self.dispatching && self.next_round < self.max_rounds {
-                        self.ev
-                            .dispatch(sim, selector, observers, self.next_round, now)?;
-                        self.next_round += 1;
-                    }
-                    return Ok(Some(record));
+                    return Some(record);
                 }
             }
         }
-        Ok(None)
+        None
     }
 
-    /// Finishes the run: sorts the emitted records by round (cohorts can
-    /// complete out of dispatch order; reports and sinks expect
-    /// round-ordered records — logical times stay monotone in
-    /// `logical_time_s`, not in round index) and wraps them in a
-    /// [`SimResult`].
-    pub(crate) fn into_result(self, policy: String) -> SimResult {
-        let mut records = self.records;
-        records.sort_by_key(|r| r.round);
-        SimResult {
-            policy,
-            target_accuracy: self.target,
-            records,
+    /// Folds `entries` into the global model as one aggregation step and
+    /// returns the new accuracy. Entries are ordered by `(round, slot)`
+    /// — dispatch order, never arrival order — so aggregation is
+    /// independent of how uploads interleaved on the clock. Always
+    /// aggregates, even with zero entries: the surrogate engine draws
+    /// from its RNG once per aggregation step, so a fully dropped round
+    /// still advances it exactly once.
+    fn flush(&mut self, mut entries: Vec<BufferedUpdate>, staleness_exponent: f64) -> f64 {
+        entries.sort_by_key(|e| (e.round, e.slot));
+        let mut ids = Vec::with_capacity(entries.len());
+        let mut fractions = Vec::with_capacity(entries.len());
+        for e in &entries {
+            let fl = self
+                .sched
+                .in_flight
+                .get_mut(&e.round)
+                .expect("buffered update from a cohort in flight");
+            let staleness = self.sched.version - fl.version_at_dispatch;
+            fl.staleness_sum += staleness as f64;
+            fl.aggregated += 1;
+            ids.push(e.id);
+            // Both discounts are exactly 1.0 in their disabled cases
+            // (fresh update / no fabric), so each multiply passes the
+            // fraction through bit-unchanged. `codec_fidelity` is read
+            // per entry: a mixed flush may span cohorts.
+            fractions.push(
+                e.fraction
+                    * staleness_weight(staleness, staleness_exponent)
+                    * fl.outcome.codec_fidelity,
+            );
         }
+        let accuracy = self.aggregate_update(ids, fractions);
+        self.sched.version += 1;
+        accuracy
     }
-
-    /// Serializes the full scheduler state — pending events in pop
-    /// order, in-flight cohorts (with their execution outcomes), the
-    /// aggregation buffer and version, the dispatch cursor, and every
-    /// record emitted so far (in emission order, so a resumed trace
-    /// replays byte-identically).
-    pub(crate) fn state_snapshot(&self) -> serde::Value {
-        let mut events: Vec<&Event> = self.ev.heap.iter().map(|Reverse(e)| e).collect();
-        events.sort_by(|a, b| a.time.total_cmp(&b.time).then_with(|| a.seq.cmp(&b.seq)));
-        let in_flight: Vec<serde::Value> = self
-            .ev
-            .in_flight
-            .iter()
-            .map(|(round, fl)| {
-                serde::Value::Map(vec![
-                    ("round".to_string(), round.to_value()),
-                    ("state".to_string(), fl.to_value()),
-                ])
-            })
-            .collect();
-        serde::Value::Map(vec![
-            ("seq".to_string(), self.ev.seq.to_value()),
-            ("version".to_string(), self.ev.version.to_value()),
-            ("events".to_string(), events.to_value()),
-            ("in_flight".to_string(), serde::Value::Seq(in_flight)),
-            ("buffer".to_string(), self.ev.buffer.to_value()),
-            ("records".to_string(), self.records.to_value()),
-            ("next_round".to_string(), self.next_round.to_value()),
-            ("dispatching".to_string(), self.dispatching.to_value()),
-        ])
-    }
-
-    /// Restores the state captured by
-    /// [`EventDrivenRun::state_snapshot`] onto a fresh
-    /// [`EventDrivenRun::new`] for the same config. Do *not* call
-    /// [`EventDrivenRun::prime`] afterwards: the snapshot's cohorts are
-    /// already dispatched.
-    pub(crate) fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
-        self.ev.seq = field(value, "seq")?;
-        self.ev.version = field(value, "version")?;
-        let events: Vec<Event> = field(value, "events")?;
-        self.ev.heap = events.into_iter().map(Reverse).collect();
-        self.ev.in_flight = match serde::field_or_null(value, "in_flight") {
-            serde::Value::Seq(items) => items
-                .iter()
-                .map(|item| {
-                    Ok((
-                        field::<usize>(item, "round")?,
-                        field::<InFlight>(item, "state")?,
-                    ))
-                })
-                .collect::<Result<BTreeMap<usize, InFlight>, serde::Error>>()
-                .map_err(|e| e.at("in_flight"))?,
-            other => return Err(serde::Error::invalid_type("sequence", other).at("in_flight")),
-        };
-        self.ev.buffer = field(value, "buffer")?;
-        self.records = field(value, "records")?;
-        self.next_round = field(value, "next_round")?;
-        self.dispatching = field(value, "dispatching")?;
-        Ok(())
-    }
-}
-
-/// Runs `sim` to convergence (or `max_rounds` dispatches) through the
-/// event-driven scheduler. Called by [`Simulation::run`] and friends when
-/// [`crate::engine::SimConfig::runtime`] is set.
-pub(crate) fn run_event_driven(
-    sim: &mut Simulation,
-    selector: &mut dyn Selector,
-    policy: String,
-    observers: &mut [&mut dyn RoundObserver],
-) -> std::io::Result<SimResult> {
-    let mut run = EventDrivenRun::new(sim);
-    run.prime(sim, selector, observers)?;
-    while run.step(sim, selector, observers)?.is_some() {}
-    let result = run.into_result(policy);
-    if result.converged() {
-        for obs in observers.iter_mut() {
-            obs.on_converged(&result)?;
-        }
-    }
-    Ok(result)
 }
 
 #[cfg(test)]

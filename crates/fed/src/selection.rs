@@ -139,11 +139,11 @@ impl SelectionDecision {
 /// what they keep.
 #[derive(Debug, Clone, Copy)]
 pub struct RoundFeedback<'a> {
-    /// The dispatch round this feedback reports on. Under the lockstep
-    /// engine feedback arrives in round order; under the event-driven
-    /// runtime ([`crate::runtime`]) cohorts can complete out of dispatch
-    /// order, so learning selectors must match feedback to the decision
-    /// they made at this round, not to the latest one.
+    /// The dispatch round this feedback reports on. Under the full
+    /// barrier feedback arrives in round order; with concurrent cohorts
+    /// ([`crate::runtime`]) they can complete out of dispatch order, so
+    /// learning selectors must match feedback to the decision they made
+    /// at this round, not to the latest one.
     pub round: usize,
     /// The decision that was executed.
     pub participants: &'a [DeviceId],
@@ -168,8 +168,8 @@ pub struct RoundFeedback<'a> {
     pub dropouts: &'a [DeviceId],
     /// Mean staleness (in aggregation versions) of this cohort's updates
     /// when they were folded into the global model. Exactly `0.0` under
-    /// the lockstep engine and the event runtime's full barrier; positive
-    /// only under buffered asynchronous aggregation.
+    /// the full barrier; positive only under buffered asynchronous
+    /// aggregation.
     pub mean_staleness: f64,
     /// Bytes the cohort uplinked (encoded updates that finished
     /// transmitting). Exactly `0` when no network fabric is attached —

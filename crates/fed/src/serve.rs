@@ -38,7 +38,6 @@ use crate::builder::ConfigError;
 use crate::engine::{RoundRecord, SimConfig, SimResult, Simulation};
 use crate::global::GlobalParams;
 use crate::policy::{Policy, PolicyRegistry};
-use crate::runtime::EventDrivenRun;
 use crate::selection::Selector;
 use crate::spec::{ExperimentSpec, SpecError};
 use serde::{Deserialize, Serialize};
@@ -108,7 +107,9 @@ impl ServeError {
 // ---------------------------------------------------------------------------
 
 /// Version of the checkpoint envelope this build writes and reads.
-pub const CHECKPOINT_VERSION: u64 = 1;
+/// Version 2 keeps the event scheduler inside the simulation state; the
+/// version 1 payload's separate lockstep/event driver is refused.
+pub const CHECKPOINT_VERSION: u64 = 2;
 
 /// FNV-1a 64-bit digest of the canonical payload JSON, as fixed-width
 /// hex. Not cryptographic — it guards against torn writes and hand
@@ -412,19 +413,6 @@ impl Policy for Controlled<'_> {
 // A single resumable (policy, repeat) run.
 // ---------------------------------------------------------------------------
 
-/// The round loop behind one run, lifted into a steppable state machine
-/// so a checkpoint can land between any two emitted records.
-enum Driver {
-    /// The classic lockstep loop of `Simulation::run_labeled`.
-    Lockstep {
-        records: Vec<RoundRecord>,
-        next_round: usize,
-        done: bool,
-    },
-    /// The event-driven scheduler (`config.runtime` set).
-    Event(EventDrivenRun),
-}
-
 /// One policy × one seed, runnable a record at a time, checkpointable
 /// between any two records, and resumable bit-identically.
 ///
@@ -443,9 +431,10 @@ enum Driver {
 pub struct ExperimentRun<'p> {
     sim: Simulation,
     selector: Box<dyn Selector>,
-    driver: Driver,
+    /// Records emitted so far, in emission (completion) order: the order
+    /// the trace streams in, and so the order a checkpoint replays.
+    records: Vec<RoundRecord>,
     policy_name: String,
-    target: f64,
     controlled: Option<Controlled<'p>>,
 }
 
@@ -470,86 +459,46 @@ impl<'p> ExperimentRun<'p> {
         policy: &'p dyn Policy,
         control: Option<ConvergeTarget>,
     ) -> Result<Self, ConfigError> {
-        let mut run = Self::build(config, policy, control)?;
-        if let Driver::Event(event) = &mut run.driver {
-            event
-                .prime(&mut run.sim, run.selector.as_mut(), &mut [])
-                .expect("priming without observers cannot fail");
-        }
-        Ok(run)
+        config.validate()?;
+        let controlled = control.map(|target| Controlled::new(policy, target, config));
+        let tuner: &dyn Policy = match &controlled {
+            Some(c) => c,
+            None => policy,
+        };
+        let config = crate::policy::tuned_config(config, tuner)?;
+        Ok(ExperimentRun {
+            sim: Simulation::new(config),
+            selector: policy.make_selector(),
+            records: Vec::new(),
+            policy_name: policy.name().to_string(),
+            controlled,
+        })
     }
 
     /// Reconstructs a checkpointed run: builds the same fresh state
     /// [`ExperimentRun::new`] would (same start-of-run tuning, so the
-    /// accuracy engine's nominal parameters match), *without* priming
-    /// the scheduler, then restores `payload` over it.
+    /// accuracy engine's nominal parameters match), then restores
+    /// `payload` over it.
     pub fn resume(
         config: &SimConfig,
         policy: &'p dyn Policy,
         control: Option<ConvergeTarget>,
         payload: &serde::Value,
     ) -> Result<Self, ServeError> {
-        let mut run = Self::build(config, policy, control).map_err(|e| ServeError::Checkpoint {
+        let bad = |reason: String| ServeError::Checkpoint {
             path: PathBuf::new(),
-            reason: format!("config no longer validates: {e}"),
-        })?;
-        run.state_restore(payload)
-            .map_err(|e| ServeError::Checkpoint {
-                path: PathBuf::new(),
-                reason: e.to_string(),
-            })?;
+            reason,
+        };
+        let mut run = Self::new(config, policy, control)
+            .map_err(|e| bad(format!("config no longer validates: {e}")))?;
+        run.state_restore(payload).map_err(|e| bad(e.to_string()))?;
         Ok(run)
     }
 
-    /// Common construction: validate, apply the start-of-run tune, build
-    /// the simulation, selector and (unprimed) driver.
-    fn build(
-        config: &SimConfig,
-        policy: &'p dyn Policy,
-        control: Option<ConvergeTarget>,
-    ) -> Result<Self, ConfigError> {
-        config.validate()?;
-        let mut config = config.clone();
-        let controlled = control.map(|target| Controlled::new(policy, target, &config));
-        let tuned = match &controlled {
-            Some(c) => c.tune(&config),
-            None => policy.tune(&config),
-        };
-        if let Some(params) = tuned {
-            config.params = params;
-            config.validate()?;
-        }
-        let policy_name = policy.name().to_string();
-        let target = config.target();
-        let event_driven = config.runtime.is_some();
-        let sim = Simulation::new(config);
-        let selector = policy.make_selector();
-        let driver = if event_driven {
-            Driver::Event(EventDrivenRun::new(&sim))
-        } else {
-            Driver::Lockstep {
-                records: Vec::new(),
-                next_round: 0,
-                done: false,
-            }
-        };
-        Ok(ExperimentRun {
-            sim,
-            selector,
-            driver,
-            policy_name,
-            target,
-            controlled,
-        })
-    }
-
     /// Records emitted so far, in emission order (the order the trace
-    /// streams in; equal to round order under the lockstep loop).
+    /// streams in; round order unless cohorts run concurrently).
     pub fn records(&self) -> &[RoundRecord] {
-        match &self.driver {
-            Driver::Lockstep { records, .. } => records,
-            Driver::Event(run) => run.records(),
-        }
+        &self.records
     }
 
     /// The global parameters currently in force (moves as the
@@ -559,83 +508,47 @@ impl<'p> ExperimentRun<'p> {
     }
 
     /// Runs until the next record is emitted and returns it, or `None`
-    /// once the run has finished (converged, horizon exhausted, or
-    /// scheduler drained). After a record, the convergence controller —
-    /// if any — observes it and re-tunes the live parameters through
-    /// [`Policy::tune`].
+    /// once the run has finished (converged or horizon exhausted, and
+    /// every cohort in flight drained). After a record, the convergence
+    /// controller — if any — observes it and re-tunes the live
+    /// parameters through [`Policy::tune`], so the next cohort dispatches
+    /// with them. Stepping itself cannot fail; the `io::Result` keeps the
+    /// signature stable for drivers that stream records to a writer.
     pub fn step(&mut self) -> std::io::Result<Option<RoundRecord>> {
-        let max_rounds = self.sim.config().max_rounds;
-        let emitted = match &mut self.driver {
-            Driver::Lockstep {
-                records,
-                next_round,
-                done,
-            } => {
-                if *done || *next_round >= max_rounds {
-                    None
-                } else {
-                    let record = self.sim.run_round(self.selector.as_mut(), *next_round);
-                    *next_round += 1;
-                    if record.accuracy >= self.target {
-                        *done = true;
-                    }
-                    records.push(record.clone());
-                    Some(record)
-                }
-            }
-            Driver::Event(run) => run.step(&mut self.sim, self.selector.as_mut(), &mut [])?,
+        let Some(record) = self.sim.step(self.selector.as_mut()) else {
+            return Ok(None);
         };
-        if let (Some(record), Some(controlled)) = (&emitted, &self.controlled) {
-            controlled.observe_round(record);
+        if let Some(controlled) = &self.controlled {
+            controlled.observe_round(&record);
             if let Some(params) = controlled.tune(self.sim.config()) {
                 self.sim.set_params(params);
             }
         }
-        Ok(emitted)
+        self.records.push(record.clone());
+        Ok(Some(record))
     }
 
     /// Finishes the run and wraps the records (sorted by round) in a
     /// [`SimResult`] labelled with the policy name.
-    pub fn into_result(self) -> SimResult {
-        match self.driver {
-            Driver::Lockstep { records, .. } => SimResult {
-                policy: self.policy_name,
-                target_accuracy: self.target,
-                records,
-            },
-            Driver::Event(run) => run.into_result(self.policy_name),
+    pub fn into_result(mut self) -> SimResult {
+        self.records.sort_by_key(|r| r.round);
+        SimResult {
+            policy: self.policy_name,
+            target_accuracy: self.sim.config().target(),
+            records: self.records,
         }
     }
 
     /// Serializes everything a resumed process needs: the simulation's
     /// live state (engine RNG, accuracy engine, fleet lifecycle store,
-    /// clock, tuned parameters), the driver position (emitted records
-    /// and, event-driven, the full scheduler), the selector's learned
-    /// state (Q-tables, pending rounds, agent RNG) and the controller
-    /// position.
+    /// tuned parameters and the event scheduler), the records emitted so
+    /// far, the selector's learned state (Q-tables, pending rounds, agent
+    /// RNG) and the controller position.
     pub fn state_snapshot(&self) -> serde::Value {
-        let driver = match &self.driver {
-            Driver::Lockstep {
-                records,
-                next_round,
-                done,
-            } => serde::variant(
-                "lockstep",
-                serde::Value::Map(vec![
-                    ("records".to_string(), records.to_value()),
-                    ("next_round".to_string(), next_round.to_value()),
-                    ("done".to_string(), done.to_value()),
-                ]),
-            ),
-            Driver::Event(run) => serde::variant("event", run.state_snapshot()),
-        };
         serde::Value::Map(vec![
-            (
-                "policy".to_string(),
-                serde::Value::Str(self.policy_name.clone()),
-            ),
+            ("policy".to_string(), self.policy_name.to_value()),
             ("sim".to_string(), self.sim.state_snapshot()),
-            ("driver".to_string(), driver),
+            ("records".to_string(), self.records.to_value()),
             (
                 "selector".to_string(),
                 self.selector.state_snapshot().unwrap_or(serde::NULL),
@@ -651,10 +564,9 @@ impl<'p> ExperimentRun<'p> {
     }
 
     /// Restores a payload captured by [`ExperimentRun::state_snapshot`]
-    /// onto a freshly built (unprimed) run of the same spec.
+    /// onto a freshly built run of the same spec.
     fn state_restore(&mut self, payload: &serde::Value) -> Result<(), serde::Error> {
-        let policy = String::from_value(serde::field_or_null(payload, "policy"))
-            .map_err(|e| e.at("policy"))?;
+        let policy: String = serde::field(payload, "policy")?;
         if policy != self.policy_name {
             return Err(serde::Error::custom(format!(
                 "checkpoint belongs to policy `{policy}`, not `{}`",
@@ -664,46 +576,11 @@ impl<'p> ExperimentRun<'p> {
         self.sim
             .state_restore(serde::field_or_null(payload, "sim"))
             .map_err(|e| e.at("sim"))?;
-        let driver_value = serde::field_or_null(payload, "driver");
-        let (kind, body) = serde::variant_parts(driver_value).ok_or_else(|| {
-            serde::Error::invalid_type("single-entry variant map", driver_value).at("driver")
-        })?;
-        match (&mut self.driver, kind) {
-            (
-                Driver::Lockstep {
-                    records,
-                    next_round,
-                    done,
-                },
-                "lockstep",
-            ) => {
-                *records = Vec::<RoundRecord>::from_value(serde::field_or_null(body, "records"))
-                    .map_err(|e| e.at("records").at("driver"))?;
-                *next_round = usize::from_value(serde::field_or_null(body, "next_round"))
-                    .map_err(|e| e.at("next_round").at("driver"))?;
-                *done = bool::from_value(serde::field_or_null(body, "done"))
-                    .map_err(|e| e.at("done").at("driver"))?;
-            }
-            (Driver::Event(run), "event") => {
-                run.state_restore(body).map_err(|e| e.at("driver"))?;
-            }
-            (driver, kind) => {
-                return Err(serde::Error::custom(format!(
-                    "checkpoint drives a `{kind}` loop but the config builds a `{}` one",
-                    match driver {
-                        Driver::Lockstep { .. } => "lockstep",
-                        Driver::Event(_) => "event",
-                    }
-                ))
-                .at("driver"));
-            }
-        }
+        self.records = serde::field(payload, "records")?;
         self.selector
             .state_restore(serde::field_or_null(payload, "selector"))
             .map_err(|e| e.at("selector"))?;
-        let controller =
-            Option::<ControllerState>::from_value(serde::field_or_null(payload, "controller"))
-                .map_err(|e| e.at("controller"))?;
+        let controller: Option<ControllerState> = serde::field(payload, "controller")?;
         match (&self.controlled, controller) {
             (Some(c), Some(state)) => {
                 c.restore_controller_state(state);
@@ -1023,6 +900,29 @@ mod tests {
         a.len() == b.len() && a.iter().zip(b).all(|(x, y)| line(x) == line(y))
     }
 
+    /// A one-second round at accuracy 0.5 that spent `energy` joules.
+    fn record_with_energy(energy: f64) -> RoundRecord {
+        RoundRecord {
+            round: 0,
+            participants: Vec::new(),
+            plans: Vec::new(),
+            round_time_s: 1.0,
+            active_energy_j: energy,
+            idle_energy_j: 0.0,
+            accuracy: 0.5,
+            dropped: Vec::new(),
+            update_fractions: Vec::new(),
+            dropouts: Vec::new(),
+            ineligible: 0,
+            dispatch_time_s: 0.0,
+            logical_time_s: 1.0,
+            mean_staleness: 0.0,
+            net: None,
+            adversarial: None,
+            flagged: None,
+        }
+    }
+
     #[test]
     fn checkpoint_envelope_roundtrips_and_rejects_tampering() {
         let dir = std::env::temp_dir().join(format!("autofl-ckpt-{}", std::process::id()));
@@ -1041,12 +941,23 @@ mod tests {
         let err = read_checkpoint(&path).unwrap_err();
         assert!(err.to_string().contains("digest mismatch"), "{err}");
 
-        // Unknown version: refused, not misread.
-        write_checkpoint(&path, payload).unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        std::fs::write(&path, text.replace("\"version\":1", "\"version\":999")).unwrap();
-        let err = read_checkpoint(&path).unwrap_err();
-        assert!(err.to_string().contains("version 999"), "{err}");
+        // Another version — newer, or the older driver-shaped payload:
+        // refused, not misread.
+        for other in [1, 999] {
+            write_checkpoint(&path, payload.clone()).unwrap();
+            let text = std::fs::read_to_string(&path).unwrap();
+            let current = format!("\"version\":{CHECKPOINT_VERSION}");
+            std::fs::write(
+                &path,
+                text.replace(&current, &format!("\"version\":{other}")),
+            )
+            .unwrap();
+            let err = read_checkpoint(&path).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("version {other} ")),
+                "{err}"
+            );
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1089,33 +1000,14 @@ mod tests {
             joules_per_round: 100.0,
         };
         let mut ctrl = ConvergenceController::new(target, GlobalParams::new(8, 1, 6), &config);
-        let record = |energy: f64| RoundRecord {
-            round: 0,
-            participants: Vec::new(),
-            plans: Vec::new(),
-            round_time_s: 1.0,
-            active_energy_j: energy,
-            idle_energy_j: 0.0,
-            accuracy: 0.5,
-            dropped: Vec::new(),
-            update_fractions: Vec::new(),
-            dropouts: Vec::new(),
-            ineligible: 0,
-            dispatch_time_s: 0.0,
-            logical_time_s: 1.0,
-            mean_staleness: 0.0,
-            net: None,
-            adversarial: None,
-            flagged: None,
-        };
         // Far over budget: K must shrink.
         for _ in 0..10 {
-            ctrl.observe(&record(500.0));
+            ctrl.observe(&record_with_energy(500.0));
         }
         assert!(ctrl.params().num_participants < 6, "{:?}", ctrl.params());
         // Far under budget: K must recover and grow past the base.
         for _ in 0..40 {
-            ctrl.observe(&record(10.0));
+            ctrl.observe(&record_with_energy(10.0));
         }
         assert!(ctrl.params().num_participants > 6, "{:?}", ctrl.params());
         // Never outside the valid range.
@@ -1125,25 +1017,7 @@ mod tests {
     #[test]
     fn accuracy_floor_direction_matches_the_sign_convention() {
         let target = ConvergeTarget::AccuracyFloor { accuracy: 0.8 };
-        let below = RoundRecord {
-            round: 0,
-            participants: Vec::new(),
-            plans: Vec::new(),
-            round_time_s: 1.0,
-            active_energy_j: 1.0,
-            idle_energy_j: 0.0,
-            accuracy: 0.5,
-            dropped: Vec::new(),
-            update_fractions: Vec::new(),
-            dropouts: Vec::new(),
-            ineligible: 0,
-            dispatch_time_s: 0.0,
-            logical_time_s: 1.0,
-            mean_staleness: 0.0,
-            net: None,
-            adversarial: None,
-            flagged: None,
-        };
+        let below = record_with_energy(1.0);
         let (actual, tgt) = target.get_actual_and_target(&below);
         assert!(actual < tgt, "below the floor must read as below target");
         assert_eq!(target.converge_target_string(), "accuracy_floor(0.8)");

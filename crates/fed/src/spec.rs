@@ -33,7 +33,7 @@ use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 /// A declarative experiment: config × policies × repeats.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentSpec {
     /// Human-readable experiment name (used in report headers).
     pub name: String,
@@ -47,41 +47,10 @@ pub struct ExperimentSpec {
     /// every policy in a [`crate::serve::ConvergenceController`] that
     /// retunes `K` each round toward the target. Ignored by the plain
     /// [`ExperimentSpec::run`] fan-out, which keeps parameters fixed.
+    /// Omitted from the JSON when `None`, so specs without control stay
+    /// byte-stable under `AUTOFL_REGEN_SPECS`.
+    #[serde(skip_serializing_if = "Option::is_none")]
     pub control: Option<ConvergeTarget>,
-}
-
-// Hand-written (not derived) so `control` is *omitted* when `None`:
-// the derive would emit `"control": null` into every regenerated spec
-// file, breaking byte-stability of the pre-control files under
-// `AUTOFL_REGEN_SPECS`.
-impl Serialize for ExperimentSpec {
-    fn to_value(&self) -> serde::Value {
-        let mut fields = vec![
-            ("name".to_string(), serde::Value::Str(self.name.clone())),
-            ("config".to_string(), self.config.to_value()),
-            ("policies".to_string(), self.policies.to_value()),
-            ("repeats".to_string(), self.repeats.to_value()),
-        ];
-        if let Some(control) = &self.control {
-            fields.push(("control".to_string(), control.to_value()));
-        }
-        serde::Value::Map(fields)
-    }
-}
-
-impl Deserialize for ExperimentSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn field<T: Deserialize>(value: &serde::Value, name: &str) -> Result<T, serde::Error> {
-            T::from_value(serde::field_or_null(value, name)).map_err(|e| e.at(name))
-        }
-        Ok(ExperimentSpec {
-            name: field(value, "name")?,
-            config: field(value, "config")?,
-            policies: field(value, "policies")?,
-            repeats: field(value, "repeats")?,
-            control: field(value, "control")?,
-        })
-    }
 }
 
 /// Why a spec could not be loaded or executed.

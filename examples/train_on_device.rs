@@ -4,7 +4,7 @@
 //!
 //! Demonstrates a custom [`RoundObserver`]: the per-round report is a
 //! observer hooked into `run_with`, not a hand-rolled loop around
-//! `run_round`.
+//! `Simulation::step`.
 //!
 //! ```sh
 //! cargo run --release --example train_on_device

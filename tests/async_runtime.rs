@@ -1,17 +1,27 @@
-//! The event-driven runtime's two contracts (see `docs/async-runtime.md`):
+//! The event runtime's two contracts (see `docs/async-runtime.md`):
 //!
-//! 1. **Barrier equivalence** — the discrete-event scheduler with a full
-//!    barrier (`AsyncRuntime::barrier()`) reproduces the lockstep engine
-//!    *bit for bit*: every registered policy, at multiple thread and
-//!    shard counts, with fleet dynamics, dropout and OverSelect active.
+//! 1. **The barrier is lockstep FedAvg.** Every run steps the event
+//!    scheduler, and its full barrier (the default) reproduces the traces
+//!    of the lockstep loop it replaced byte for byte. They are pinned as
+//!    digests in `tests/specs/barrier_digests.json` — every registered
+//!    policy at shards {1, 4} with fleet dynamics, dropout and OverSelect
+//!    active, real training, and a network fabric with every feature on —
+//!    and checked at `AUTOFL_THREADS` ∈ {1, 4}. A convergence controller
+//!    retunes before the next cohort dispatches, as in a lockstep loop.
 //! 2. **Determinism** — buffered staleness-weighted aggregation is
 //!    bit-reproducible per seed at any thread count, and the staleness
 //!    weights themselves are deterministic and sum-normalized.
+//!
+//! To regenerate the digests after an intentional trajectory change:
+//! `AUTOFL_REGEN_SPECS=1 cargo test --test async_runtime`.
 
-use autofl_fed::engine::{SimConfig, SimResult, Simulation};
+use autofl_fed::engine::{Fidelity, RoundRecord, SimConfig, Simulation};
+use autofl_fed::fabric::{CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule};
 use autofl_fed::fleet::{survivor_weights, FleetDynamics, StragglerPolicy};
+use autofl_fed::policy::RandomPolicy;
 use autofl_fed::runtime::{staleness_weight, AsyncRuntime};
 use autofl_fed::selection::RandomSelector;
+use autofl_fed::serve::{ConvergeTarget, ExperimentRun};
 use autofl_nn::zoo::Workload;
 use proptest::prelude::*;
 
@@ -30,59 +40,19 @@ fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     result
 }
 
-/// Bit-level equality over every record field, including the logical-time
-/// fields the runtime introduces.
-fn assert_bit_identical(a: &SimResult, b: &SimResult, label: &str) {
-    assert_eq!(a.records.len(), b.records.len(), "{label}: round counts");
-    for (ra, rb) in a.records.iter().zip(b.records.iter()) {
-        let at = format!("{label}, round {}", ra.round);
-        assert_eq!(ra.round, rb.round, "{at}");
-        assert_eq!(ra.participants, rb.participants, "{at}");
-        assert_eq!(ra.plans, rb.plans, "{at}");
-        assert_eq!(ra.dropped, rb.dropped, "{at}");
-        assert_eq!(ra.dropouts, rb.dropouts, "{at}");
-        assert_eq!(ra.ineligible, rb.ineligible, "{at}");
-        assert_eq!(ra.update_fractions, rb.update_fractions, "{at}");
-        // f64 equality on purpose: the contract is bit-reproducibility.
-        assert_eq!(ra.accuracy.to_bits(), rb.accuracy.to_bits(), "{at}");
-        assert_eq!(ra.round_time_s.to_bits(), rb.round_time_s.to_bits(), "{at}");
-        assert_eq!(
-            ra.active_energy_j.to_bits(),
-            rb.active_energy_j.to_bits(),
-            "{at}"
-        );
-        assert_eq!(
-            ra.idle_energy_j.to_bits(),
-            rb.idle_energy_j.to_bits(),
-            "{at}"
-        );
-        assert_eq!(
-            ra.dispatch_time_s.to_bits(),
-            rb.dispatch_time_s.to_bits(),
-            "{at}"
-        );
-        assert_eq!(
-            ra.logical_time_s.to_bits(),
-            rb.logical_time_s.to_bits(),
-            "{at}"
-        );
-        assert_eq!(
-            ra.mean_staleness.to_bits(),
-            rb.mean_staleness.to_bits(),
-            "{at}"
-        );
-    }
-    assert_eq!(
-        a.ppw_global().to_bits(),
-        b.ppw_global().to_bits(),
-        "{label}"
-    );
-    assert_eq!(a.ppw_local().to_bits(), b.ppw_local().to_bits(), "{label}");
+/// A run's JSONL trace, one serialized record per line as the round
+/// sinks write it. Floats serialize shortest-round-trip, so equal traces
+/// mean bit-identical records.
+fn trace(records: &[RoundRecord]) -> String {
+    records
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("record serializes") + "\n")
+        .collect()
 }
 
 /// A smoke-scale configuration with every fleet-dynamics effect active —
 /// churn, battery, mid-round dropout and OverSelect — the hardest config
-/// for the equivalence contract.
+/// for the barrier contract.
 fn dynamic_config(seed: u64, shards: usize) -> SimConfig {
     let mut cfg = SimConfig::smoke(seed);
     cfg.scenario = autofl_device::scenario::VarianceScenario::realistic();
@@ -95,34 +65,131 @@ fn dynamic_config(seed: u64, shards: usize) -> SimConfig {
     cfg
 }
 
-#[test]
-fn barrier_runtime_reproduces_lockstep_for_every_policy() {
-    // Digest-pins the barrier-equivalence contract across the whole
-    // policy registry (baselines, clusters, oracles, AutoFL) at
-    // AUTOFL_THREADS ∈ {1, 4} × shards ∈ {1, 4}.
-    let registry = autofl_core::standard_registry();
-    for policy in registry.iter() {
+/// FNV-1a 64-bit digest of a run's [`trace`], as fixed-width hex.
+fn trace_digest(records: &[RoundRecord]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in trace(records).bytes() {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
+
+/// `(label, trace digest)` of every run `tests/specs/barrier_digests.json`
+/// pins: each registered policy at shards {1, 4} on the full-dynamics
+/// config, the real-training path, and a fabric with lossy links, a
+/// composed codec, periodic full syncs and a scripted partition.
+fn barrier_digests() -> Vec<(String, String)> {
+    let mut digests = Vec::new();
+    for policy in autofl_core::standard_registry().iter() {
         for shards in [1, 4] {
-            let lockstep = with_threads(1, || {
-                let mut selector = policy.make_selector();
-                Simulation::new(dynamic_config(13, shards)).run(selector.as_mut())
-            });
-            for threads in [1, 4] {
-                let event = with_threads(threads, || {
-                    let mut cfg = dynamic_config(13, shards);
-                    cfg.runtime = Some(AsyncRuntime::barrier());
-                    let mut selector = policy.make_selector();
-                    Simulation::new(cfg).run(selector.as_mut())
-                });
-                let label = format!("{} (shards {shards}, threads {threads})", policy.name());
-                assert_bit_identical(&lockstep, &event, &label);
-                assert!(
-                    event.records.iter().all(|r| r.mean_staleness == 0.0),
-                    "{label}: a full barrier has no stale updates"
-                );
-            }
+            let mut selector = policy.make_selector();
+            let result = Simulation::new(dynamic_config(13, shards)).run(selector.as_mut());
+            digests.push((
+                format!("{} shards={shards}", policy.name()),
+                trace_digest(&result.records),
+            ));
         }
     }
+    let mut real = SimConfig::tiny_test(5);
+    real.fidelity = Fidelity::RealTraining {
+        lr: 0.08,
+        eval_samples: 48,
+    };
+    real.max_rounds = 4;
+    real.target_accuracy = Some(1.1);
+    let result = Simulation::new(real).run(&mut RandomSelector::new());
+    digests.push(("real-training".to_string(), trace_digest(&result.records)));
+    let mut fabric = SimConfig::smoke(31);
+    fabric.max_rounds = 10;
+    fabric.target_accuracy = Some(1.1);
+    fabric.network = Some(
+        NetworkFabric::new(LinkModel::calm())
+            .with_codec(CodecSpec::TopKInt8 { k_frac: 0.2 })
+            .with_full_sync(5)
+            .with_partitions(PartitionSchedule::single(PartitionRule {
+                from_round: 3,
+                until_round: 9,
+                device_begin: 0,
+                device_end: fabric.num_devices / 4,
+            })),
+    );
+    let result = Simulation::new(fabric).run(&mut RandomSelector::new());
+    digests.push(("network-fabric".to_string(), trace_digest(&result.records)));
+    digests
+}
+
+#[test]
+fn barrier_traces_match_the_pinned_lockstep_digests() {
+    let path = "tests/specs/barrier_digests.json";
+    let pinned = with_threads(1, barrier_digests);
+    let text = serde_json::to_string_pretty(&serde_json::Value::Map(
+        pinned
+            .iter()
+            .map(|(label, digest)| (label.clone(), serde_json::Value::Str(digest.clone())))
+            .collect(),
+    ))
+    .expect("digests serialize")
+        + "\n";
+    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
+        std::fs::write(path, &text).expect("write barrier digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| panic!("{path}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
+    let golden_digests: serde_json::Value = serde_json::from_str(&golden).expect("digests parse");
+    for threads in [1, 4] {
+        let digests = if threads == 1 {
+            pinned.clone()
+        } else {
+            with_threads(threads, barrier_digests)
+        };
+        for (label, digest) in digests {
+            assert_eq!(
+                golden_digests.get(&label),
+                Some(&serde_json::Value::Str(digest)),
+                "{label} at {threads} threads drifted from its pinned trace \
+                 (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
+            );
+        }
+    }
+    assert_eq!(golden, text, "{path} holds stale or non-canonical entries");
+}
+
+#[test]
+fn convergence_control_retunes_before_the_next_dispatch() {
+    // The controller observes record r and retunes K before cohort r + 1
+    // dispatches, so every cohort is sized by the K in force after the
+    // previous record — with an explicit barrier exactly as by default.
+    let control = Some(ConvergeTarget::EnergyBudget {
+        joules_per_round: 0.05,
+    });
+    let controlled_trace = |runtime: Option<AsyncRuntime>| {
+        let mut config = SimConfig::tiny_test(53);
+        config.fleet = Some(FleetDynamics::realistic());
+        config.max_rounds = 12;
+        config.target_accuracy = Some(1.1);
+        config.runtime = runtime;
+        let mut run =
+            ExperimentRun::new(&config, &RandomPolicy, control).expect("config validates");
+        let mut k = run.params().num_participants;
+        while let Some(record) = run.step().expect("stepping cannot fail") {
+            let eligible = config.num_devices - record.ineligible;
+            assert_eq!(
+                record.participants.len(),
+                k.min(eligible),
+                "round {} ignored the K retuned after the previous record",
+                record.round
+            );
+            k = run.params().num_participants;
+        }
+        assert!(k < 4, "a 0.05 J budget must shrink K from 4, ended at {k}");
+        trace(run.records())
+    };
+    assert_eq!(
+        controlled_trace(None),
+        controlled_trace(Some(AsyncRuntime::barrier()))
+    );
 }
 
 #[test]
@@ -151,7 +218,11 @@ fn buffered_runtime_is_bit_reproducible_across_thread_counts() {
     };
     let base = run(1);
     for threads in [2, 4] {
-        assert_bit_identical(&base, &run(threads), &format!("threads {threads}"));
+        assert_eq!(
+            trace(&base.records),
+            trace(&run(threads).records),
+            "threads {threads}"
+        );
     }
     // The async pipeline must actually exercise staleness: with three
     // cohorts in flight and an 8-update buffer, some updates wait.
@@ -189,30 +260,9 @@ fn buffered_runtime_diverges_from_the_barrier() {
 }
 
 #[test]
-fn barrier_equivalence_holds_under_real_training() {
-    // The contract is engine-agnostic: pin it once on the real-training
-    // path too (tiny workload, few rounds).
-    let mk = || {
-        let mut cfg = SimConfig::tiny_test(5);
-        cfg.fidelity = autofl_fed::engine::Fidelity::RealTraining {
-            lr: 0.08,
-            eval_samples: 48,
-        };
-        cfg.max_rounds = 4;
-        cfg.target_accuracy = Some(1.1);
-        cfg
-    };
-    let lockstep = Simulation::new(mk()).run(&mut RandomSelector::new());
-    let mut cfg = mk();
-    cfg.runtime = Some(AsyncRuntime::barrier());
-    let event = Simulation::new(cfg).run(&mut RandomSelector::new());
-    assert_bit_identical(&lockstep, &event, "real training");
-}
-
-#[test]
 fn spec_round_trips_the_runtime_block() {
     // AsyncRuntime serializes through SimConfig (spec files) and an
-    // absent field deserializes to the lockstep default.
+    // absent field deserializes to `None`, the barrier default.
     let mut cfg = SimConfig::tiny_test(1);
     cfg.runtime = Some(AsyncRuntime::buffered(4, 1.0).concurrent_cohorts(2));
     let json = serde_json::to_string(&cfg).expect("config serializes");

@@ -130,6 +130,74 @@ fn event_driven_buffered_resume_is_bit_identical() {
     }
 }
 
+/// The entry `key` of a map inside a checkpoint payload.
+fn entry<'v>(value: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json::Value {
+    match value {
+        serde_json::Value::Map(entries) => {
+            &mut entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .unwrap_or_else(|| panic!("no `{key}` entry"))
+                .1
+        }
+        other => panic!("expected a map holding `{key}`, found {}", other.kind()),
+    }
+}
+
+/// A checkpoint can pass its digest and still be inconsistent. Steps a
+/// pipelined buffered run once (two cohorts dispatched, one still in
+/// flight), lets `corrupt` edit its scheduler state, re-envelopes the
+/// payload so the digest matches, and returns the error resuming yields —
+/// resume must refuse the state instead of panicking in a later step.
+fn resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> String {
+    let mut config = full_config(29, 1);
+    config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+    let mut run = ExperimentRun::new(&config, &RandomPolicy, None).expect("config validates");
+    run.step().expect("no observers").expect("a first record");
+    let mut payload = run.state_snapshot();
+    corrupt(entry(entry(&mut payload, "sim"), "scheduler"));
+
+    let dir = std::env::temp_dir().join(format!("autofl-ckpt-{label}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unit.ckpt.json");
+    write_checkpoint(&path, payload).expect("checkpoint writes");
+    let payload = read_checkpoint(&path).expect("the digest still matches");
+    std::fs::remove_dir_all(&dir).unwrap();
+    ExperimentRun::resume(&config, &RandomPolicy, None, &payload)
+        .expect_err("an inconsistent scheduler must not resume")
+        .to_string()
+}
+
+#[test]
+fn resume_rejects_an_event_for_a_cohort_not_in_flight() {
+    let err = resume_error("event", |scheduler| {
+        let serde_json::Value::Seq(events) = entry(scheduler, "events") else {
+            panic!("events are a sequence");
+        };
+        let serde_json::Value::Map(kind) = entry(&mut events[0], "kind") else {
+            panic!("event kinds are variant maps");
+        };
+        *entry(&mut kind[0].1, "round") = serde_json::Value::UInt(999);
+    });
+    assert!(err.contains("scheduler.events"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_participant_outside_the_fleet() {
+    let err = resume_error("device", |scheduler| {
+        let serde_json::Value::Seq(in_flight) = entry(scheduler, "in_flight") else {
+            panic!("in_flight is a sequence");
+        };
+        let outcome = entry(&mut in_flight[0], "outcome");
+        let serde_json::Value::Seq(participants) = entry(outcome, "participants") else {
+            panic!("participants are a sequence");
+        };
+        // `tiny_test` fleets hold devices 0..12.
+        participants[0] = serde_json::Value::UInt(12);
+    });
+    assert!(err.contains("outside the 12-device fleet"), "{err}");
+}
+
 #[test]
 fn autofl_selector_state_survives_the_checkpoint() {
     // AutoFL carries the heaviest selector state — Q-tables, pending

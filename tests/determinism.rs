@@ -209,13 +209,16 @@ fn different_seeds_diverge() {
 fn determinism_survives_interleaved_construction() {
     // Two simulations built and stepped in interleaved order must not
     // share hidden state (thread-locals, statics).
-    let mut sim_a = Simulation::new(SimConfig::smoke(3));
-    let mut sim_b = Simulation::new(SimConfig::smoke(3));
+    let mut cfg = SimConfig::smoke(3);
+    cfg.max_rounds = 20;
+    cfg.target_accuracy = Some(1.1);
+    let mut sim_a = Simulation::new(cfg.clone());
+    let mut sim_b = Simulation::new(cfg);
     let mut sel_a = RandomSelector::new();
     let mut sel_b = RandomSelector::new();
     for round in 0..20 {
-        let ra = sim_a.run_round(&mut sel_a, round);
-        let rb = sim_b.run_round(&mut sel_b, round);
+        let ra = sim_a.step(&mut sel_a).expect("fixed horizon");
+        let rb = sim_b.step(&mut sel_b).expect("fixed horizon");
         assert_eq!(ra.participants, rb.participants, "round {round}");
         assert_eq!(ra.accuracy.to_bits(), rb.accuracy.to_bits());
     }

@@ -22,14 +22,15 @@ fn conformance_config() -> SimConfig {
     cfg
 }
 
-/// Runs `policy` for three rounds and returns each round's
+/// Runs `policy` for the config's fixed horizon and returns each round's
 /// (participants, plans).
 fn decisions(cfg: &SimConfig, policy: &dyn Policy) -> Vec<(Vec<usize>, Vec<String>)> {
-    let mut sim = Simulation::new(cfg.clone());
     let mut selector = policy.make_selector();
-    (0..cfg.max_rounds)
-        .map(|round| {
-            let rec = sim.run_round(selector.as_mut(), round);
+    Simulation::new(cfg.clone())
+        .run(selector.as_mut())
+        .records
+        .iter()
+        .map(|rec| {
             (
                 rec.participants.iter().map(|id| id.0).collect(),
                 rec.plans.iter().map(|p| format!("{p:?}")).collect(),

@@ -3,7 +3,7 @@
 //! and the dropout set's subset/determinism contract.
 
 use autofl::fed::engine::{SimConfig, Simulation};
-use autofl::fed::fleet::{survivor_weights, FleetDynamics, FleetState, StragglerPolicy};
+use autofl::fed::fleet::{survivor_weights, FleetDynamics, FleetStore, StragglerPolicy};
 use autofl::fed::selection::RandomSelector;
 use autofl_device::cost::{execute, ExecutionPlan, TrainingTask};
 use autofl_device::fleet::Fleet;
@@ -44,7 +44,7 @@ proptest! {
         };
         let fleet = Fleet::custom(&[(DeviceTier::Mid, 6), (DeviceTier::Low, 6)], seed);
         let shards = 1 + (seed as usize % 5);
-        let mut state = FleetState::new(&config, &fleet, seed, shards);
+        let mut state = FleetStore::new(&config, &fleet, seed, shards);
         let mut rng = SmallRng::seed_from_u64(seed ^ 0xcafe);
         for round in 0..30 {
             state.begin_round(&config, &fleet, round);
@@ -126,11 +126,7 @@ proptest! {
         seed in 0u64..1_000_000,
         rate in 0.05f64..0.8,
     ) {
-        let run = || {
-            let mut sim = Simulation::new(dropout_config(seed, rate));
-            let mut selector = RandomSelector::new();
-            (0..6).map(|round| sim.run_round(&mut selector, round)).collect::<Vec<_>>()
-        };
+        let run = || Simulation::new(dropout_config(seed, rate)).run(&mut RandomSelector::new()).records;
         let a = run();
         let b = run();
         for (ra, rb) in a.iter().zip(&b) {
