@@ -5,9 +5,10 @@
 //!    of the lockstep loop it replaced byte for byte. They are pinned as
 //!    digests in `tests/specs/barrier_digests.json` — every registered
 //!    policy at shards {1, 4} with fleet dynamics, dropout and OverSelect
-//!    active, real training, and a network fabric with every feature on —
-//!    and checked at `AUTOFL_THREADS` ∈ {1, 4}. A convergence controller
-//!    retunes before the next cohort dispatches, as in a lockstep loop.
+//!    active, real training, and a network fabric with every feature on
+//!    (checked in `tests/network_fabric.rs`) — and checked at
+//!    `AUTOFL_THREADS` ∈ {1, 4}. A convergence controller retunes before
+//!    the next cohort dispatches, as in a lockstep loop.
 //! 2. **Determinism** — buffered staleness-weighted aggregation is
 //!    bit-reproducible per seed at any thread count, and the staleness
 //!    weights themselves are deterministic and sum-normalized.
@@ -15,14 +16,16 @@
 //! To regenerate the digests after an intentional trajectory change:
 //! `AUTOFL_REGEN_SPECS=1 cargo test --test async_runtime`.
 
+mod common;
+
 use autofl_fed::engine::{Fidelity, RoundRecord, SimConfig, Simulation};
-use autofl_fed::fabric::{CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule};
 use autofl_fed::fleet::{survivor_weights, FleetDynamics, StragglerPolicy};
 use autofl_fed::policy::RandomPolicy;
 use autofl_fed::runtime::{staleness_weight, AsyncRuntime};
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{ConvergeTarget, ExperimentRun};
 use autofl_nn::zoo::Workload;
+use common::{assert_pinned_barrier_trace, fabric_barrier_config, trace_digest, BARRIER_DIGESTS};
 use proptest::prelude::*;
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
@@ -65,95 +68,83 @@ fn dynamic_config(seed: u64, shards: usize) -> SimConfig {
     cfg
 }
 
-/// FNV-1a 64-bit digest of a run's [`trace`], as fixed-width hex.
-fn trace_digest(records: &[RoundRecord]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in trace(records).bytes() {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
-}
-
-/// `(label, trace digest)` of every run `tests/specs/barrier_digests.json`
-/// pins: each registered policy at shards {1, 4} on the full-dynamics
-/// config, the real-training path, and a fabric with lossy links, a
-/// composed codec, periodic full syncs and a scripted partition.
-fn barrier_digests() -> Vec<(String, String)> {
-    let mut digests = Vec::new();
+/// The pinned runs of every registered policy at shards {1, 4} on the
+/// full-dynamics config, as `(label, records)`.
+fn policy_runs() -> Vec<(String, Vec<RoundRecord>)> {
+    let mut runs = Vec::new();
     for policy in autofl_core::standard_registry().iter() {
         for shards in [1, 4] {
             let mut selector = policy.make_selector();
             let result = Simulation::new(dynamic_config(13, shards)).run(selector.as_mut());
-            digests.push((
-                format!("{} shards={shards}", policy.name()),
-                trace_digest(&result.records),
-            ));
+            runs.push((format!("{} shards={shards}", policy.name()), result.records));
         }
     }
-    let mut real = SimConfig::tiny_test(5);
-    real.fidelity = Fidelity::RealTraining {
+    runs
+}
+
+/// The pinned real-training run: the tiny workload for four rounds.
+fn real_training_run() -> Vec<RoundRecord> {
+    let mut cfg = SimConfig::tiny_test(5);
+    cfg.fidelity = Fidelity::RealTraining {
         lr: 0.08,
         eval_samples: 48,
     };
-    real.max_rounds = 4;
-    real.target_accuracy = Some(1.1);
-    let result = Simulation::new(real).run(&mut RandomSelector::new());
-    digests.push(("real-training".to_string(), trace_digest(&result.records)));
-    let mut fabric = SimConfig::smoke(31);
-    fabric.max_rounds = 10;
-    fabric.target_accuracy = Some(1.1);
-    fabric.network = Some(
-        NetworkFabric::new(LinkModel::calm())
-            .with_codec(CodecSpec::TopKInt8 { k_frac: 0.2 })
-            .with_full_sync(5)
-            .with_partitions(PartitionSchedule::single(PartitionRule {
-                from_round: 3,
-                until_round: 9,
-                device_begin: 0,
-                device_end: fabric.num_devices / 4,
-            })),
-    );
-    let result = Simulation::new(fabric).run(&mut RandomSelector::new());
-    digests.push(("network-fabric".to_string(), trace_digest(&result.records)));
-    digests
+    cfg.max_rounds = 4;
+    cfg.target_accuracy = Some(1.1);
+    Simulation::new(cfg).run(&mut RandomSelector::new()).records
 }
 
 #[test]
-fn barrier_traces_match_the_pinned_lockstep_digests() {
-    let path = "tests/specs/barrier_digests.json";
-    let pinned = with_threads(1, barrier_digests);
-    let text = serde_json::to_string_pretty(&serde_json::Value::Map(
-        pinned
-            .iter()
-            .map(|(label, digest)| (label.clone(), serde_json::Value::Str(digest.clone())))
-            .collect(),
-    ))
-    .expect("digests serialize")
-        + "\n";
-    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
-        std::fs::write(path, &text).expect("write barrier digests");
-        return;
-    }
-    let golden = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("{path}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
-    let golden_digests: serde_json::Value = serde_json::from_str(&golden).expect("digests parse");
+fn barrier_runtime_reproduces_lockstep_for_every_policy() {
+    // Across the whole policy registry (baselines, clusters, oracles,
+    // AutoFL) at AUTOFL_THREADS ∈ {1, 4} × shards ∈ {1, 4}.
     for threads in [1, 4] {
-        let digests = if threads == 1 {
-            pinned.clone()
-        } else {
-            with_threads(threads, barrier_digests)
-        };
-        for (label, digest) in digests {
-            assert_eq!(
-                golden_digests.get(&label),
-                Some(&serde_json::Value::Str(digest)),
-                "{label} at {threads} threads drifted from its pinned trace \
-                 (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
+        for (label, records) in with_threads(threads, policy_runs) {
+            assert!(
+                records.iter().all(|r| r.mean_staleness == 0.0),
+                "{label}: a full barrier has no stale updates"
             );
+            assert_pinned_barrier_trace(&label, &records, threads);
         }
     }
-    assert_eq!(golden, text, "{path} holds stale or non-canonical entries");
+}
+
+#[test]
+fn barrier_equivalence_holds_under_real_training() {
+    // The contract is engine-agnostic: pin it once on the real-training
+    // path too (tiny workload, few rounds).
+    for threads in [1, 4] {
+        let records = with_threads(threads, real_training_run);
+        assert_pinned_barrier_trace("real-training", &records, threads);
+    }
+}
+
+#[test]
+fn checked_in_barrier_digests_match_their_generator() {
+    // Every pinned run in file order, so an entry that no run produces,
+    // or a non-canonical file, fails here.
+    let digest = |records: Vec<RoundRecord>| serde_json::Value::Str(trace_digest(&records));
+    let mut entries: Vec<(String, serde_json::Value)> = policy_runs()
+        .into_iter()
+        .map(|(label, records)| (label, digest(records)))
+        .collect();
+    entries.push(("real-training".to_string(), digest(real_training_run())));
+    let fabric = Simulation::new(fabric_barrier_config()).run(&mut RandomSelector::new());
+    entries.push(("network-fabric".to_string(), digest(fabric.records)));
+    let text = serde_json::to_string_pretty(&serde_json::Value::Map(entries))
+        .expect("digests serialize")
+        + "\n";
+    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
+        std::fs::write(BARRIER_DIGESTS, &text).expect("write barrier digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(BARRIER_DIGESTS)
+        .unwrap_or_else(|e| panic!("{BARRIER_DIGESTS}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
+    assert_eq!(
+        golden, text,
+        "{BARRIER_DIGESTS} is stale or not canonical \
+         (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
+    );
 }
 
 #[test]

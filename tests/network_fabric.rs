@@ -3,6 +3,8 @@
 //! loss semantics, and the bit-reproducibility contract with the fabric
 //! enabled across thread counts and shard layouts.
 
+mod common;
+
 use autofl_device::network::{NetworkObservation, SignalStrength, BANDWIDTH_THRESHOLD_MBPS};
 use autofl_fed::engine::{SimConfig, SimResult, Simulation};
 use autofl_fed::fabric::{
@@ -10,6 +12,7 @@ use autofl_fed::fabric::{
     PartitionSchedule, PeriodicFullSync, TopK, TopKInt8, UpdateCodec,
 };
 use autofl_fed::selection::RandomSelector;
+use common::{assert_pinned_barrier_trace, fabric_barrier_config, kitchen_sink_fabric};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,21 +40,6 @@ fn trace(result: &SimResult) -> String {
         .iter()
         .map(|r| serde_json::to_string(r).expect("record serializes") + "\n")
         .collect()
-}
-
-/// A fabric exercising every feature at once: noisy lossy links, a
-/// composed sparsifying codec, periodic full syncs and a scripted
-/// partition.
-fn kitchen_sink_fabric(devices: usize) -> NetworkFabric {
-    NetworkFabric::new(LinkModel::calm())
-        .with_codec(CodecSpec::TopKInt8 { k_frac: 0.2 })
-        .with_full_sync(5)
-        .with_partitions(PartitionSchedule::single(PartitionRule {
-            from_round: 3,
-            until_round: 9,
-            device_begin: 0,
-            device_end: devices / 4,
-        }))
 }
 
 // ---------------------------------------------------------------------
@@ -255,6 +243,19 @@ fn fabric_enabled_runs_are_bit_identical_across_threads_and_shards() {
                 "threads {threads}, shards {shards}"
             );
         }
+    }
+}
+
+/// The default barrier reproduces the replaced lockstep loop with the
+/// fabric attached: the kitchen-sink run's trace is pinned in
+/// `tests/specs/barrier_digests.json` (see `tests/common/mod.rs`).
+#[test]
+fn barrier_runtime_matches_lockstep_with_fabric_enabled() {
+    for threads in [1, 4] {
+        let result = with_threads(threads, || {
+            Simulation::new(fabric_barrier_config()).run(&mut RandomSelector::new())
+        });
+        assert_pinned_barrier_trace("network-fabric", &result.records, threads);
     }
 }
 
