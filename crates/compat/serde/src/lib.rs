@@ -28,6 +28,8 @@ extern crate self as serde;
 
 pub use serde_derive::{Deserialize, Serialize};
 
+use std::borrow::Cow;
+
 /// A self-describing serialized tree — the meeting point of
 /// [`Serialize`], [`Deserialize`] and the `serde_json` text format.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,6 +129,14 @@ impl std::error::Error for Error {}
 pub trait Serialize {
     /// Serializes `self`.
     fn to_value(&self) -> Value;
+
+    /// Serializes `self`, borrowing where `self` already is a tree: a
+    /// [`Value`] hands out itself, every other type builds one with
+    /// [`Serialize::to_value`]. Writers call this, so serializing a
+    /// `Value` never deep-copies it.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 /// Types that can reconstruct themselves from a [`Value`] tree.
@@ -304,6 +314,10 @@ impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
     }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
+    }
 }
 
 impl<T: Serialize> Serialize for Option<T> {
@@ -352,6 +366,10 @@ impl<T: Serialize> Serialize for [T] {
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -449,6 +467,14 @@ mod tests {
         assert_eq!(field::<Option<u8>>(&v, "absent").unwrap(), None);
         let err = field::<u8>(&v, "n").unwrap_err();
         assert!(err.to_string().starts_with("n: "), "{err}");
+    }
+
+    #[test]
+    fn as_value_borrows_a_tree_and_builds_everything_else() {
+        let tree = Value::Seq(vec![Value::UInt(1)]);
+        assert!(matches!(tree.as_value(), Cow::Borrowed(v) if std::ptr::eq(v, &tree)));
+        assert!(matches!(Serialize::as_value(&&tree), Cow::Borrowed(v) if std::ptr::eq(v, &tree)));
+        assert_eq!(7u8.as_value(), Cow::<Value>::Owned(Value::UInt(7)));
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! Output is deterministic: struct fields keep declaration order and
 //! floats print via Rust's shortest round-trip formatting, so serialize →
 //! parse → serialize is a fixed point (used by the spec round-trip tests).
+//!
+//! The writers take the tree through [`serde::Serialize::as_value`], so a
+//! [`Value`] is written in place rather than deep-copied first, and
+//! numbers and escape-free strings go straight into the output buffer.
+//! Writing a large tree (a checkpoint payload) therefore costs one pass
+//! over it and the output text, nothing more.
 
 #![warn(missing_docs)]
 
 pub use serde::{Error, Value};
+
+use std::fmt::Write as _;
 
 /// Serializes any [`serde::Serialize`] type to its [`Value`] tree.
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
@@ -24,14 +32,14 @@ pub fn from_value<T: serde::Deserialize>(value: &Value) -> Result<T, Error> {
 /// Serializes to compact JSON.
 pub fn to_string<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), None, 0);
+    write_value(&mut out, &value.as_value(), None, 0);
     Ok(out)
 }
 
 /// Serializes to human-editable JSON (two-space indentation).
 pub fn to_string_pretty<T: serde::Serialize + ?Sized>(value: &T) -> Result<String, Error> {
     let mut out = String::new();
-    write_value(&mut out, &value.to_value(), Some(2), 0);
+    write_value(&mut out, &value.as_value(), Some(2), 0);
     Ok(out)
 }
 
@@ -61,16 +69,21 @@ pub fn parse(text: &str) -> Result<Value, Error> {
 // ---------------------------------------------------------------------------
 
 fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
+    // `write!` into a `String` cannot fail.
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::UInt(u) => out.push_str(&u.to_string()),
+        Value::Int(i) => {
+            let _ = write!(out, "{i}");
+        }
+        Value::UInt(u) => {
+            let _ = write!(out, "{u}");
+        }
         Value::Float(f) => {
             if f.is_finite() {
                 // `{:?}` is Rust's shortest representation that parses
                 // back to the same bits.
-                out.push_str(&format!("{f:?}"));
+                let _ = write!(out, "{f:?}");
             } else {
                 // JSON has no Inf/NaN; mirror serde_json's `null`.
                 out.push_str("null");
@@ -126,17 +139,27 @@ fn newline(out: &mut String, indent: Option<usize>, level: usize) {
 
 fn write_string(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
+    // Every byte that needs escaping is ASCII, so the runs between them
+    // are whole UTF-8 and are copied as they are.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b != b'"' && b != b'\\' && b >= 0x20 {
+            continue;
         }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        }
+        run = i + 1;
     }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -346,9 +369,11 @@ impl Parser<'_> {
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number characters");
         if !is_float {
-            if let Some(stripped) = text.strip_prefix('-') {
-                if let Ok(i) = stripped.parse::<i64>() {
-                    return Ok(Value::Int(-i));
+            // The sign is parsed with the digits: `i64::MIN` has no
+            // positive counterpart to negate.
+            if text.starts_with('-') {
+                if let Ok(i) = text.parse::<i64>() {
+                    return Ok(Value::Int(i));
                 }
             } else if let Ok(u) = text.parse::<u64>() {
                 return Ok(Value::UInt(u));
@@ -370,6 +395,9 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rand::rngs::SmallRng;
+    use rand::Rng;
 
     #[test]
     fn primitives_roundtrip_through_text() {
@@ -416,7 +444,17 @@ mod tests {
 
     #[test]
     fn rejects_malformed_input() {
-        for bad in ["", "{", "[1,", "{\"a\":}", "tru", "\"unterminated", "1 2"] {
+        for bad in [
+            "",
+            "{",
+            "[1,",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "1 2",
+            "--5",
+            "-+5",
+        ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }
@@ -535,6 +573,191 @@ mod tests {
             parse("-9007199254740993").unwrap(),
             Value::Int(-9007199254740993)
         );
+        // The one i64 whose magnitude overflows i64.
+        let text = to_string(&i64::MIN).unwrap();
+        assert_eq!(text, "-9223372036854775808");
+        assert_eq!(parse(&text).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(from_str::<i64>(&text).unwrap(), i64::MIN);
+    }
+
+    /// The writer before it wrote in place — every number through a
+    /// temporary `String`, every string char by char — kept verbatim as
+    /// the reference the current writer must match byte for byte.
+    mod reference {
+        use super::Value;
+
+        pub fn to_string(value: &Value, indent: Option<usize>) -> String {
+            let mut out = String::new();
+            write_value(&mut out, value, indent, 0);
+            out
+        }
+
+        fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
+            match value {
+                Value::Null => out.push_str("null"),
+                Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+                Value::Int(i) => out.push_str(&i.to_string()),
+                Value::UInt(u) => out.push_str(&u.to_string()),
+                Value::Float(f) => {
+                    if f.is_finite() {
+                        out.push_str(&format!("{f:?}"));
+                    } else {
+                        out.push_str("null");
+                    }
+                }
+                Value::Str(s) => write_string(out, s),
+                Value::Seq(items) => {
+                    if items.is_empty() {
+                        out.push_str("[]");
+                        return;
+                    }
+                    out.push('[');
+                    for (i, item) in items.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline(out, indent, level + 1);
+                        write_value(out, item, indent, level + 1);
+                    }
+                    newline(out, indent, level);
+                    out.push(']');
+                }
+                Value::Map(entries) => {
+                    if entries.is_empty() {
+                        out.push_str("{}");
+                        return;
+                    }
+                    out.push('{');
+                    for (i, (key, item)) in entries.iter().enumerate() {
+                        if i > 0 {
+                            out.push(',');
+                        }
+                        newline(out, indent, level + 1);
+                        write_string(out, key);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        write_value(out, item, indent, level + 1);
+                    }
+                    newline(out, indent, level);
+                    out.push('}');
+                }
+            }
+        }
+
+        fn newline(out: &mut String, indent: Option<usize>, level: usize) {
+            if let Some(width) = indent {
+                out.push('\n');
+                out.extend(std::iter::repeat(' ').take(width * level));
+            }
+        }
+
+        fn write_string(out: &mut String, s: &str) {
+            out.push('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+        }
+    }
+
+    /// Random [`Value`] trees, up to four containers deep, whose leaves
+    /// are drawn half from the writer's edge cases and half at random.
+    struct Trees;
+
+    impl proptest::Strategy for Trees {
+        type Value = Value;
+
+        fn pick(&self, rng: &mut SmallRng) -> Value {
+            tree(rng, 0)
+        }
+    }
+
+    fn tree(rng: &mut SmallRng, depth: usize) -> Value {
+        let kinds = if depth < 4 { 8 } else { 6 };
+        match rng.gen_range(0..kinds) {
+            0 => Value::Null,
+            1 => Value::Bool(rng.gen_bool(0.5)),
+            2 => Value::Int(edge_or(rng, &[i64::MIN, i64::MAX, -1, 0], |r| {
+                r.gen::<u64>() as i64
+            })),
+            3 => Value::UInt(edge_or(rng, &[0, 1, u64::MAX], |r| r.gen::<u64>())),
+            4 => Value::Float(edge_or(
+                rng,
+                &[
+                    0.0,
+                    -0.0,
+                    f64::MIN_POSITIVE,
+                    f64::MIN_POSITIVE / 4.0,
+                    -f64::from_bits(1),
+                    f64::MAX,
+                    f64::MIN,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    1e16,
+                    1e-7,
+                ],
+                |r| f64::from_bits(r.gen::<u64>()),
+            )),
+            5 => Value::Str(text(rng)),
+            6 => Value::Seq(
+                (0..rng.gen_range(0..4))
+                    .map(|_| tree(rng, depth + 1))
+                    .collect(),
+            ),
+            _ => Value::Map(
+                (0..rng.gen_range(0..4))
+                    .map(|_| (text(rng), tree(rng, depth + 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    fn edge_or<T: Copy>(
+        rng: &mut SmallRng,
+        edges: &[T],
+        random: impl FnOnce(&mut SmallRng) -> T,
+    ) -> T {
+        if rng.gen_bool(0.5) {
+            edges[rng.gen_range(0..edges.len())]
+        } else {
+            random(rng)
+        }
+    }
+
+    /// Up to eight chars mixing plain ASCII with quotes, backslashes,
+    /// every kind of control character, DEL and multi-byte UTF-8.
+    fn text(rng: &mut SmallRng) -> String {
+        const CHARS: [char; 19] = [
+            'a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\r', '\t', '\u{0}', '\u{8}', '\u{c}',
+            '\u{1f}', '\u{7f}', 'é', '€', '\u{2028}', '😀',
+        ];
+        (0..rng.gen_range(0..8))
+            .map(|_| CHARS[rng.gen_range(0..CHARS.len())])
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn writer_is_byte_identical_to_the_reference(value in Trees) {
+            prop_assert_eq!(to_string(&value).unwrap(), reference::to_string(&value, None));
+            prop_assert_eq!(
+                to_string_pretty(&value).unwrap(),
+                reference::to_string(&value, Some(2))
+            );
+        }
     }
 
     #[test]

@@ -432,18 +432,16 @@ impl Selector for AutoFl {
         // weakly related; we bootstrap against the same state's best
         // action, which is exact in that near-myopic regime.
         let t_update = Instant::now();
-        let all_actions = Action::all();
         let gamma = self.config.learning_rate;
         let mu = self.config.discount;
         for (d, ((local_state, action), r)) in pending.per_device.iter().zip(&rewards).enumerate() {
-            let table = tables.table_mut(DeviceId(d));
-            let (_, max_next) = table.best_action(pending.global_state, *local_state, &all_actions);
-            let q = table.value(pending.global_state, *local_state, *action);
-            table.set(
+            tables.table_mut(DeviceId(d)).update(
                 pending.global_state,
                 *local_state,
                 *action,
-                q + gamma * (r + mu * max_next - q),
+                *r,
+                gamma,
+                mu,
             );
         }
         let update_elapsed = t_update.elapsed();

@@ -44,14 +44,27 @@ impl QTable {
         })
     }
 
-    /// The Q-value of `(g, l, action)`.
-    pub fn value(&mut self, g: GlobalState, l: LocalState, action: Action) -> f64 {
-        self.row(g, l)[action.index()]
-    }
-
-    /// Overwrites the Q-value of `(g, l, action)`.
-    pub fn set(&mut self, g: GlobalState, l: LocalState, action: Action, q: f64) {
-        self.row(g, l)[action.index()] = q;
+    /// One tabular Q-learning step on `(g, l, action)` with one row
+    /// lookup: `q ← q + learning_rate · (reward + discount · max − q)`,
+    /// bootstrapping against the best value of the same row. The max
+    /// runs over the row in index order — [`Action::all`] order — and
+    /// keeps the first of equal values, exactly as
+    /// [`QTable::best_action`] over [`Action::all`] does.
+    pub fn update(
+        &mut self,
+        g: GlobalState,
+        l: LocalState,
+        action: Action,
+        reward: f64,
+        learning_rate: f64,
+        discount: f64,
+    ) {
+        let row = self.row(g, l);
+        let max = row[1..]
+            .iter()
+            .fold(row[0], |best, &q| if q > best { q } else { best });
+        let q = &mut row[action.index()];
+        *q += learning_rate * (reward + discount * max - *q);
     }
 
     /// The best action among `candidates` and its Q-value.
@@ -290,24 +303,49 @@ mod tests {
         }
     }
 
+    /// The Q-value of `(g(), l(), action)`.
+    fn value(t: &mut QTable, action: Action) -> f64 {
+        t.best_action(g(), l(), &[action]).1
+    }
+
     #[test]
     fn values_initialise_small_and_persist() {
         let mut t = QTable::new(1);
-        let v = t.value(g(), l(), Action::Idle);
+        let v = value(&mut t, Action::Idle);
         assert!((-100.0..-99.0).contains(&v));
-        assert_eq!(t.value(g(), l(), Action::Idle), v);
-        t.set(g(), l(), Action::Idle, 5.0);
-        assert_eq!(t.value(g(), l(), Action::Idle), 5.0);
+        assert_eq!(value(&mut t, Action::Idle), v);
+        t.update(g(), l(), Action::Idle, 5.0, 0.5, 0.0);
+        assert_eq!(value(&mut t, Action::Idle), v + 0.5 * (5.0 - v));
+    }
+
+    #[test]
+    fn update_bootstraps_against_the_row_maximum() {
+        let mut t = QTable::new(5);
+        let all = Action::all();
+        for (i, a) in all.iter().enumerate() {
+            assert_eq!(a.index(), i, "Action::all() is in index order");
+        }
+        let (gamma, mu, r) = (0.3, 0.1, -7.25);
+        for a in [Action::Idle, all[3], all[6], all[3]] {
+            let (_, max) = t.best_action(g(), l(), &all);
+            let q = value(&mut t, a);
+            t.update(g(), l(), a, r, gamma, mu);
+            assert_eq!(
+                value(&mut t, a).to_bits(),
+                (q + gamma * (r + mu * max - q)).to_bits()
+            );
+        }
     }
 
     #[test]
     fn best_action_tracks_updates() {
         let mut t = QTable::new(2);
         let a = Action::from_index(2);
-        t.set(g(), l(), a, 10.0);
+        t.update(g(), l(), a, 10.0, 1.0, 0.0);
         let (best, q) = t.best_action(g(), l(), &Action::all());
         assert_eq!(best, a);
-        assert_eq!(q, 10.0);
+        assert_eq!(q, value(&mut t, a));
+        assert!((q - 10.0).abs() < 1e-9, "{q}");
     }
 
     #[test]
@@ -324,18 +362,18 @@ mod tests {
         let fleet = Fleet::paper_fleet(2);
         let mut set = QTableSet::new(&fleet, QSharing::SharedPerTier, 3);
         let high_ids = fleet.ids_of_tier(DeviceTier::High);
-        set.table_mut(high_ids[0]).set(g(), l(), Action::Idle, 9.0);
-        assert_eq!(
-            set.table_mut(high_ids[1]).value(g(), l(), Action::Idle),
-            9.0
-        );
+        set.table_mut(high_ids[0])
+            .update(g(), l(), Action::Idle, 9.0, 1.0, 0.0);
+        let updated = value(set.table_mut(high_ids[0]), Action::Idle);
+        assert!(updated > 0.0, "{updated}");
+        assert_eq!(value(set.table_mut(high_ids[1]), Action::Idle), updated);
     }
 
     #[test]
     fn memory_grows_with_rows() {
         let mut t = QTable::new(4);
         let before = t.memory_bytes();
-        let _ = t.value(g(), l(), Action::Idle);
+        let _ = value(&mut t, Action::Idle);
         assert!(t.memory_bytes() > before);
         assert_eq!(t.num_rows(), 1);
     }

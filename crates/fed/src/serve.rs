@@ -116,8 +116,12 @@ pub const CHECKPOINT_VERSION: u64 = 2;
 /// edits, not adversaries.
 pub fn payload_digest(payload: &serde::Value) -> String {
     let text = serde_json::to_string(payload).expect("checkpoint payload serializes");
+    fnv1a_hex(text.as_bytes())
+}
+
+fn fnv1a_hex(bytes: &[u8]) -> String {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in text.as_bytes() {
+    for byte in bytes {
         hash ^= u64::from(*byte);
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
@@ -127,32 +131,43 @@ pub fn payload_digest(payload: &serde::Value) -> String {
 /// Atomically writes `payload` to `path` inside a versioned, digested
 /// envelope `{version, digest, payload}` (tmp file + rename, so a crash
 /// mid-write leaves either the old checkpoint or the new one, never a
-/// torn file).
+/// torn file). The crash this guards against is a killed process;
+/// nothing is fsynced, so a power cut may still lose the newest file.
+///
+/// The payload is serialized once: the digest is taken of exactly the
+/// payload bytes the file holds, and the file is those bytes wrapped in
+/// the envelope — the compact serialization of the envelope map.
 pub fn write_checkpoint(path: &Path, payload: serde::Value) -> std::io::Result<()> {
-    let envelope = serde::Value::Map(vec![
-        ("version".to_string(), CHECKPOINT_VERSION.to_value()),
-        (
-            "digest".to_string(),
-            serde::Value::Str(payload_digest(&payload)),
-        ),
-        ("payload".to_string(), payload),
-    ]);
-    let text = serde_json::to_string(&envelope).expect("checkpoint envelope serializes");
+    let text = serde_json::to_string(&payload).expect("checkpoint payload serializes");
+    let head = format!(
+        "{{\"version\":{CHECKPOINT_VERSION},\"digest\":\"{}\",\"payload\":",
+        fnv1a_hex(text.as_bytes())
+    );
     let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)?;
+    let mut file = std::fs::File::create(&tmp)?;
+    file.write_all(head.as_bytes())?;
+    file.write_all(text.as_bytes())?;
+    file.write_all(b"}")?;
+    drop(file);
     std::fs::rename(&tmp, path)
 }
 
 /// Reads a checkpoint envelope back, verifying the version and the
 /// payload digest, and returns the payload.
+///
+/// The digest is checked against the canonical re-serialization of the
+/// parsed payload, not against the file's bytes, so a checkpoint that
+/// was re-indented or otherwise reformatted still loads.
 pub fn read_checkpoint(path: &Path) -> Result<serde::Value, ServeError> {
     let bad = |reason: String| ServeError::Checkpoint {
         path: path.to_path_buf(),
         reason,
     };
     let text = std::fs::read_to_string(path).map_err(|e| bad(format!("cannot read: {e}")))?;
-    let envelope: serde::Value =
-        serde_json::from_str(&text).map_err(|e| bad(format!("not valid JSON: {e}")))?;
+    let envelope = serde_json::parse(&text).map_err(|e| bad(format!("not valid JSON: {e}")))?;
+    // Freed before the digest check allocates the canonical text, so a
+    // read holds at most one payload text beside the tree.
+    drop(text);
     let version = u64::from_value(serde::field_or_null(&envelope, "version"))
         .map_err(|e| bad(format!("bad version field: {e}")))?;
     if version != CHECKPOINT_VERSION {
@@ -162,10 +177,16 @@ pub fn read_checkpoint(path: &Path) -> Result<serde::Value, ServeError> {
     }
     let digest = String::from_value(serde::field_or_null(&envelope, "digest"))
         .map_err(|e| bad(format!("bad digest field: {e}")))?;
-    let payload = envelope
-        .get("payload")
-        .cloned()
-        .ok_or_else(|| bad("missing payload".to_string()))?;
+    // Moved out of the envelope, not copied; the first `payload` key
+    // wins, as in `Value::get`.
+    let payload = match envelope {
+        serde::Value::Map(mut entries) => entries
+            .iter()
+            .position(|(key, _)| key == "payload")
+            .map(|i| entries.swap_remove(i).1),
+        _ => None,
+    }
+    .ok_or_else(|| bad("missing payload".to_string()))?;
     let actual = payload_digest(&payload);
     if actual != digest {
         return Err(bad(format!(

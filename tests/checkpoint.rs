@@ -7,13 +7,22 @@
 //! combination of worker threads, shard counts, fleet dynamics, the
 //! buffered async runtime and the network fabric.
 
+mod common;
+
 use autofl_core::policy::standard_registry;
 use autofl_fed::engine::{RoundRecord, SimConfig};
 use autofl_fed::fabric::{LinkModel, NetworkFabric};
 use autofl_fed::fleet::FleetDynamics;
 use autofl_fed::policy::{Policy, RandomPolicy};
 use autofl_fed::runtime::AsyncRuntime;
-use autofl_fed::serve::{read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun};
+use autofl_fed::serve::{
+    payload_digest, read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun,
+    CHECKPOINT_VERSION,
+};
+use common::fnv1a_hex;
+
+/// The golden file of checkpoint-file digests, keyed by run label.
+const CHECKPOINT_DIGESTS: &str = "tests/specs/checkpoint_digests.json";
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
 /// previous value afterwards (same idiom as tests/determinism.rs: thread
@@ -221,4 +230,101 @@ fn controlled_run_resumes_on_the_same_control_trajectory() {
         reference, resumed,
         "controller EMA/scale must continue, not restart, after resume"
     );
+}
+
+/// AutoFL — Q-tables, pending rounds, agent RNG — on the full config with
+/// the buffered, pipelined runtime, checkpointed through
+/// `write_checkpoint` after `records` records. Returns the payload and
+/// the checkpoint file's text.
+fn autofl_checkpoint(label: &str, records: usize) -> (serde_json::Value, String) {
+    let registry = standard_registry();
+    let mut config = full_config(41, 2);
+    config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+    let mut run =
+        ExperimentRun::new(&config, registry.expect("AutoFL"), None).expect("config validates");
+    for _ in 0..records {
+        run.step()
+            .expect("no observers")
+            .expect("checkpoint point is before the end of the run");
+    }
+    let payload = run.state_snapshot();
+    let dir = std::env::temp_dir().join(format!("autofl-ckpt-{label}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unit.ckpt.json");
+    write_checkpoint(&path, payload.clone()).expect("checkpoint writes");
+    let file = std::fs::read_to_string(&path).expect("checkpoint reads back");
+    std::fs::remove_dir_all(&dir).unwrap();
+    (payload, file)
+}
+
+#[test]
+fn checkpoint_files_are_the_canonical_envelope_and_pinned() {
+    // Owns `CHECKPOINT_DIGESTS`: every pinned checkpoint in file order,
+    // so a stale, missing or non-canonical entry fails here.
+    let mut entries = Vec::new();
+    for records in [1, 6] {
+        let label = format!("AutoFL buffered stop={records}");
+        let (payload, file) = autofl_checkpoint(&format!("pin-{records}"), records);
+        let envelope = serde_json::Value::Map(vec![
+            (
+                "version".to_string(),
+                serde_json::Value::UInt(CHECKPOINT_VERSION),
+            ),
+            (
+                "digest".to_string(),
+                serde_json::Value::Str(payload_digest(&payload)),
+            ),
+            ("payload".to_string(), payload),
+        ]);
+        assert!(
+            file == serde_json::to_string(&envelope).expect("envelope serializes"),
+            "{label}: the checkpoint file is not the compact envelope"
+        );
+        entries.push((label, serde_json::Value::Str(fnv1a_hex(file.as_bytes()))));
+    }
+    let text = serde_json::to_string_pretty(&serde_json::Value::Map(entries))
+        .expect("digests serialize")
+        + "\n";
+    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
+        std::fs::write(CHECKPOINT_DIGESTS, &text).expect("write checkpoint digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(CHECKPOINT_DIGESTS)
+        .unwrap_or_else(|e| panic!("{CHECKPOINT_DIGESTS}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
+    assert_eq!(
+        golden, text,
+        "{CHECKPOINT_DIGESTS} is stale or not canonical \
+         (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
+    );
+}
+
+#[test]
+fn readers_check_the_canonical_payload_not_the_file_bytes() {
+    let (payload, file) = autofl_checkpoint("read-side", 6);
+    let dir = std::env::temp_dir().join(format!("autofl-ckpt-read-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unit.ckpt.json");
+
+    // Re-indenting moves every byte but not the canonical payload.
+    let envelope = serde_json::parse(&file).expect("checkpoint is JSON");
+    let pretty = serde_json::to_string_pretty(&envelope).expect("envelope serializes");
+    assert_ne!(pretty, file);
+    std::fs::write(&path, &pretty).unwrap();
+    let restored = read_checkpoint(&path).expect("a re-indented checkpoint still validates");
+    assert!(restored == payload, "re-indenting changed the payload");
+
+    // Flip the leading digit of the first Q-value: still valid JSON, but
+    // no longer the payload the digest was taken of.
+    let q = file
+        .find("\"q\":[")
+        .expect("AutoFL checkpoints hold Q rows");
+    let at = q + file[q..]
+        .find(|c: char| c.is_ascii_digit())
+        .expect("Q rows hold numbers");
+    let mut flipped = file.into_bytes();
+    flipped[at] = if flipped[at] == b'1' { b'2' } else { b'1' };
+    std::fs::write(&path, &flipped).unwrap();
+    let err = read_checkpoint(&path).expect_err("a flipped payload byte must be rejected");
+    assert!(err.to_string().contains("digest mismatch"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
 }

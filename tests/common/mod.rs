@@ -1,5 +1,5 @@
 //! Helpers shared by the integration-test binaries that declare
-//! `mod common;`: the pinned barrier traces.
+//! `mod common;`: FNV-1a digests and the pinned barrier traces.
 //!
 //! Every run steps the event scheduler, and its full barrier (the
 //! default) reproduces the traces of the lockstep FedAvg loop it replaced
@@ -16,20 +16,26 @@ use autofl_fed::fabric::{CodecSpec, LinkModel, NetworkFabric, PartitionRule, Par
 /// The golden file of barrier trace digests, keyed by run label.
 pub const BARRIER_DIGESTS: &str = "tests/specs/barrier_digests.json";
 
+/// FNV-1a 64-bit digest of `bytes`, as fixed-width hex.
+pub fn fnv1a_hex(bytes: &[u8]) -> String {
+    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+    for byte in bytes {
+        hash ^= u64::from(*byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    format!("{hash:016x}")
+}
+
 /// FNV-1a 64-bit digest of a run's JSONL trace — one serialized record
 /// per line, as the round sinks write it — as fixed-width hex. Floats
 /// serialize shortest-round-trip, so equal digests mean bit-identical
 /// records.
 pub fn trace_digest(records: &[RoundRecord]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for record in records {
-        let line = serde_json::to_string(record).expect("record serializes") + "\n";
-        for byte in line.bytes() {
-            hash ^= u64::from(byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    }
-    format!("{hash:016x}")
+    let trace: String = records
+        .iter()
+        .map(|r| serde_json::to_string(r).expect("record serializes") + "\n")
+        .collect();
+    fnv1a_hex(trace.as_bytes())
 }
 
 /// A fabric exercising every feature at once: noisy lossy links, a
