@@ -2,8 +2,11 @@
 //! and the robust aggregators it motivates: disabled-path bit-neutrality,
 //! bit-reproducibility of adversarial runs across thread counts and shard
 //! layouts, free-rider cost accounting, checkpoint/resume under attack,
-//! order-statistics aggregator properties, and a golden spec + trace
-//! exercising poisoners against Krum end to end.
+//! order-statistics aggregator properties, a golden spec + trace
+//! exercising poisoners against Krum end to end, and pinned digests of
+//! the selectors that read conditions while faulty sensors lie to them.
+
+mod common;
 
 use autofl::fed::observe::JsonlSink;
 use autofl::fed::policy::run_policy_observed;
@@ -17,6 +20,7 @@ use autofl_fed::fleet::FleetDynamics;
 use autofl_fed::policy::RandomPolicy;
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{read_checkpoint, write_checkpoint, ExperimentRun};
+use common::trace_digest;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -485,6 +489,83 @@ fn adv_spec_trace_matches_the_checked_in_golden_file() {
         produced == golden,
         "{path} drifted from `spec_run --trace` output: the JSONL record \
          format or the adversarial smoke trajectory changed \
+         (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Golden digests: condition-reading selectors under faulty sensors.
+// ---------------------------------------------------------------------
+
+/// The golden file of faulty-sensor trace digests, keyed by run label.
+/// Regenerate with `AUTOFL_REGEN_SPECS=1 cargo test --test adversary`
+/// after an intentional trajectory change.
+const CONDITIONS_DIGESTS: &str = "tests/specs/conditions_digests.json";
+
+/// A smoke fleet on which every input of the conditions path is live:
+/// realistic variance, fleet dynamics (whose thermal throttle the cost
+/// model reads), faulty sensors lying to selection under FedAvg, and
+/// realistic links whose latency and loss draws read the true signal.
+fn lying_sensor_config(shards: usize) -> SimConfig {
+    let mut cfg = SimConfig::smoke(29);
+    cfg.scenario = autofl_device::scenario::VarianceScenario::realistic();
+    cfg.fleet = Some(FleetDynamics::realistic());
+    cfg.network = Some(NetworkFabric::new(LinkModel::realistic()));
+    cfg.algorithm = AggregationAlgorithm::FedAvg;
+    cfg.adversary = Some(AdversaryConfig {
+        faulty_sensor_fraction: 0.2,
+        ..AdversaryConfig::poisoning(0.0)
+    });
+    cfg.max_rounds = 20;
+    cfg.target_accuracy = Some(1.1);
+    cfg.shards = shards;
+    cfg
+}
+
+/// Digests of the selectors that read every device's reported conditions
+/// — `O_participant`, `O_FL` and AutoFL — at shards {1, 4}, in file order.
+fn conditions_digests() -> Vec<(String, serde_json::Value)> {
+    let registry = standard_registry();
+    let mut entries = Vec::new();
+    for name in ["O_participant", "O_FL", "AutoFL"] {
+        let policy = registry.get(name).expect("registered policy");
+        for shards in [1, 4] {
+            let mut selector = policy.make_selector();
+            let result = Simulation::new(lying_sensor_config(shards)).run(selector.as_mut());
+            let label = format!("{name} shards={shards}");
+            assert!(
+                result
+                    .records
+                    .iter()
+                    .any(|r| r.adversarial.expect("subsystem on") > 0),
+                "{label}: no faulty sensor was ever selected"
+            );
+            entries.push((label, serde_json::Value::Str(trace_digest(&result.records))));
+        }
+    }
+    entries
+}
+
+#[test]
+fn faulty_sensor_traces_match_their_pinned_digests() {
+    let entries = with_threads(1, conditions_digests);
+    assert_eq!(
+        with_threads(4, conditions_digests),
+        entries,
+        "condition reads must not depend on the thread count"
+    );
+    let text = serde_json::to_string_pretty(&serde_json::Value::Map(entries))
+        .expect("digests serialize")
+        + "\n";
+    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
+        std::fs::write(CONDITIONS_DIGESTS, &text).expect("write conditions digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(CONDITIONS_DIGESTS)
+        .unwrap_or_else(|e| panic!("{CONDITIONS_DIGESTS}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
+    assert_eq!(
+        golden, text,
+        "{CONDITIONS_DIGESTS} is stale or not canonical \
          (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
     );
 }
