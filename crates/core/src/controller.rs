@@ -8,6 +8,7 @@ use crate::reward::{reward, ParticipationOutcome, RewardConfig, RewardInputs};
 use crate::state::{GlobalState, LocalState, StateSpace};
 use autofl_device::cost::{execute, ExecutionPlan};
 use autofl_device::fleet::DeviceId;
+use autofl_device::scenario::DeviceConditions;
 use autofl_fed::selection::{top_k_by, RoundContext, RoundFeedback, SelectionDecision, Selector};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -179,16 +180,22 @@ impl AutoFl {
     /// slack creation. A device whose eco/GPU choice would itself become
     /// the straggler (and stretch everyone's idle energy) is upgraded to
     /// the fastest setting of its chosen target, falling back to CPU-max
-    /// if the target cannot meet the pace at all.
-    fn clamp_to_pace(ctx: &RoundContext<'_>, id: DeviceId, action: Action, pace_s: f64) -> Action {
+    /// if the target cannot meet the pace at all. `conditions` are device
+    /// `id`'s, read once by the caller.
+    fn clamp_to_pace(
+        ctx: &RoundContext<'_>,
+        id: DeviceId,
+        conditions: &DeviceConditions,
+        action: Action,
+        pace_s: f64,
+    ) -> Action {
         let Action::Train { target, dvfs_level } = action else {
             return action;
         };
         let tier = ctx.fleet.device(id).tier();
         let task = ctx.task_for(id);
-        let time_of = |a: Action| -> f64 {
-            execute(tier, a.plan_for(tier), task, &ctx.conditions.get(id.0)).total_time_s()
-        };
+        let time_of =
+            |a: Action| -> f64 { execute(tier, a.plan_for(tier), task, conditions).total_time_s() };
         let budget = pace_s * 1.05;
         if time_of(action) <= budget {
             return action;
@@ -237,7 +244,7 @@ impl Selector for AutoFl {
                 mid.tier(),
                 ExecutionPlan::cpu_max(mid.tier()),
                 ctx.task_for(mid.id()),
-                &autofl_device::scenario::DeviceConditions::ideal(),
+                &DeviceConditions::ideal(),
             )
             .total_energy_j()
             .max(1e-6);
@@ -248,9 +255,8 @@ impl Selector for AutoFl {
         }
         let global_state = self.space.global_state(ctx);
         let total_classes = ctx.partition.num_classes().max(1) as f64;
-        // Per-device local states, read through the sharded stores: the
-        // conditions store materialises one struct per device and the
-        // availability view is storage-free for a static fleet.
+        // Per-device local states: one conditions read per device, and an
+        // availability view that is storage-free for a static fleet.
         let locals: Vec<LocalState> = ctx
             .fleet
             .iter()
@@ -336,22 +342,22 @@ impl Selector for AutoFl {
             scored.into_iter().map(|(id, _, _)| id).collect()
         };
         // Round pace: the slowest participant at its tier's CPU-max. Eco
-        // choices may fill slack up to this pace but not extend it.
+        // choices may fill slack up to this pace but not extend it. Each
+        // participant's conditions are read once for both.
+        let conditions: Vec<DeviceConditions> = participants
+            .iter()
+            .map(|id| ctx.conditions.get(id.0))
+            .collect();
         let pace_s = participants
             .iter()
-            .map(|id| {
+            .zip(&conditions)
+            .map(|(id, c)| {
                 let tier = ctx.fleet.device(*id).tier();
-                execute(
-                    tier,
-                    ExecutionPlan::cpu_max(tier),
-                    ctx.task_for(*id),
-                    &ctx.conditions.get(id.0),
-                )
-                .total_time_s()
+                execute(tier, ExecutionPlan::cpu_max(tier), ctx.task_for(*id), c).total_time_s()
             })
             .fold(0.0f64, f64::max);
-        for id in &participants {
-            actions[id.0] = Self::clamp_to_pace(ctx, *id, actions[id.0], pace_s);
+        for (id, c) in participants.iter().zip(&conditions) {
+            actions[id.0] = Self::clamp_to_pace(ctx, *id, c, actions[id.0], pace_s);
         }
         let plans = participants
             .iter()

@@ -14,9 +14,9 @@
 //! * [`scenario`] — per-round sampling of which devices see interference /
 //!   weak signal (Figures 5 and 10 regimes).
 //! * [`fleet`] — the 200-device fleet (30 H / 70 M / 100 L).
-//! * [`store`] — sharded structure-of-arrays storage for per-round device
-//!   state ([`store::ConditionsStore`]), the hot data layout at
-//!   million-device fleet sizes.
+//! * [`store`] — sharded structure-of-arrays storage for per-device state
+//!   ([`store::shard_extents`]) and the materialised per-round
+//!   [`store::ConditionsStore`].
 //! * [`lifecycle`] — slow-moving per-device state (battery, charging,
 //!   thermal throttle, foreground sessions, connectivity) evolved by the
 //!   fleet-dynamics subsystem in `autofl-fed`.
@@ -57,6 +57,6 @@ pub use fleet::{Device, DeviceId, Fleet};
 pub use interference::Interference;
 pub use lifecycle::DeviceLifecycle;
 pub use network::{NetworkObservation, SignalStrength};
-pub use scenario::{DeviceConditions, VarianceScenario};
+pub use scenario::{Conditions, DeviceConditions, VarianceScenario};
 pub use store::{shard_extents, ConditionsStore};
 pub use tier::DeviceTier;

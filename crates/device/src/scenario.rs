@@ -1,7 +1,7 @@
 //! Runtime-variance scenarios: which devices see interference and weak
 //! networks in a given round (Section 5.2 / Figures 5 and 10).
 
-use crate::fleet::{Device, Fleet};
+use crate::fleet::{Device, DeviceId, Fleet};
 use crate::interference::Interference;
 use crate::network::{NetworkObservation, SignalStrength};
 use crate::store::ConditionsStore;
@@ -77,18 +77,30 @@ impl VarianceScenario {
         }
     }
 
+    /// Samples device `id`'s conditions for the round whose streams are
+    /// keyed by `round_seed` — the one place a device's per-round stream
+    /// is derived.
+    ///
+    /// The stream is seeded from `round_seed` and the raw id alone, so a
+    /// device's conditions are a pure function of `(scenario, fleet,
+    /// round_seed, id)`: independent of which other devices are sampled,
+    /// in what order, on how many threads. This is the per-device-stream
+    /// rule the workspace's determinism contract relies on (see
+    /// `docs/determinism.md`), and what lets a round derive only the
+    /// conditions it reads.
+    #[inline]
+    pub fn sample_device(&self, fleet: &Fleet, round_seed: u64, id: usize) -> DeviceConditions {
+        let mut rng =
+            SmallRng::seed_from_u64(round_seed ^ (id as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        self.sample(fleet.device(DeviceId(id)), &mut rng)
+    }
+
     /// Samples the whole fleet's conditions for one round into a sharded
-    /// structure-of-arrays store, one shard per parallel task.
+    /// structure-of-arrays store, one shard per parallel task: every
+    /// device's [`sample_device`] value, so the store's contents are
+    /// independent of its shard count, the thread count and the schedule.
     ///
-    /// Every device draws from its own RNG stream derived from
-    /// `round_seed` and its raw id, so the stored values are a pure
-    /// function of `(scenario, fleet, round_seed)` — independent of the
-    /// store's shard count, the thread count and the execution schedule.
-    /// This is the per-device-stream rule the workspace's determinism
-    /// contract relies on (see `docs/determinism.md`).
-    ///
-    /// The store's geometry is preserved; it must already cover the fleet
-    /// (use [`crate::store::ConditionsStore::reshape`]).
+    /// [`sample_device`]: VarianceScenario::sample_device
     ///
     /// # Panics
     ///
@@ -97,27 +109,10 @@ impl VarianceScenario {
         assert_eq!(out.len(), fleet.len(), "store must cover the fleet");
         out.shards_mut().par_iter_mut().for_each(|shard| {
             for j in 0..shard.len() {
-                let i = shard.offset + j;
-                let mut rng = SmallRng::seed_from_u64(
-                    round_seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-                );
-                let c = self.sample(fleet.device(crate::fleet::DeviceId(i)), &mut rng);
+                let c = self.sample_device(fleet, round_seed, shard.offset + j);
                 shard.set_lane(j, &c);
             }
         });
-    }
-
-    /// Samples the whole fleet's conditions into a `Vec` of structs
-    /// (cleared first) — the array-of-structs view of [`sample_into`],
-    /// kept for tests and small fixtures. Values are bit-identical to the
-    /// store path: both draw from the same per-device streams.
-    ///
-    /// [`sample_into`]: VarianceScenario::sample_into
-    pub fn sample_fleet(&self, fleet: &Fleet, round_seed: u64, out: &mut Vec<DeviceConditions>) {
-        let mut store = ConditionsStore::new(fleet.len(), 1);
-        self.sample_into(fleet, round_seed, &mut store);
-        out.clear();
-        out.extend((0..fleet.len()).map(|i| store.get(i)));
     }
 }
 
@@ -149,6 +144,15 @@ impl DeviceConditions {
             throttle: 0.0,
         }
     }
+}
+
+/// Read access to one round's per-device [`DeviceConditions`], indexed by
+/// raw device id — what selectors and the cost model see. Implemented by
+/// the materialised [`ConditionsStore`] and by views that derive a
+/// device's conditions only when it is read.
+pub trait Conditions: Sync + std::fmt::Debug {
+    /// Device `id`'s conditions this round.
+    fn get(&self, id: usize) -> DeviceConditions;
 }
 
 #[cfg(test)]
@@ -190,24 +194,28 @@ mod tests {
     fn sample_fleet_is_schedule_independent() {
         let fleet = Fleet::paper_fleet(4);
         let sc = VarianceScenario::realistic();
-        let mut seq = Vec::new();
-        let mut par = Vec::new();
+        let sample = |threads: &str, shards: usize, round_seed: u64| {
+            std::env::set_var("AUTOFL_THREADS", threads);
+            rayon::refresh_thread_count();
+            let mut store = ConditionsStore::new(fleet.len(), shards);
+            sc.sample_into(&fleet, round_seed, &mut store);
+            (0..fleet.len()).map(|i| store.get(i)).collect::<Vec<_>>()
+        };
         let prev = std::env::var("AUTOFL_THREADS").ok();
-        std::env::set_var("AUTOFL_THREADS", "1");
-        rayon::refresh_thread_count();
-        sc.sample_fleet(&fleet, 0xabcd, &mut seq);
-        std::env::set_var("AUTOFL_THREADS", "8");
-        rayon::refresh_thread_count();
-        sc.sample_fleet(&fleet, 0xabcd, &mut par);
+        let seq = sample("1", 1, 0xabcd);
+        let par = sample("8", 7, 0xabcd);
+        let other = sample("1", 1, 0xabce);
         match prev {
             Some(v) => std::env::set_var("AUTOFL_THREADS", v),
             None => std::env::remove_var("AUTOFL_THREADS"),
         }
         rayon::refresh_thread_count();
         assert_eq!(seq, par);
+        // Every bulk value is the device's own on-demand sample.
+        for (i, c) in seq.iter().enumerate() {
+            assert_eq!(*c, sc.sample_device(&fleet, 0xabcd, i), "device {i}");
+        }
         // And a different round seed must change *something*.
-        let mut other = Vec::new();
-        sc.sample_fleet(&fleet, 0xabce, &mut other);
         assert_ne!(seq, other);
     }
 

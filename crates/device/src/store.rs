@@ -1,13 +1,19 @@
 //! Sharded structure-of-arrays storage for per-device round state.
 //!
-//! Million-device fleets make the per-round `Vec<DeviceConditions>` of
-//! structs layout a liability: every policy and cost query walks 40-byte
-//! records to read one field, and parallel sampling needs a safe way to
-//! hand disjoint regions to workers. [`ConditionsStore`] keeps each
-//! field in its own array, *sharded* into contiguous device ranges
-//! ([`shard_extents`]) so that one worker owns one shard outright —
-//! no locks, no interleaved cache lines, and a layout that is identical
-//! for any shard count.
+//! A fleet-sized store wants each field in its own array, *sharded* into
+//! contiguous device ranges ([`shard_extents`]) so that one worker owns
+//! one shard outright — no locks, no interleaved cache lines, and a
+//! layout that is identical for any shard count. The fleet-dynamics
+//! lifecycle store in `autofl-fed` uses this layout every round.
+//! [`ConditionsStore`] is the materialised form of one round's
+//! conditions: [`VarianceScenario::sample_into`] fills it shard-parallel,
+//! and fixtures and benches hand it to anything that reads
+//! [`Conditions`]. The round engine itself never materialises the
+//! fleet's conditions; it derives each device's on read
+//! ([`VarianceScenario::sample_device`]).
+//!
+//! [`VarianceScenario::sample_into`]: crate::scenario::VarianceScenario::sample_into
+//! [`VarianceScenario::sample_device`]: crate::scenario::VarianceScenario::sample_device
 //!
 //! Sharding is a **layout and parallelism** knob only. Every sampled
 //! value is drawn from a per-device RNG stream keyed by the device's
@@ -18,7 +24,7 @@
 
 use crate::interference::Interference;
 use crate::network::{NetworkObservation, SignalStrength};
-use crate::scenario::DeviceConditions;
+use crate::scenario::{Conditions, DeviceConditions};
 
 /// Splits `len` devices into at most `shards` contiguous `(offset, len)`
 /// extents of equal size (the last may be shorter). At least one extent
@@ -103,9 +109,9 @@ impl ConditionShard {
 /// Sharded structure-of-arrays storage of every device's per-round
 /// [`DeviceConditions`].
 ///
-/// [`ConditionsStore::get`] materialises the struct view for one device
-/// (a handful of register moves); bulk producers and consumers operate on
-/// the per-shard field arrays directly.
+/// [`Conditions::get`] materialises the struct view for one device (a
+/// handful of register moves); bulk producers operate on the per-shard
+/// field arrays directly.
 #[derive(Debug, Clone, Default)]
 pub struct ConditionsStore {
     len: usize,
@@ -121,21 +127,10 @@ impl ConditionsStore {
         store
     }
 
-    /// Builds a single-shard store mirroring a slice of per-device
-    /// conditions (test and bench fixture helper).
-    pub fn from_conditions(conditions: &[DeviceConditions]) -> Self {
-        let mut store = ConditionsStore::new(conditions.len(), 1);
-        for (i, c) in conditions.iter().enumerate() {
-            store.set(i, c);
-        }
-        store
-    }
-
     /// Resizes the store for `len` devices in `shards` extents. A no-op
-    /// when the geometry already matches, so per-round reuse is free;
-    /// otherwise existing contents are discarded (every slot reset to
-    /// ideal).
-    pub fn reshape(&mut self, len: usize, shards: usize) {
+    /// when the geometry already matches; otherwise existing contents are
+    /// discarded (every slot reset to ideal).
+    fn reshape(&mut self, len: usize, shards: usize) {
         let size = shard_size(len, shards);
         if self.len == len && self.shard_size == size {
             return;
@@ -158,11 +153,6 @@ impl ConditionsStore {
         self.len == 0
     }
 
-    /// The shards, in device order.
-    pub fn shards(&self) -> &[ConditionShard] {
-        &self.shards
-    }
-
     /// Mutable access to the shards (disjoint ranges — the parallel
     /// sampling entry point fans out over these).
     pub fn shards_mut(&mut self) -> &mut [ConditionShard] {
@@ -175,10 +165,18 @@ impl ConditionsStore {
         (i / self.shard_size, i % self.shard_size)
     }
 
-    /// Materialises device `i`'s conditions.
-    #[inline]
-    pub fn get(&self, i: usize) -> DeviceConditions {
+    /// Writes one device's conditions.
+    pub fn set(&mut self, i: usize, c: &DeviceConditions) {
         let (s, j) = self.locate(i);
+        self.shards[s].set_lane(j, c);
+    }
+}
+
+impl Conditions for ConditionsStore {
+    /// Materialises device `id`'s conditions.
+    #[inline]
+    fn get(&self, id: usize) -> DeviceConditions {
+        let (s, j) = self.locate(id);
         let shard = &self.shards[s];
         DeviceConditions {
             interference: Interference {
@@ -191,35 +189,6 @@ impl ConditionsStore {
             },
             throttle: shard.throttle[j],
         }
-    }
-
-    /// Device `i`'s thermal throttle level (the single field the cost
-    /// model reads most often).
-    #[inline]
-    pub fn throttle(&self, i: usize) -> f64 {
-        let (s, j) = self.locate(i);
-        self.shards[s].throttle[j]
-    }
-
-    /// Writes one device's conditions.
-    pub fn set(&mut self, i: usize, c: &DeviceConditions) {
-        let (s, j) = self.locate(i);
-        self.shards[s].set_lane(j, c);
-    }
-
-    /// Approximate heap bytes held by the store (the bench suite's
-    /// memory-footprint proxy).
-    pub fn size_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.co_cpu.capacity() * 8
-                    + s.co_mem.capacity() * 8
-                    + s.bandwidth_mbps.capacity() * 8
-                    + s.throttle.capacity() * 8
-                    + s.signal.capacity()
-            })
-            .sum()
     }
 }
 
@@ -270,7 +239,6 @@ mod tests {
             }
             for (i, c) in conditions.iter().enumerate() {
                 assert_eq!(store.get(i), *c, "device {i} at {shards} shards");
-                assert_eq!(store.throttle(i), c.throttle);
             }
         }
     }
@@ -291,6 +259,5 @@ mod tests {
         );
         store.reshape(10, 5);
         assert_eq!(store.get(3).throttle, 0.0, "regrown store resets to ideal");
-        assert!(store.size_bytes() > 0);
     }
 }

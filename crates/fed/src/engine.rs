@@ -4,8 +4,9 @@
 use crate::accuracy::{
     AccuracyEngine, CohortStats, ConvergenceProfile, RealTrainingEngine, SurrogateEngine,
 };
-use crate::adversary::{adv_stream, AdversaryConfig, AdversaryRole};
+use crate::adversary::{AdversaryConfig, AdversaryRole};
 use crate::algorithms::AggregationAlgorithm;
+use crate::conditions::ConditionsView;
 use crate::estimate::participant_costs;
 use crate::fabric::{NetworkFabric, RoundNetStats, UpdateCodec};
 use crate::fleet::{AvailabilityView, FleetDynamics, FleetStore, ShardBin, StragglerPolicy};
@@ -16,8 +17,7 @@ use autofl_data::FlData;
 use autofl_device::cost::{ExecutionPlan, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
 use autofl_device::idle_energy_j;
-use autofl_device::scenario::VarianceScenario;
-use autofl_device::store::ConditionsStore;
+use autofl_device::scenario::{Conditions, VarianceScenario};
 use autofl_device::tier::DeviceTier;
 use autofl_nn::zoo::Workload;
 use rand::rngs::SmallRng;
@@ -373,9 +373,6 @@ impl SimResult {
 /// returned [`RoundRecord`].
 #[derive(Debug, Default)]
 struct RoundScratch {
-    /// Per-device sampled conditions (sharded structure-of-arrays),
-    /// indexed by raw device id.
-    conditions: ConditionsStore,
     /// Per-participant training tasks.
     tasks: Vec<TrainingTask>,
     /// Fleet-sized participant membership mask.
@@ -393,12 +390,6 @@ struct RoundScratch {
     /// Shard bins with per-bin eligible counts recomputed under the
     /// partition mask, backing [`AvailabilityView::Masked`].
     masked_bins: Vec<ShardBin>,
-    /// The conditions devices *report* to the server — the true sampled
-    /// conditions with faulty sensors' lies overlaid. Selection (and the
-    /// AutoFL state bins) read this store; cost execution keeps reading
-    /// the true conditions. Only touched when an adversary config with
-    /// faulty sensors is attached.
-    reported: ConditionsStore,
     /// Per-participant adversary roles, in participant order. Only
     /// touched when an adversary config is attached.
     roles: Vec<AdversaryRole>,
@@ -615,18 +606,14 @@ impl Simulation {
         &self.data
     }
 
-    /// Approximate heap bytes held by the per-device round stores (the
-    /// conditions store plus, under fleet dynamics, the lifecycle
-    /// store). The `fig_scale` bench reports this as the memory-footprint
-    /// proxy where `/proc/self/status` is unavailable; it deliberately
-    /// excludes the dataset and fleet, whose sizes are layout-independent.
+    /// Approximate heap bytes held by the per-device round store — the
+    /// lifecycle store under fleet dynamics, nothing for a static fleet
+    /// (conditions are derived on read, never stored). The `fig_scale`
+    /// bench reports this as the memory-footprint proxy where
+    /// `/proc/self/status` is unavailable; it deliberately excludes the
+    /// dataset and fleet, whose sizes are layout-independent.
     pub fn store_bytes(&self) -> usize {
-        self.scratch.conditions.size_bytes()
-            + self
-                .fleet_state
-                .as_ref()
-                .map(|s| s.size_bytes())
-                .unwrap_or(0)
+        self.fleet_state.as_ref().map_or(0, |s| s.size_bytes())
     }
 
     /// Current global accuracy.
@@ -717,45 +704,24 @@ impl Simulation {
             _ => 0,
         };
 
-        // 1. Sample per-device runtime conditions into the sharded
-        // structure-of-arrays store — in parallel, each device on its own
-        // RNG stream derived from (seed, round, id), so the sample is
-        // independent of thread count, shard count and fleet iteration
-        // order. Thermal throttle levels carried by the lifecycle store
-        // are overlaid on top (a per-shard array copy).
-        let cond_seed = round_stream_seed(self.config.seed, round);
-        self.scratch
-            .conditions
-            .reshape(self.fleet.len(), self.config.shards);
-        self.config
-            .scenario
-            .sample_into(&self.fleet, cond_seed, &mut self.scratch.conditions);
-        if let Some(store) = &self.fleet_state {
-            store.overlay_throttle(&mut self.scratch.conditions);
-        }
-        // 1c. Faulty sensors lie to the server: the conditions *reported*
-        // to selection (and through it the AutoFL state bins) are
-        // overwritten with an always-healthy fabrication drawn on the
-        // device's `(seed, TAG_ADV, round + 1, id)` stream, while the
-        // true sampled conditions keep driving cost execution below.
-        // Without faulty sensors the reported store is never built and
-        // selection reads the true store directly.
-        let lying_sensors = self
-            .config
-            .adversary
-            .as_ref()
-            .is_some_and(|a| a.faulty_sensor_fraction > 0.0);
-        if lying_sensors {
-            let adv = self.config.adversary.as_ref().expect("lying_sensors");
-            self.scratch.reported.clone_from(&self.scratch.conditions);
-            for id in 0..self.fleet.len() {
-                if adv.role_of(self.config.seed, id) == AdversaryRole::FaultySensor {
-                    let mut rng = adv_stream(self.config.seed, round, id);
-                    let lie = AdversaryConfig::corrupt_report(&mut rng);
-                    self.scratch.reported.set(id, &lie);
-                }
-            }
-        }
+        // 1. Per-device runtime conditions, derived when read: a device's
+        // conditions are a pure function of its (seed, round, id) stream,
+        // the thermal throttle its lifecycle carries and — for what it
+        // reports — the faulty-sensor lie on its `(seed, TAG_ADV, round +
+        // 1, id)` stream, so the round never samples the whole fleet.
+        // Selection (and through it the AutoFL state bins) reads the
+        // reported view; cost execution and link draws read the truth.
+        let truth = ConditionsView::new(
+            self.config.scenario,
+            &self.fleet,
+            round_stream_seed(self.config.seed, round),
+            self.fleet_state.as_ref(),
+        );
+        let reported = match &self.config.adversary {
+            Some(adv) => truth.reported(adv, self.config.seed, round),
+            None => truth,
+        };
+
         let base_availability = match &self.fleet_state {
             Some(store) => AvailabilityView::Dynamic(store),
             None => AvailabilityView::Ideal {
@@ -827,11 +793,7 @@ impl Simulation {
         let ctx = RoundContext {
             round,
             fleet: &self.fleet,
-            conditions: if lying_sensors {
-                &self.scratch.reported
-            } else {
-                &self.scratch.conditions
-            },
+            conditions: &reported,
             availability,
             partition: &self.data.partition,
             params: &params,
@@ -884,7 +846,7 @@ impl Simulation {
             &participants,
             &plans,
             &self.scratch.tasks,
-            &self.scratch.conditions,
+            &truth,
         );
         let mut completion: Vec<f64> = costs.iter().map(|c| c.total_time_s()).collect();
         // 3a. Free-riders skip local training entirely: their round is
@@ -910,8 +872,8 @@ impl Simulation {
             net_lost.resize(participants.len(), false);
             for (i, id) in participants.iter().enumerate() {
                 let mut link_rng = crate::fabric::net_stream(self.config.seed, round, id.0);
-                let weak = self.scratch.conditions.get(id.0).network.signal
-                    == autofl_device::network::SignalStrength::Weak;
+                let weak =
+                    truth.get(id.0).network.signal == autofl_device::network::SignalStrength::Weak;
                 let draw = fabric
                     .link
                     .draw(self.fleet.device(*id).tier(), weak, &mut link_rng);

@@ -3,7 +3,7 @@
 
 use autofl_device::cost::{execute, idle_energy_j, ExecutionPlan, RoundCost, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::store::ConditionsStore;
+use autofl_device::scenario::Conditions;
 use autofl_device::tier::DeviceTier;
 use rayon::prelude::*;
 
@@ -34,7 +34,7 @@ impl RoundEstimate {
 ///
 /// Costs are independent per participant and execute in parallel across
 /// the pool; the returned order is the input order regardless of thread
-/// count.
+/// count. Each participant's conditions are read exactly once.
 ///
 /// # Panics
 ///
@@ -44,11 +44,10 @@ pub fn participant_costs(
     participants: &[DeviceId],
     plans: &[ExecutionPlan],
     tasks: &[TrainingTask],
-    conditions: &ConditionsStore,
+    conditions: &dyn Conditions,
 ) -> Vec<RoundCost> {
     assert_eq!(participants.len(), plans.len(), "plan per participant");
     assert_eq!(participants.len(), tasks.len(), "task per participant");
-    assert_eq!(conditions.len(), fleet.len(), "conditions cover the fleet");
     (0..participants.len())
         .into_par_iter()
         .with_min_len(64)
@@ -67,7 +66,7 @@ pub fn participant_costs(
 /// Estimates the cost of a round in which `participants[i]` executes
 /// `tasks[i]` under `plans[i]`, with every other fleet device idle.
 ///
-/// `conditions` is indexed by raw device id and must cover the fleet.
+/// `conditions` is indexed by raw device id.
 ///
 /// # Panics
 ///
@@ -77,9 +76,30 @@ pub fn estimate_round(
     participants: &[DeviceId],
     plans: &[ExecutionPlan],
     tasks: &[TrainingTask],
-    conditions: &ConditionsStore,
+    conditions: &dyn Conditions,
 ) -> RoundEstimate {
     let per_participant = participant_costs(fleet, participants, plans, tasks, conditions);
+    estimate_from_costs(fleet, participants, per_participant)
+}
+
+/// The reduction half of [`estimate_round`]: the round estimate from
+/// already-executed per-participant costs (aligned with `participants`),
+/// for callers that computed the costs themselves — the oracles reuse the
+/// ones they ranked with. Reads no conditions.
+///
+/// # Panics
+///
+/// Panics if the slice lengths disagree.
+pub(crate) fn estimate_from_costs(
+    fleet: &Fleet,
+    participants: &[DeviceId],
+    per_participant: Vec<RoundCost>,
+) -> RoundEstimate {
+    assert_eq!(
+        participants.len(),
+        per_participant.len(),
+        "cost per participant"
+    );
     let mut round_time_s: f64 = 0.0;
     let mut active_energy_j = 0.0;
     for cost in &per_participant {
@@ -120,6 +140,7 @@ pub fn estimate_round(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autofl_device::store::ConditionsStore;
     use autofl_device::tier::DeviceTier;
 
     fn small_fleet() -> Fleet {

@@ -15,7 +15,7 @@
 //! task owns one shard outright. Sharding never changes results: every
 //! per-round coin is drawn from a per-device RNG stream seeded
 //! `(seed, tag, round, id)` with the device's *global* id — the same rule
-//! as [`VarianceScenario::sample_into`](autofl_device::scenario::VarianceScenario::sample_into)
+//! as [`VarianceScenario::sample_device`](autofl_device::scenario::VarianceScenario::sample_device)
 //! — and all cross-shard reductions are integer counts, so trajectories
 //! are bit-identical at any shard and thread count (pinned by
 //! `tests/scale_invariance.rs`).
@@ -33,7 +33,7 @@
 
 use autofl_device::fleet::{DeviceId, Fleet};
 use autofl_device::lifecycle::DeviceLifecycle;
-use autofl_device::store::{shard_extents, shard_size, ConditionsStore};
+use autofl_device::store::{shard_extents, shard_size};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -393,6 +393,14 @@ impl FleetStore {
         }
     }
 
+    /// Device `i`'s thermal throttle level — the lifecycle field the cost
+    /// model reads through [`crate::conditions::ConditionsView`].
+    #[inline]
+    pub(crate) fn throttle(&self, i: usize) -> f64 {
+        let (s, j) = self.locate(i);
+        self.shards[s].throttle[j]
+    }
+
     /// Whether device `i` passed the last round's eligibility check-in.
     #[inline]
     pub fn is_eligible(&self, i: usize) -> bool {
@@ -525,27 +533,6 @@ impl FleetStore {
             shard.eligible_count = eligible_count;
         });
         self.len - self.eligible_count()
-    }
-
-    /// Overlays every device's thermal throttle level onto a sharded
-    /// conditions store so the cost model sees the governor's state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two stores cover a different number of devices or
-    /// use different shard geometries (both are built from the same
-    /// `SimConfig`, so the engine always passes matching stores).
-    pub fn overlay_throttle(&self, conditions: &mut ConditionsStore) {
-        assert_eq!(conditions.len(), self.len, "stores must cover one fleet");
-        assert_eq!(
-            conditions.shards().len(),
-            self.shards.len(),
-            "stores must share shard geometry"
-        );
-        for (src, dst) in self.shards.iter().zip(conditions.shards_mut()) {
-            debug_assert_eq!(src.offset, dst.offset);
-            dst.throttle.copy_from_slice(&src.throttle);
-        }
     }
 
     /// Decides whether participant `id` drops out mid-round, given its

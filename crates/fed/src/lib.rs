@@ -13,6 +13,9 @@
 //!   poisoners, scaled-gradient attackers, free-riders, faulty sensors)
 //!   on dedicated tagged RNG streams, countered by the robust
 //!   aggregators.
+//! * [`conditions`] — the round's per-device runtime conditions, derived
+//!   on read ([`conditions::ConditionsView`]) rather than sampled for the
+//!   whole fleet.
 //! * [`selection`] — the [`selection::Selector`] trait, the
 //!   Random/Performance/Power baselines, and the deterministic partial
 //!   top-K primitive ([`selection::top_k_by`]).
@@ -83,6 +86,7 @@ pub mod adversary;
 pub mod algorithms;
 pub mod builder;
 pub mod clusters;
+pub mod conditions;
 pub mod engine;
 pub mod estimate;
 pub mod fabric;

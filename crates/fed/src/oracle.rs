@@ -12,11 +12,12 @@
 //!   meets the round's pace, exploiting straggler slack.
 
 use crate::clusters::CharacterizationCluster;
-use crate::estimate::estimate_round;
+use crate::estimate::estimate_from_costs;
 use crate::selection::{top_k_by, RoundContext, SelectionDecision, Selector};
-use autofl_device::cost::{execute, ExecutionPlan};
+use autofl_device::cost::{execute, ExecutionPlan, RoundCost};
 use autofl_device::dvfs::{DvfsTable, ExecutionTarget};
 use autofl_device::fleet::DeviceId;
+use autofl_device::scenario::DeviceConditions;
 use autofl_device::tier::DeviceTier;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -48,32 +49,28 @@ impl OracleSelector {
 
     /// Ranks the best `k` of a tier's devices for this round: fastest
     /// expected completion first, with non-IID (low class coverage)
-    /// devices pushed back.
+    /// devices pushed back. Each ranked device comes with the CPU-max
+    /// cost it was scored by, so composing cohorts reads no conditions.
     ///
-    /// Scores are computed once per device (`O(N)` cost-model calls) and
-    /// the ranking is a deterministic partial top-`k`
-    /// ([`top_k_by`], `O(N + K log K)`): no composition ever takes more
-    /// than `k` devices from one tier, so the full-pool sort this used to
-    /// do was wasted work at fleet scale. Ties (identical scores) keep
-    /// the shuffled order, exactly as the previous stable sort did.
+    /// Every eligible device of the tier is read and costed exactly once
+    /// (`O(N)` cost-model calls) and the ranking is a deterministic
+    /// partial top-`k` ([`top_k_by`], `O(N + K log K)`): no composition
+    /// ever takes more than `k` devices from one tier, so the full-pool
+    /// sort this used to do was wasted work at fleet scale. Ties
+    /// (identical scores) keep the shuffled order, exactly as the
+    /// previous stable sort did.
     fn rank_tier(
         ctx: &RoundContext<'_>,
         tier: DeviceTier,
         k: usize,
         rng: &mut SmallRng,
-    ) -> Vec<DeviceId> {
+    ) -> Vec<(DeviceId, RoundCost)> {
         let mut pool = ctx.eligible_ids_of_tier(tier);
         // Random tie-break order first (the paper randomises among equals
         // to avoid biased selection).
         pool.shuffle(rng);
         let classes = ctx.partition.num_classes() as f64;
-        let score = |id: &DeviceId| -> f64 {
-            let cost = execute(
-                tier,
-                ExecutionPlan::cpu_max(tier),
-                ctx.task_for(*id),
-                &ctx.conditions.get(id.0),
-            );
+        let score = |id: &DeviceId, cost: &RoundCost| -> f64 {
             let samples = ctx.partition.device_sample_count(id.0).max(1) as f64;
             let coverage = ctx.partition.num_classes_present(id.0) as f64 / classes;
             let skew = ctx.partition.device_divergence(id.0);
@@ -83,22 +80,39 @@ impl OracleSelector {
             // data-starved non-IID devices; label skew adds client drift.
             cost.total_time_s() / samples * (1.0 + 2.0 * (1.0 - coverage) + skew)
         };
-        let mut scored: Vec<(DeviceId, f64, usize)> = pool
+        let mut scored: Vec<(DeviceId, f64, usize, RoundCost)> = pool
             .iter()
             .enumerate()
-            .map(|(pos, id)| (*id, score(id), pos))
+            .map(|(pos, id)| {
+                let cost = execute(
+                    tier,
+                    ExecutionPlan::cpu_max(tier),
+                    ctx.task_for(*id),
+                    &ctx.conditions.get(id.0),
+                );
+                (*id, score(id, &cost), pos, cost)
+            })
             .collect();
         top_k_by(&mut scored, k, |a, b| {
             a.1.partial_cmp(&b.1)
                 .expect("finite scores")
                 .then_with(|| a.2.cmp(&b.2))
         });
-        scored.into_iter().map(|(id, _, _)| id).collect()
+        scored
+            .into_iter()
+            .map(|(id, _, _, cost)| (id, cost))
+            .collect()
     }
 
-    /// Picks the energy-minimal `(target, step)` whose completion stays
-    /// within `deadline_s`; falls back to CPU-max.
-    fn best_plan(ctx: &RoundContext<'_>, id: DeviceId, deadline_s: f64) -> ExecutionPlan {
+    /// Picks the energy-minimal `(target, step)` whose completion under
+    /// `conditions` (device `id`'s, read once by the caller) stays within
+    /// `deadline_s`; falls back to CPU-max.
+    fn best_plan(
+        ctx: &RoundContext<'_>,
+        id: DeviceId,
+        conditions: &DeviceConditions,
+        deadline_s: f64,
+    ) -> ExecutionPlan {
         let tier = ctx.fleet.device(id).tier();
         let task = ctx.task_for(id);
         let mut best = ExecutionPlan::cpu_max(tier);
@@ -110,7 +124,7 @@ impl OracleSelector {
                     target,
                     freq_step: step,
                 };
-                let cost = execute(tier, plan, task, &ctx.conditions.get(id.0));
+                let cost = execute(tier, plan, task, conditions);
                 if cost.total_time_s() <= deadline_s && cost.total_energy_j() < best_energy {
                     best_energy = cost.total_energy_j();
                     best = plan;
@@ -120,18 +134,13 @@ impl OracleSelector {
         if best_energy.is_infinite() {
             // Nothing meets the deadline; run as fast as possible on the
             // least-bad target.
-            let cpu = execute(
-                tier,
-                ExecutionPlan::cpu_max(tier),
-                task,
-                &ctx.conditions.get(id.0),
-            );
+            let cpu = execute(tier, ExecutionPlan::cpu_max(tier), task, conditions);
             let gpu_table = DvfsTable::for_tier(tier, ExecutionTarget::Gpu);
             let gpu_plan = ExecutionPlan {
                 target: ExecutionTarget::Gpu,
                 freq_step: gpu_table.num_steps(),
             };
-            let gpu = execute(tier, gpu_plan, task, &ctx.conditions.get(id.0));
+            let gpu = execute(tier, gpu_plan, task, conditions);
             if gpu.total_time_s() < cpu.total_time_s() {
                 return gpu_plan;
             }
@@ -143,7 +152,7 @@ impl OracleSelector {
 impl Selector for OracleSelector {
     fn select(&mut self, ctx: &RoundContext<'_>, rng: &mut SmallRng) -> SelectionDecision {
         let k = ctx.params.num_participants;
-        let ranked: Vec<(DeviceTier, Vec<DeviceId>)> = DeviceTier::all()
+        let ranked: Vec<(DeviceTier, Vec<(DeviceId, RoundCost)>)> = DeviceTier::all()
             .into_iter()
             .map(|t| (t, Self::rank_tier(ctx, t, k, rng)))
             .collect();
@@ -154,6 +163,7 @@ impl Selector for OracleSelector {
         for cluster in CharacterizationCluster::fixed() {
             let (h, m, l) = cluster.composition(k).expect("fixed cluster");
             let mut participants = Vec::with_capacity(k);
+            let mut costs = Vec::with_capacity(k);
             for (tier, want) in [
                 (DeviceTier::High, h),
                 (DeviceTier::Mid, m),
@@ -164,17 +174,17 @@ impl Selector for OracleSelector {
                     .find(|(t, _)| *t == tier)
                     .expect("ranked all tiers")
                     .1;
-                participants.extend(pool.iter().copied().take(want));
+                for (id, cost) in pool.iter().take(want) {
+                    participants.push(*id);
+                    costs.push(*cost);
+                }
             }
             if participants.len() < k {
                 continue; // fleet cannot realise this composition
             }
-            let plans: Vec<ExecutionPlan> = participants
-                .iter()
-                .map(|id| ExecutionPlan::cpu_max(ctx.fleet.device(*id).tier()))
-                .collect();
-            let tasks: Vec<_> = participants.iter().map(|id| ctx.task_for(*id)).collect();
-            let est = estimate_round(ctx.fleet, &participants, &plans, &tasks, ctx.conditions);
+            // The CPU-max costs the ranking computed are exactly what
+            // `estimate_round` would execute for this cohort.
+            let est = estimate_from_costs(ctx.fleet, &participants, costs);
             let ids: Vec<usize> = participants.iter().map(|id| id.0).collect();
             let coverage = ctx.partition.cohort_class_coverage(&ids);
             let divergence = ctx.partition.cohort_divergence(&ids);
@@ -214,22 +224,24 @@ impl Selector for OracleSelector {
 
         // O_FL: exploit straggler slack — the slowest CPU-max participant
         // sets the pace; everyone else slows down or switches target to
-        // save energy while staying within that pace.
+        // save energy while staying within that pace. Each participant's
+        // conditions are read once and serve both its pace and its plan.
+        let conditions: Vec<DeviceConditions> = participants
+            .iter()
+            .map(|id| ctx.conditions.get(id.0))
+            .collect();
         let pace = participants
             .iter()
-            .map(|id| {
-                execute(
-                    ctx.fleet.device(*id).tier(),
-                    ExecutionPlan::cpu_max(ctx.fleet.device(*id).tier()),
-                    ctx.task_for(*id),
-                    &ctx.conditions.get(id.0),
-                )
-                .total_time_s()
+            .zip(&conditions)
+            .map(|(id, c)| {
+                let tier = ctx.fleet.device(*id).tier();
+                execute(tier, ExecutionPlan::cpu_max(tier), ctx.task_for(*id), c).total_time_s()
             })
             .fold(0.0f64, f64::max);
         let plans: Vec<ExecutionPlan> = participants
             .iter()
-            .map(|id| Self::best_plan(ctx, *id, pace))
+            .zip(&conditions)
+            .map(|(id, c)| Self::best_plan(ctx, *id, c, pace))
             .collect();
         SelectionDecision {
             participants,

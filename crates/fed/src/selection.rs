@@ -7,7 +7,7 @@ use crate::global::GlobalParams;
 use autofl_data::partition::Partition;
 use autofl_device::cost::{ExecutionPlan, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::store::ConditionsStore;
+use autofl_device::scenario::Conditions;
 use autofl_device::tier::DeviceTier;
 use autofl_nn::model::LayerCounts;
 use autofl_nn::zoo::Workload;
@@ -19,19 +19,21 @@ use std::cmp::Ordering;
 ///
 /// This mirrors the information the de-facto FL protocol already collects
 /// from devices (resource usage, network bandwidth, data-class counts) —
-/// footnote 3 of the paper. Per-device state is exposed through sharded
-/// structure-of-arrays stores rather than struct slices so the context
-/// stays cheap to build and walk at million-device fleet sizes (see
-/// `docs/scaling.md`).
+/// footnote 3 of the paper. Per-device state is exposed through read
+/// views rather than struct slices, so building the context costs nothing
+/// at million-device fleet sizes and a policy pays only for the devices it
+/// reads (see `docs/scaling.md`).
 #[derive(Debug)]
 pub struct RoundContext<'a> {
     /// 0-based aggregation-round index.
     pub round: usize,
     /// The device fleet.
     pub fleet: &'a Fleet,
-    /// Per-device runtime conditions this round, indexed by raw device
-    /// id ([`ConditionsStore::get`] materialises the struct view).
-    pub conditions: &'a ConditionsStore,
+    /// Per-device runtime conditions this round as the devices report
+    /// them, indexed by raw device id. The engine derives a device's
+    /// conditions when they are read ([`crate::conditions::ConditionsView`]),
+    /// so a policy should read each device at most once per round.
+    pub conditions: &'a dyn Conditions,
     /// Per-device availability this round (check-in eligibility, battery,
     /// thermal, sessions). All-ideal — with no backing storage — when the
     /// fleet-dynamics block is disabled.
@@ -359,6 +361,7 @@ mod tests {
     use super::*;
     use autofl_data::partition::DataDistribution;
     use autofl_data::FlData;
+    use autofl_device::store::ConditionsStore;
     use rand::{Rng, SeedableRng};
 
     fn context_fixture() -> (Fleet, FlData, GlobalParams, ConditionsStore) {

@@ -1,8 +1,9 @@
 //! Counting-allocator proof of the round loop's allocation hygiene.
 //!
-//! The fleet-dynamics hot path — session evolution, condition sampling,
-//! throttle overlay, mid-round dropout draws and lifecycle advancement —
-//! works entirely in buffers sized at construction. After a short
+//! The fleet-dynamics hot path — session evolution, on-demand condition
+//! reads of the cohort (with the lifecycle throttle), mid-round dropout
+//! draws and lifecycle advancement — works entirely in buffers sized at
+//! construction. After a short
 //! warm-up, steady-state rounds must perform **zero** heap allocations on
 //! the inline (`AUTOFL_THREADS=1`) path; multicore runs additionally pay
 //! only the pool's per-fan-out bookkeeping, never per-device storage.
@@ -12,9 +13,9 @@
 //! counter.
 
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::scenario::VarianceScenario;
-use autofl_device::store::ConditionsStore;
+use autofl_device::scenario::{Conditions, VarianceScenario};
 use autofl_device::tier::DeviceTier;
+use autofl_fed::conditions::ConditionsView;
 use autofl_fed::fleet::{FleetDynamics, FleetStore};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -88,7 +89,6 @@ fn steady_state_dynamics_rounds_are_allocation_free() {
     );
     let shards = 8;
     let mut store = FleetStore::new(&config, &fleet, 42, shards);
-    let mut conditions = ConditionsStore::new(fleet.len(), shards);
     let scenario = VarianceScenario::realistic();
 
     // A fixed cohort with per-participant budgets, sized once up front
@@ -98,13 +98,17 @@ fn steady_state_dynamics_rounds_are_allocation_free() {
     let energy_j: Vec<f64> = (0..20).map(|i| 40.0 + 3.0 * i as f64).collect();
 
     let mut dropouts_seen = 0usize;
+    let mut bandwidth_sum = 0.0f64;
     let run_round = |round: usize,
                      store: &mut FleetStore,
-                     conditions: &mut ConditionsStore,
-                     dropouts_seen: &mut usize| {
+                     dropouts_seen: &mut usize,
+                     bandwidth_sum: &mut f64| {
         store.begin_round(&config, &fleet, round);
-        scenario.sample_into(&fleet, 0x5eed ^ (round as u64) << 17, conditions);
-        store.overlay_throttle(conditions);
+        let conditions =
+            ConditionsView::new(scenario, &fleet, 0x5eed ^ (round as u64) << 17, Some(store));
+        for id in &participants {
+            *bandwidth_sum += conditions.get(id.0).network.bandwidth_mbps;
+        }
         for (i, id) in participants.iter().enumerate() {
             if store
                 .mid_round_dropout(&config, &fleet, round, *id, energy_j[i])
@@ -118,13 +122,13 @@ fn steady_state_dynamics_rounds_are_allocation_free() {
 
     // Warm-up: first rounds may still grow buffers to their steady size.
     for round in 0..3 {
-        run_round(round, &mut store, &mut conditions, &mut dropouts_seen);
+        run_round(round, &mut store, &mut dropouts_seen, &mut bandwidth_sum);
     }
 
     ALLOCATIONS.store(0, Ordering::SeqCst);
     ENABLED.with(|f| f.set(true));
     for round in 3..10 {
-        run_round(round, &mut store, &mut conditions, &mut dropouts_seen);
+        run_round(round, &mut store, &mut dropouts_seen, &mut bandwidth_sum);
     }
     ENABLED.with(|f| f.set(false));
 
@@ -135,5 +139,9 @@ fn steady_state_dynamics_rounds_are_allocation_free() {
     );
     // The loop above must exercise the real path, not a degenerate one.
     assert!(dropouts_seen > 0, "25% churn never dropped a participant");
+    assert!(
+        bandwidth_sum > 0.0,
+        "the cohort's conditions were never read"
+    );
     assert!(store.eligible_count() > 0, "no device ever checked in");
 }
