@@ -14,7 +14,6 @@
 use autofl_fed::engine::{SimConfig, SimResult};
 pub use autofl_fed::policy::{run_policy, Policy, PolicyRegistry};
 use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
 
 pub use autofl_core::policy::{standard_registry, PAPER_POLICIES};
 
@@ -37,59 +36,6 @@ pub fn par_sweep(runs: &[(SimConfig, &dyn Policy)]) -> Vec<SimResult> {
     runs.par_iter()
         .map(|(config, policy)| run_policy(config, *policy))
         .collect()
-}
-
-/// One `BENCH_autofl.json` row, shared by `perf_report` (kernel and
-/// round timings at 1 and N threads) and `fig_scale` (the fleet-size
-/// sweep, which additionally fills `rounds_per_s` and the peak-RSS
-/// proxy). Rows from different tools merge into one file through
-/// [`merge_bench_rows`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BenchRow {
-    /// Benchmark name (`fig_scale` rows are `fleet_scale[_dyn]_n<N>`).
-    pub bench: String,
-    /// Worker-thread budget the measurement ran under.
-    pub threads: usize,
-    /// Wall-clock time of the measured section in milliseconds.
-    pub wall_ms: f64,
-    /// `wall_ms(threads=1) / wall_ms(threads=this)`; 1.0 when only one
-    /// thread setting was measured.
-    pub speedup: f64,
-    /// Simulated aggregation rounds per second (0 for kernel benches).
-    pub rounds_per_s: f64,
-    /// Peak-RSS proxy in kB: `VmHWM` from `/proc/self/status`, falling
-    /// back to the simulation's tracked per-device store bytes
-    /// (`Simulation::store_bytes`) off Linux; 0 for kernel benches that
-    /// track no memory.
-    pub peak_rss_kb: f64,
-}
-
-/// Merges `rows` into the JSON row array at `path`: existing rows with
-/// the same `(bench, threads)` key are replaced, others are kept, new
-/// rows are appended. A missing or unparseable file (e.g. an older
-/// schema) starts from empty, so the file self-heals across versions.
-pub fn merge_bench_rows(path: &str, rows: Vec<BenchRow>) -> std::io::Result<()> {
-    let mut merged = read_bench_rows(path);
-    for row in rows {
-        match merged
-            .iter_mut()
-            .find(|r| r.bench == row.bench && r.threads == row.threads)
-        {
-            Some(slot) => *slot = row,
-            None => merged.push(row),
-        }
-    }
-    let json = serde_json::to_string_pretty(&merged).expect("bench rows serialize");
-    std::fs::write(path, json + "\n")
-}
-
-/// Reads the `BenchRow` array at `path`; a missing or unparseable file
-/// (e.g. an older schema) reads as empty.
-pub fn read_bench_rows(path: &str) -> Vec<BenchRow> {
-    std::fs::read_to_string(path)
-        .ok()
-        .and_then(|text| serde_json::from_str(&text).ok())
-        .unwrap_or_default()
 }
 
 /// Best-effort peak resident-set size of this process in kB (`VmHWM`

@@ -3,15 +3,14 @@
 //! aggregators (coordinate-wise median, trimmed mean, Krum), and the
 //! two-level hierarchical aggregation path used at fleet scale.
 //!
-//! # The aggregator trait
+//! # Rules and their implementations
 //!
 //! [`AggregationAlgorithm`] is the serializable *spec* of a rule — the
-//! thing configs and experiment files carry. The behaviour lives behind
-//! the [`Aggregator`] trait, lowered via
-//! [`AggregationAlgorithm::build_aggregator`] (the same spec→behaviour
-//! split as `CodecSpec → UpdateCodec` in [`crate::fabric`]). The split
-//! exists because the linear rules and the order-statistics rules have
-//! fundamentally different sharding stories:
+//! thing configs and experiment files carry — and the one home of its
+//! metadata (name, partial-update policy, robustness, sharding
+//! exactness). [`AggregationAlgorithm::aggregate_sharded`] dispatches to
+//! one of four implementations, because the linear rules and the
+//! order-statistics rules have fundamentally different sharding stories:
 //!
 //! * **Linear rules** (FedAvg, FedProx, FedNova, FEDL) are weighted sums,
 //!   so per-shard partials reduce to one [`ExactF32Sum`] per coordinate
@@ -20,11 +19,12 @@
 //!   shard to a running sum: the only partial state that combines exactly
 //!   is the multiset of submitted values itself. Concatenating the shard
 //!   partials in any order feeds the same multiset to the sort, so the
-//!   two-level combine is still exact — the implementations compute the
-//!   flat statistic directly at every shard count and still honour
-//!   [`Aggregator::exact_sharded`].
-//! * **Krum** scores every update against every other, which no per-shard
-//!   state can carry; it declares itself flat-only
+//!   two-level combine is still exact — [`MedianAggregator`] and
+//!   [`TrimmedMeanAggregator`] compute the flat statistic directly at
+//!   every shard count and still honour
+//!   [`AggregationAlgorithm::exact_sharded`].
+//! * **Krum** ([`KrumAggregator`]) scores every update against every
+//!   other, which no per-shard state can carry; it is flat-only
 //!   (`exact_sharded() == false`) and configuration validation rejects it
 //!   with `shards > 1`.
 //!
@@ -179,22 +179,6 @@ impl AggregationAlgorithm {
         !matches!(self, AggregationAlgorithm::Krum)
     }
 
-    /// Lowers the spec to its behaviour — the aggregation counterpart of
-    /// `CodecSpec::build` in [`crate::fabric`].
-    pub fn build_aggregator(&self) -> Box<dyn Aggregator> {
-        match self {
-            AggregationAlgorithm::FedAvg
-            | AggregationAlgorithm::FedProx { .. }
-            | AggregationAlgorithm::FedNova
-            | AggregationAlgorithm::Fedl { .. } => Box::new(LinearAggregator { spec: *self }),
-            AggregationAlgorithm::Median => Box::new(MedianAggregator),
-            AggregationAlgorithm::TrimmedMean { trim } => {
-                Box::new(TrimmedMeanAggregator { trim: *trim })
-            }
-            AggregationAlgorithm::Krum => Box::new(KrumAggregator),
-        }
-    }
-
     /// Applies the aggregation rule to the global parameter vector
     /// (single-shard [`AggregationAlgorithm::aggregate_sharded`]).
     ///
@@ -206,12 +190,12 @@ impl AggregationAlgorithm {
         self.aggregate_sharded(global, updates, 1);
     }
 
-    /// Two-level hierarchical aggregation through the rule's
-    /// [`Aggregator`]: updates are grouped into `shards` contiguous
-    /// ranges whose partials combine exactly, so the result is
-    /// **bit-identical for every shard count** wherever
+    /// Two-level hierarchical aggregation: updates are grouped into
+    /// `shards` contiguous ranges whose partials combine exactly, so the
+    /// result is **bit-identical for every shard count** wherever
     /// [`AggregationAlgorithm::exact_sharded`] holds — `shards` tunes
     /// parallelism and the simulated server topology, never the model.
+    /// Aggregating an empty cohort is a no-op.
     ///
     /// # Panics
     ///
@@ -219,46 +203,19 @@ impl AggregationAlgorithm {
     /// vector, any delta term is non-finite, or a flat-only rule (Krum)
     /// is asked for `shards > 1`.
     pub fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], shards: usize) {
-        self.build_aggregator()
-            .aggregate_sharded(global, updates, shards);
-    }
-}
-
-/// Server-side aggregation behaviour, lowered from the serializable
-/// [`AggregationAlgorithm`] spec via
-/// [`AggregationAlgorithm::build_aggregator`].
-///
-/// # Contract
-///
-/// * `aggregate_sharded(global, updates, 1)` and `aggregate(global,
-///   updates)` are the same computation.
-/// * If [`Aggregator::exact_sharded`] returns `true`, `aggregate_sharded`
-///   is bit-identical at every `shards` value: the per-shard partial
-///   state must combine exactly (an exact accumulator, or the raw value
-///   multiset). If it returns `false` the implementation may reject
-///   `shards > 1`; [`crate::builder::SimBuilder`] validation refuses such
-///   configurations up front.
-/// * Aggregating an empty cohort is a no-op; every update's delta must
-///   match the global vector's length and contain only finite terms.
-/// * The metadata methods agree with the spec enum's methods of the same
-///   name.
-pub trait Aggregator: Send + Sync + std::fmt::Debug {
-    /// Display name (matches [`AggregationAlgorithm::name`]).
-    fn name(&self) -> &'static str;
-    /// See [`AggregationAlgorithm::accepts_partial_updates`].
-    fn accepts_partial_updates(&self) -> bool;
-    /// See [`AggregationAlgorithm::heterogeneity_robustness`].
-    fn heterogeneity_robustness(&self) -> f64;
-    /// See [`AggregationAlgorithm::poison_robustness`].
-    fn poison_robustness(&self) -> f64;
-    /// See [`AggregationAlgorithm::exact_sharded`].
-    fn exact_sharded(&self) -> bool;
-    /// Folds the cohort's updates into the global vector across `shards`
-    /// partials.
-    fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], shards: usize);
-    /// Flat aggregation (`shards == 1`).
-    fn aggregate(&self, global: &mut [f32], updates: &[ClientUpdate]) {
-        self.aggregate_sharded(global, updates, 1);
+        match *self {
+            AggregationAlgorithm::FedAvg
+            | AggregationAlgorithm::FedProx { .. }
+            | AggregationAlgorithm::FedNova
+            | AggregationAlgorithm::Fedl { .. } => {
+                LinearAggregator { spec: *self }.aggregate_sharded(global, updates, shards)
+            }
+            AggregationAlgorithm::Median => MedianAggregator.aggregate(global, updates),
+            AggregationAlgorithm::TrimmedMean { trim } => {
+                TrimmedMeanAggregator { trim }.aggregate(global, updates)
+            }
+            AggregationAlgorithm::Krum => KrumAggregator.aggregate_sharded(global, updates, shards),
+        }
     }
 }
 
@@ -314,25 +271,9 @@ impl LinearAggregator {
             _ => sample_fraction_weights(updates),
         }
     }
-}
 
-impl Aggregator for LinearAggregator {
-    fn name(&self) -> &'static str {
-        self.spec.name()
-    }
-    fn accepts_partial_updates(&self) -> bool {
-        self.spec.accepts_partial_updates()
-    }
-    fn heterogeneity_robustness(&self) -> f64 {
-        self.spec.heterogeneity_robustness()
-    }
-    fn poison_robustness(&self) -> f64 {
-        self.spec.poison_robustness()
-    }
-    fn exact_sharded(&self) -> bool {
-        true
-    }
-
+    /// Folds the cohort's weighted deltas into `global` through `shards`
+    /// exact partial sums, bit-identical at every shard count.
     fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], shards: usize) {
         if updates.is_empty() {
             return;
@@ -379,24 +320,10 @@ impl Aggregator for LinearAggregator {
 #[derive(Debug, Clone, Copy)]
 pub struct MedianAggregator;
 
-impl Aggregator for MedianAggregator {
-    fn name(&self) -> &'static str {
-        "Median"
-    }
-    fn accepts_partial_updates(&self) -> bool {
-        true
-    }
-    fn heterogeneity_robustness(&self) -> f64 {
-        AggregationAlgorithm::Median.heterogeneity_robustness()
-    }
-    fn poison_robustness(&self) -> f64 {
-        AggregationAlgorithm::Median.poison_robustness()
-    }
-    fn exact_sharded(&self) -> bool {
-        true
-    }
-
-    fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], _shards: usize) {
+impl MedianAggregator {
+    /// Moves each coordinate of `global` by the median of the submitted
+    /// deltas at that coordinate.
+    fn aggregate(&self, global: &mut [f32], updates: &[ClientUpdate]) {
         if updates.is_empty() {
             return;
         }
@@ -442,24 +369,10 @@ pub struct TrimmedMeanAggregator {
     pub trim: f64,
 }
 
-impl Aggregator for TrimmedMeanAggregator {
-    fn name(&self) -> &'static str {
-        "TrimmedMean"
-    }
-    fn accepts_partial_updates(&self) -> bool {
-        true
-    }
-    fn heterogeneity_robustness(&self) -> f64 {
-        AggregationAlgorithm::TrimmedMean { trim: self.trim }.heterogeneity_robustness()
-    }
-    fn poison_robustness(&self) -> f64 {
-        AggregationAlgorithm::TrimmedMean { trim: self.trim }.poison_robustness()
-    }
-    fn exact_sharded(&self) -> bool {
-        true
-    }
-
-    fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], _shards: usize) {
+impl TrimmedMeanAggregator {
+    /// Moves each coordinate of `global` by the weighted mean of the
+    /// deltas left after trimming both tails at that coordinate.
+    fn aggregate(&self, global: &mut [f32], updates: &[ClientUpdate]) {
         if updates.is_empty() {
             return;
         }
@@ -562,25 +475,13 @@ impl KrumAggregator {
         }
         best
     }
-}
 
-impl Aggregator for KrumAggregator {
-    fn name(&self) -> &'static str {
-        "Krum"
-    }
-    fn accepts_partial_updates(&self) -> bool {
-        true
-    }
-    fn heterogeneity_robustness(&self) -> f64 {
-        AggregationAlgorithm::Krum.heterogeneity_robustness()
-    }
-    fn poison_robustness(&self) -> f64 {
-        AggregationAlgorithm::Krum.poison_robustness()
-    }
-    fn exact_sharded(&self) -> bool {
-        false
-    }
-
+    /// Applies the [`KrumAggregator::select`]ed update to `global`
+    /// verbatim.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards > 1`: no exact per-shard partial exists.
     fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], shards: usize) {
         assert!(
             shards <= 1,
@@ -992,34 +893,5 @@ mod tests {
         let updates = vec![update(vec![1.0], 10, 5)];
         let mut g = vec![0.0f32; 1];
         AggregationAlgorithm::Krum.aggregate_sharded(&mut g, &updates, 2);
-    }
-
-    #[test]
-    fn spec_and_lowered_aggregator_metadata_agree() {
-        for algorithm in [
-            AggregationAlgorithm::FedAvg,
-            AggregationAlgorithm::FedProx { mu: 0.01 },
-            AggregationAlgorithm::FedNova,
-            AggregationAlgorithm::Fedl { eta: 0.1 },
-            AggregationAlgorithm::Median,
-            AggregationAlgorithm::TrimmedMean { trim: 0.2 },
-            AggregationAlgorithm::Krum,
-        ] {
-            let lowered = algorithm.build_aggregator();
-            assert_eq!(algorithm.name(), lowered.name());
-            assert_eq!(
-                algorithm.accepts_partial_updates(),
-                lowered.accepts_partial_updates()
-            );
-            assert_eq!(
-                algorithm.heterogeneity_robustness().to_bits(),
-                lowered.heterogeneity_robustness().to_bits()
-            );
-            assert_eq!(
-                algorithm.poison_robustness().to_bits(),
-                lowered.poison_robustness().to_bits()
-            );
-            assert_eq!(algorithm.exact_sharded(), lowered.exact_sharded());
-        }
     }
 }

@@ -606,16 +606,6 @@ impl Simulation {
         &self.data
     }
 
-    /// Approximate heap bytes held by the per-device round store — the
-    /// lifecycle store under fleet dynamics, nothing for a static fleet
-    /// (conditions are derived on read, never stored). The `fig_scale`
-    /// bench reports this as the memory-footprint proxy where
-    /// `/proc/self/status` is unavailable; it deliberately excludes the
-    /// dataset and fleet, whose sizes are layout-independent.
-    pub fn store_bytes(&self) -> usize {
-        self.fleet_state.as_ref().map_or(0, |s| s.size_bytes())
-    }
-
     /// Current global accuracy.
     pub fn accuracy(&self) -> f64 {
         self.engine.accuracy()

@@ -426,24 +426,6 @@ impl FleetStore {
         self.shards.iter().map(|s| s.eligible_count).sum()
     }
 
-    /// Approximate heap bytes held by the store (the bench suite's
-    /// memory-footprint proxy): two `f64` arrays plus four one-byte flag
-    /// arrays per shard, plus the participant-slot scratch.
-    pub fn size_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| {
-                s.soc.capacity() * 8
-                    + s.throttle.capacity() * 8
-                    + s.charging.capacity()
-                    + s.foreground.capacity()
-                    + s.online.capacity()
-                    + s.eligible.capacity()
-            })
-            .sum::<usize>()
-            + self.participant_slot.capacity() * 8
-    }
-
     /// Serializes the carried lifecycle state (per-device SoC, throttle,
     /// session flags, eligibility) for a checkpoint. The seed and shard
     /// geometry are *not* captured: both are deterministic functions of

@@ -6,8 +6,7 @@
 //! * [`clusters`] — the characterization compositions C0–C7 (Table 4).
 //! * [`algorithms`] — FedAvg plus the comparators FedProx, FedNova, FEDL,
 //!   the Byzantine-robust aggregators (coordinate-wise median, trimmed
-//!   mean, Krum) behind the [`algorithms::Aggregator`] trait, and the
-//!   exact-summation hierarchical aggregation path
+//!   mean, Krum), and the exact-summation hierarchical aggregation path
 //!   ([`algorithms::AggregationAlgorithm::aggregate_sharded`]).
 //! * [`adversary`] — opt-in adversarial fleet roles (label-flipping
 //!   poisoners, scaled-gradient attackers, free-riders, faulty sensors)
@@ -102,8 +101,8 @@ pub mod spec;
 
 pub use adversary::{AdversaryConfig, AdversaryRole};
 pub use algorithms::{
-    AggregationAlgorithm, Aggregator, ExactF32Sum, KrumAggregator, LinearAggregator,
-    MedianAggregator, TrimmedMeanAggregator,
+    AggregationAlgorithm, ExactF32Sum, KrumAggregator, LinearAggregator, MedianAggregator,
+    TrimmedMeanAggregator,
 };
 pub use builder::{ConfigError, SimBuilder};
 pub use clusters::CharacterizationCluster;

@@ -235,18 +235,6 @@ impl ConvergeTarget {
             ConvergeTarget::AccuracyFloor { accuracy } => (record.accuracy, *accuracy),
         }
     }
-
-    /// Human-readable target, for report headers and logs.
-    pub fn converge_target_string(&self) -> String {
-        match self {
-            ConvergeTarget::EnergyBudget { joules_per_round } => {
-                format!("energy_budget({joules_per_round} J/round)")
-            }
-            ConvergeTarget::AccuracyFloor { accuracy } => {
-                format!("accuracy_floor({accuracy})")
-            }
-        }
-    }
 }
 
 /// The serializable position of a [`ConvergenceController`] — what a
@@ -1041,7 +1029,6 @@ mod tests {
         let below = record_with_energy(1.0);
         let (actual, tgt) = target.get_actual_and_target(&below);
         assert!(actual < tgt, "below the floor must read as below target");
-        assert_eq!(target.converge_target_string(), "accuracy_floor(0.8)");
         let budget = ConvergeTarget::EnergyBudget {
             joules_per_round: 100.0,
         };

@@ -198,25 +198,40 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::optim::Sgd;
     use crate::tensor::Tensor;
 
     #[test]
     fn trainable_models_have_consistent_shapes() {
+        // One 2-sample training step per workload keeps every model's
+        // backward pass under test, not just its forward pass.
         for w in [
             Workload::CnnMnist,
+            Workload::LstmShakespeare,
             Workload::MobileNetImageNet,
             Workload::TinyTest,
         ] {
             let mut m = w.build_trainable(1);
             let mut shape = vec![2];
             shape.extend(w.input_shape());
-            let y = m.forward(&Tensor::zeros(shape), false);
+            let n: usize = shape.iter().product();
+            let data = if w.is_sequence() {
+                (0..n).map(|i| (i % SHAKESPEARE_VOCAB) as f32).collect()
+            } else {
+                (0..n).map(|i| (i % 7) as f32 / 7.0 - 0.4).collect()
+            };
+            let x = Tensor::from_vec(shape, data);
+            let y = m.forward(&x, false);
             assert_eq!(
                 y.shape(),
                 &[2, w.num_classes()],
                 "bad output shape for {}",
                 w.name()
             );
+            let before = m.param_vector();
+            let (loss, _) = m.train_batch(&x, &[0, 1], &mut Sgd::new(0.05));
+            assert!(loss.is_finite(), "non-finite loss for {}", w.name());
+            assert_ne!(m.param_vector(), before, "{} did not train", w.name());
         }
     }
 
