@@ -1,7 +1,8 @@
-//! Convergence-control study: an
-//! [`autofl_fed::serve::ConvergenceController`] driving the
-//! [`autofl_fed::policy::Policy::tune`] hook every round, steering the
-//! cohort size `K` toward a per-round energy budget.
+//! Convergence-control study: the
+//! [`autofl_fed::serve::ConvergenceController`] an
+//! [`autofl_fed::serve::ExperimentRun`] holds retunes the cohort size `K`
+//! every round, steering it toward a per-round energy budget from the
+//! base that [`autofl_fed::policy::Policy::tune`] chose at the start.
 //!
 //! The binary first runs the uncontrolled baseline to measure its mean
 //! per-round energy `E0`, then repeats the run under energy budgets at

@@ -9,12 +9,13 @@
 //! ```
 //!
 //! `--trace FILE` additionally re-runs the spec's *first* policy at the
-//! first repeat's seed with a JSONL round sink attached, writing one JSON
-//! object per round for offline analysis.
+//! first repeat's seed (under the spec's `control`, if any) with a JSONL
+//! round sink attached, writing one JSON object per round for offline
+//! analysis — the same bytes `spec_serve` writes to that unit's trace.
 
 use autofl_bench::{print_rows, standard_registry, Row};
 use autofl_fed::observe::JsonlSink;
-use autofl_fed::policy::run_policy_observed;
+use autofl_fed::serve::ExperimentRun;
 use autofl_fed::spec::ExperimentSpec;
 use std::process::ExitCode;
 
@@ -101,8 +102,15 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
+        let run = match ExperimentRun::new(&spec.config, policy, spec.control) {
+            Ok(run) => run,
+            Err(e) => {
+                eprintln!("spec_run: {spec_path}: {e}");
+                return ExitCode::FAILURE;
+            }
+        };
         let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-        let result = match run_policy_observed(&spec.config, policy, &mut [&mut sink]) {
+        let result = match run.finish(&mut [&mut sink]) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("spec_run: trace write to {path} failed: {e}");

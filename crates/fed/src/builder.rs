@@ -150,6 +150,9 @@ pub enum ConfigError {
         /// The configured shard count.
         shards: usize,
     },
+    /// A convergence-control target (per-round energy budget or accuracy
+    /// floor) that is non-positive or not finite.
+    BadControlTarget(f64),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -276,6 +279,10 @@ impl std::fmt::Display for ConfigError {
                 "{algorithm} is flat-only (no exact per-shard combine \
                  exists) and cannot run with shards = {shards}; use \
                  shards = 1"
+            ),
+            ConfigError::BadControlTarget(v) => write!(
+                f,
+                "convergence control budget or floor must be finite and positive, got {v}"
             ),
         }
     }
@@ -1083,8 +1090,15 @@ mod tests {
                 },
             ),
         ];
-        for (config, expected) in cases {
-            let err = config.validate().expect_err(&format!("{expected:?}"));
+        let control = crate::serve::ConvergeTarget::EnergyBudget {
+            joules_per_round: -250.0,
+        };
+        let results = cases
+            .into_iter()
+            .map(|(config, expected)| (config.validate(), expected))
+            .chain([(control.validate(), ConfigError::BadControlTarget(-250.0))]);
+        for (result, expected) in results {
+            let err = result.expect_err(&format!("{expected:?}"));
             // NaN payloads compare unequal; match on the discriminant
             // formatting instead.
             assert_eq!(

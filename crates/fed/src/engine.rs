@@ -792,10 +792,14 @@ impl Simulation {
             prev_accuracy,
         };
         let SelectionDecision {
-            participants,
+            mut participants,
             plans,
         } = selector.select(&ctx, &mut self.rng);
         assert_eq!(participants.len(), plans.len(), "selector plan mismatch");
+        // Selectors often cut the cohort out of a fleet-sized list (a
+        // shuffle or a top-K); the round's record keeps this vector, so it
+        // must not keep that list's capacity too.
+        participants.shrink_to_fit();
         // Per-participant adversary roles — a pure function of
         // `(seed, device)`, so any thread or shard count computes the
         // same assignment. Empty (and never read) without an adversary.
@@ -1203,70 +1207,34 @@ impl Simulation {
         }
     }
 
-    /// Runs until the target accuracy is reached (plus nothing) or
-    /// `max_rounds`, whichever comes first, and returns the result.
+    /// Runs `selector` until the target accuracy is reached or
+    /// `max_rounds`, whichever comes first, and returns the records in
+    /// round order, labelled with the selector's name. Policy runs —
+    /// tuning, convergence control, observers — go through
+    /// [`crate::serve::ExperimentRun`] instead.
     pub fn run(&mut self, selector: &mut dyn Selector) -> SimResult {
-        self.run_with(selector, &mut [])
-            .expect("a run without observers cannot fail")
-    }
-
-    /// Like [`Simulation::run`], with [`crate::observe::RoundObserver`]s
-    /// seeing every round as it completes (and the final result, if the
-    /// run converges). Observers cannot perturb the simulation: they only
-    /// borrow the records the run produces anyway. An observer whose
-    /// writer fails (closed pipe, full disk) stops the run at that round
-    /// and surfaces the error.
-    pub fn run_with(
-        &mut self,
-        selector: &mut dyn Selector,
-        observers: &mut [&mut dyn crate::observe::RoundObserver],
-    ) -> std::io::Result<SimResult> {
-        let label = selector.name().to_string();
-        self.run_labeled(selector, label, observers)
-    }
-
-    /// Like [`Simulation::run_with`], labelling the result `policy`
-    /// instead of the selector's own name — so observers (and the
-    /// returned result) agree on the reporting name when a
-    /// [`crate::policy::Policy`] labels itself differently from the
-    /// selector it mints (e.g. [`crate::policy::TunedPolicy`]).
-    pub fn run_labeled(
-        &mut self,
-        selector: &mut dyn Selector,
-        policy: String,
-        observers: &mut [&mut dyn crate::observe::RoundObserver],
-    ) -> std::io::Result<SimResult> {
         let mut records = Vec::new();
         while let Some(record) = self.step(selector) {
-            for obs in observers.iter_mut() {
-                obs.on_round_end(&record)?;
-            }
             records.push(record);
         }
         // Concurrent cohorts can complete out of dispatch order; reports
-        // and sinks expect round order (`logical_time_s` keeps the
-        // completion order).
+        // expect round order (`logical_time_s` keeps the completion
+        // order).
         records.sort_by_key(|r| r.round);
-        let result = SimResult {
-            policy,
+        SimResult {
+            policy: selector.name().to_string(),
             target_accuracy: self.config.target(),
             records,
-        };
-        if result.converged() {
-            for obs in observers.iter_mut() {
-                obs.on_converged(&result)?;
-            }
         }
-        Ok(result)
     }
 
     /// Replaces the global training parameters `(B, E, K)` mid-run — the
-    /// mutation hook behind per-round convergence control
-    /// ([`crate::serve::ConvergenceController`] driving
-    /// [`crate::policy::Policy::tune`] each round). The surrogate
-    /// engine's nominal cohort mass stays pinned to the *initial*
-    /// parameters, so tuning `K` shifts the effective-sample factor
-    /// exactly as fielding a smaller cohort would.
+    /// mutation hook behind per-round convergence control (the
+    /// [`crate::serve::ConvergenceController`] an
+    /// [`crate::serve::ExperimentRun`] holds). The surrogate engine's
+    /// nominal cohort mass stays pinned to the *initial* parameters, so
+    /// tuning `K` shifts the effective-sample factor exactly as fielding
+    /// a smaller cohort would.
     pub fn set_params(&mut self, params: GlobalParams) {
         self.config.params = params;
     }

@@ -47,13 +47,14 @@
 //! * [`policy`] — the open [`policy::Policy`] trait and the name-addressed
 //!   [`policy::PolicyRegistry`] of baselines.
 //! * [`observe`] — [`observe::RoundObserver`] hooks with CSV/JSONL sinks
-//!   and live progress.
+//!   and live progress, attached through [`serve::ExperimentRun::finish`].
 //! * [`spec`] — declarative, serde-backed [`spec::ExperimentSpec`] files.
-//! * [`mod@serve`] — the checkpoint/resume experiment daemon: a queue of spec
-//!   files streamed to JSONL traces with bit-identical crash recovery,
-//!   plus per-round convergence control ([`serve::ConvergenceController`])
-//!   driving [`policy::Policy::tune`] toward an energy budget or accuracy
-//!   floor.
+//! * [`mod@serve`] — [`serve::ExperimentRun`], the one driver of a policy
+//!   run: it applies [`policy::Policy::tune`] once at the start, holds the
+//!   optional per-round [`serve::ConvergenceController`] that retunes `K`
+//!   toward an energy budget or accuracy floor, and checkpoints and
+//!   resumes bit-identically. Around it sits the experiment daemon, a
+//!   queue of spec files streamed to JSONL traces with crash recovery.
 //!
 //! # Examples
 //!
@@ -119,8 +120,8 @@ pub use global::GlobalParams;
 pub use observe::{CsvSink, JsonlSink, Progress, RoundObserver};
 pub use oracle::OracleSelector;
 pub use policy::{
-    baseline_registry, run_policy, run_policy_observed, ClusterPolicy, OraclePolicy, Policy,
-    PolicyRegistry, RandomPolicy, TunedPolicy,
+    baseline_registry, run_policy, ClusterPolicy, OraclePolicy, Policy, PolicyRegistry,
+    RandomPolicy, TunedPolicy,
 };
 pub use runtime::{staleness_weight, AsyncRuntime};
 pub use selection::{
@@ -128,7 +129,7 @@ pub use selection::{
     Selector,
 };
 pub use serve::{
-    serve, Controlled, ControllerState, ConvergeTarget, ConvergenceController, ExperimentRun,
-    ServeError, ServeOptions, ServeReport, UnitSummary,
+    serve, ControllerState, ConvergeTarget, ConvergenceController, ExperimentRun, ServeError,
+    ServeOptions, ServeReport, UnitSummary,
 };
 pub use spec::{ExperimentSpec, SpecError, SpecRun};

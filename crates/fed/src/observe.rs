@@ -1,25 +1,28 @@
 //! Per-round introspection: the [`RoundObserver`] trait and built-in
 //! sinks.
 //!
-//! Observers hook into [`crate::engine::Simulation::run_with`] and see
-//! every [`RoundRecord`] as it is produced, so live progress reporting and
-//! machine-readable traces no longer require re-mining the returned
-//! [`SimResult`] or sprinkling `println!` through runner binaries.
+//! Observers attach to a policy run through
+//! [`crate::serve::ExperimentRun::finish`] and see every [`RoundRecord`]
+//! as it is produced, so live progress reporting and machine-readable
+//! traces no longer require re-mining the returned [`SimResult`] or
+//! sprinkling `println!` through runner binaries.
 //!
 //! ```
 //! use autofl_fed::engine::Simulation;
 //! use autofl_fed::global::GlobalParams;
 //! use autofl_fed::observe::{JsonlSink, RoundObserver};
-//! use autofl_fed::selection::RandomSelector;
+//! use autofl_fed::policy::RandomPolicy;
+//! use autofl_fed::serve::ExperimentRun;
 //! use autofl_nn::zoo::Workload;
 //!
 //! let mut sink = JsonlSink::new(Vec::new());
-//! let mut sim = Simulation::builder(Workload::TinyTest)
+//! let config = Simulation::builder(Workload::TinyTest)
 //!     .devices(12).params(GlobalParams::new(8, 1, 4))
 //!     .samples_per_device(24).test_samples(48)
 //!     .max_rounds(5).target_accuracy(1.1).seed(1)
-//!     .build().unwrap();
-//! let result = sim.run_with(&mut RandomSelector::new(), &mut [&mut sink]).unwrap();
+//!     .build_config().unwrap();
+//! let run = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+//! let result = run.finish(&mut [&mut sink]).unwrap();
 //! let lines = String::from_utf8(sink.into_inner()).unwrap();
 //! assert_eq!(lines.lines().count(), result.records.len());
 //! ```
@@ -32,7 +35,7 @@ use std::io::{self, Write};
 /// All methods default to no-ops so observers implement only what they
 /// need. Each hook returns [`io::Result`]: a sink whose writer fails (a
 /// closed pipe, a full disk) surfaces the error through
-/// [`crate::engine::Simulation::run_with`] instead of panicking
+/// [`crate::serve::ExperimentRun::finish`] instead of panicking
 /// mid-experiment, and the run stops at the failing round (fail-fast — no
 /// further rounds execute once an observer errors).
 pub trait RoundObserver {
@@ -213,21 +216,33 @@ impl RoundObserver for Progress {
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulation};
-    use crate::selection::RandomSelector;
+    use crate::policy::{Policy, RandomPolicy};
+    use crate::selection::{RandomSelector, Selector};
+    use crate::serve::ExperimentRun;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
-    fn short_sim() -> Simulation {
+    fn short_config() -> SimConfig {
         let mut cfg = SimConfig::tiny_test(1);
         cfg.max_rounds = 8;
         cfg.target_accuracy = Some(1.1); // never converge: fixed row count
-        Simulation::new(cfg)
+        cfg
+    }
+
+    /// Runs `policy` on `config` to the end with `observers` attached.
+    fn observed(
+        config: &SimConfig,
+        policy: &dyn Policy,
+        observers: &mut [&mut dyn RoundObserver],
+    ) -> io::Result<SimResult> {
+        ExperimentRun::new(config, policy, None)
+            .expect("valid test config")
+            .finish(observers)
     }
 
     #[test]
     fn csv_sink_writes_header_and_one_row_per_round() {
         let mut sink = CsvSink::new(Vec::new());
-        let result = short_sim()
-            .run_with(&mut RandomSelector::new(), &mut [&mut sink])
-            .unwrap();
+        let result = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), result.records.len() + 1);
@@ -238,9 +253,7 @@ mod tests {
     #[test]
     fn jsonl_sink_rows_parse_back_to_records() {
         let mut sink = JsonlSink::new(Vec::new());
-        let result = short_sim()
-            .run_with(&mut RandomSelector::new(), &mut [&mut sink])
-            .unwrap();
+        let result = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         for (line, record) in text.lines().zip(&result.records) {
             let parsed: RoundRecord = serde_json::from_str(line).expect("JSONL line parses");
@@ -253,11 +266,9 @@ mod tests {
 
     #[test]
     fn observers_do_not_perturb_the_run() {
-        let plain = short_sim().run(&mut RandomSelector::new());
+        let plain = Simulation::new(short_config()).run(&mut RandomSelector::new());
         let mut sink = CsvSink::new(Vec::new());
-        let observed = short_sim()
-            .run_with(&mut RandomSelector::new(), &mut [&mut sink])
-            .unwrap();
+        let observed = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap();
         assert_eq!(plain.records.len(), observed.records.len());
         for (a, b) in plain.records.iter().zip(&observed.records) {
             assert_eq!(a.participants, b.participants);
@@ -275,17 +286,12 @@ mod tests {
             }
         }
         let mut count = Count(0);
-        let mut sim = Simulation::new(SimConfig::tiny_test(1));
-        let result = sim
-            .run_with(&mut RandomSelector::new(), &mut [&mut count])
-            .unwrap();
+        let result = observed(&SimConfig::tiny_test(1), &RandomPolicy, &mut [&mut count]).unwrap();
         assert!(result.converged());
         assert_eq!(count.0, 1);
 
         let mut count = Count(0);
-        let _ = short_sim()
-            .run_with(&mut RandomSelector::new(), &mut [&mut count])
-            .unwrap();
+        let _ = observed(&short_config(), &RandomPolicy, &mut [&mut count]).unwrap();
         assert_eq!(count.0, 0, "unreachable target must not fire on_converged");
     }
 
@@ -317,18 +323,14 @@ mod tests {
                 ok_bytes,
                 written: 0,
             });
-            let err = short_sim()
-                .run_with(&mut RandomSelector::new(), &mut [&mut sink])
-                .unwrap_err();
+            let err = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         }
         let mut sink = JsonlSink::new(FailingWriter {
             ok_bytes: 0,
             written: 0,
         });
-        let err = short_sim()
-            .run_with(&mut RandomSelector::new(), &mut [&mut sink])
-            .unwrap_err();
+        let err = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
@@ -336,29 +338,37 @@ mod tests {
     fn failing_writer_stops_the_run_at_the_failing_round() {
         // Enough budget for the header + first row only: the run must
         // stop after round 0's record errors, not execute all 8 rounds.
-        struct CountingSelector(RandomSelector, usize);
-        impl crate::selection::Selector for CountingSelector {
+        static SELECTIONS: AtomicUsize = AtomicUsize::new(0);
+        struct CountingSelector(RandomSelector);
+        impl Selector for CountingSelector {
             fn select(
                 &mut self,
                 ctx: &crate::selection::RoundContext<'_>,
                 rng: &mut rand::rngs::SmallRng,
             ) -> crate::selection::SelectionDecision {
-                self.1 += 1;
+                SELECTIONS.fetch_add(1, Ordering::Relaxed);
                 self.0.select(ctx, rng)
             }
             fn name(&self) -> &'static str {
                 "counting"
             }
         }
-        let mut sel = CountingSelector(RandomSelector::new(), 0);
+        struct CountingPolicy;
+        impl Policy for CountingPolicy {
+            fn name(&self) -> &str {
+                "counting"
+            }
+            fn make_selector(&self) -> Box<dyn Selector> {
+                Box::new(CountingSelector(RandomSelector::new()))
+            }
+        }
         let mut sink = CsvSink::new(FailingWriter {
             ok_bytes: 200,
             written: 0,
         });
-        let err = short_sim()
-            .run_with(&mut sel, &mut [&mut sink])
-            .unwrap_err();
+        let err = observed(&short_config(), &CountingPolicy, &mut [&mut sink]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
-        assert!(sel.1 <= 2, "run must fail fast, ran {} rounds", sel.1);
+        let ran = SELECTIONS.load(Ordering::Relaxed);
+        assert!(ran <= 2, "run must fail fast, ran {ran} rounds");
     }
 }

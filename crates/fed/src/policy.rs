@@ -13,13 +13,12 @@
 //! name, and spec files refer to policies *by that name*, so a new
 //! baseline needs no changes to the runner binaries.
 
-use crate::builder::ConfigError;
 use crate::clusters::CharacterizationCluster;
-use crate::engine::{SimConfig, SimResult, Simulation};
+use crate::engine::{SimConfig, SimResult};
 use crate::global::GlobalParams;
-use crate::observe::RoundObserver;
 use crate::oracle::OracleSelector;
 use crate::selection::{ClusterSelector, RandomSelector, Selector};
+use crate::serve::ExperimentRun;
 
 /// A named, reusable experiment policy: a factory for per-run
 /// [`Selector`]s with an optional global-parameter tuning hook.
@@ -33,9 +32,10 @@ pub trait Policy: Send + Sync {
     /// Optional FedGPO-style hook: inspect the configuration and return
     /// adjusted `(B, E, K)` parameters, or `None` to keep the config's.
     ///
+    /// [`ExperimentRun::new`] calls it once, at the start of every run.
     /// The tuned parameters must keep the configuration valid
-    /// ([`SimConfig::validate`]); [`run_policy`] re-validates and panics
-    /// otherwise.
+    /// ([`SimConfig::validate`]); the run re-validates them, and
+    /// [`run_policy`] panics otherwise.
     fn tune(&self, config: &SimConfig) -> Option<GlobalParams> {
         let _ = config;
         None
@@ -49,48 +49,25 @@ impl std::fmt::Debug for dyn Policy {
 }
 
 /// Runs one policy on one configuration (applying its tuning hook) and
-/// labels the result with the policy's name.
-pub fn run_policy(config: &SimConfig, policy: &dyn Policy) -> SimResult {
-    run_policy_observed(config, policy, &mut []).expect("a run without observers cannot fail")
-}
-
-/// Like [`run_policy`], with [`RoundObserver`]s attached to the run. An
-/// observer whose writer fails stops the run and surfaces the error.
+/// labels the result with the policy's name: an uncontrolled
+/// [`ExperimentRun`] run to the end.
 ///
 /// # Panics
 ///
-/// Panics if the policy's [`Policy::tune`] hook produces parameters that
-/// invalidate the configuration (e.g. `K` larger than the fleet) — the
-/// same invariants every other entry path rejects with a
-/// [`crate::builder::ConfigError`].
-pub fn run_policy_observed(
-    config: &SimConfig,
-    policy: &dyn Policy,
-    observers: &mut [&mut dyn RoundObserver],
-) -> std::io::Result<SimResult> {
-    let config = tuned_config(config, policy).unwrap_or_else(|e| {
-        panic!(
-            "policy `{}` tuned an invalid configuration: {e}",
-            policy.name()
-        )
-    });
-    let mut selector = policy.make_selector();
-    Simulation::new(config).run_labeled(selector.as_mut(), policy.name().to_string(), observers)
-}
-
-/// `config` with `policy`'s start-of-run [`Policy::tune`] applied and
-/// re-validated — the one tune-and-validate step behind
-/// [`run_policy_observed`] and [`crate::serve::ExperimentRun::new`].
-pub(crate) fn tuned_config(
-    config: &SimConfig,
-    policy: &dyn Policy,
-) -> Result<SimConfig, ConfigError> {
-    let mut config = config.clone();
-    if let Some(params) = policy.tune(&config) {
-        config.params = params;
-        config.validate()?;
-    }
-    Ok(config)
+/// Panics if the configuration is invalid or the policy's
+/// [`Policy::tune`] hook produces parameters that invalidate it (e.g.
+/// `K` larger than the fleet) — the same invariants every other entry
+/// path rejects with a [`crate::builder::ConfigError`].
+pub fn run_policy(config: &SimConfig, policy: &dyn Policy) -> SimResult {
+    ExperimentRun::new(config, policy, None)
+        .unwrap_or_else(|e| {
+            panic!(
+                "policy `{}` tuned an invalid configuration: {e}",
+                policy.name()
+            )
+        })
+        .finish(&mut [])
+        .expect("a run without observers cannot fail")
 }
 
 /// An ordered, name-addressed collection of policies.
@@ -463,6 +440,7 @@ mod tests {
 
     #[test]
     fn observers_see_the_policy_label_not_the_selector_name() {
+        use crate::observe::RoundObserver;
         struct CaptureLabel(Option<String>);
         impl RoundObserver for CaptureLabel {
             fn on_converged(&mut self, result: &SimResult) -> std::io::Result<()> {
@@ -476,12 +454,10 @@ mod tests {
             Box::new(RandomPolicy),
         );
         let mut capture = CaptureLabel(None);
-        let result = crate::policy::run_policy_observed(
-            &SimConfig::tiny_test(1),
-            &relabeled,
-            &mut [&mut capture],
-        )
-        .unwrap();
+        let result = ExperimentRun::new(&SimConfig::tiny_test(1), &relabeled, None)
+            .unwrap()
+            .finish(&mut [&mut capture])
+            .unwrap();
         assert!(result.converged());
         assert_eq!(result.policy, "Random@S-tiny");
         assert_eq!(capture.0.as_deref(), Some("Random@S-tiny"));

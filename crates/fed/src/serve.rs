@@ -16,10 +16,12 @@
 //!   disappears) and continues; the final trace is byte-for-byte the
 //!   trace of a run that was never interrupted (pinned in
 //!   `tests/checkpoint.rs` and the CI smoke job).
-//! - A [`ConvergenceController`] may drive the otherwise-dormant
-//!   [`Policy::tune`] hook *every round*, steering `K` toward a
-//!   [`ConvergeTarget`] (a per-round energy budget or an accuracy
-//!   floor) instead of leaving `(B, E, K)` fixed for the whole run.
+//! - A spec's [`ConvergeTarget`] (a per-round energy budget or an
+//!   accuracy floor) attaches a [`ConvergenceController`] to each run,
+//!   which retunes `K` *every round* instead of leaving `(B, E, K)` at
+//!   what [`Policy::tune`] chose once at the start. The controller is a
+//!   field of the [`ExperimentRun`] every runner drives, so a spec's
+//!   `control` block means the same thing under `spec_run` and here.
 //!
 //! Layout under the serve root:
 //!
@@ -37,6 +39,7 @@
 use crate::builder::ConfigError;
 use crate::engine::{RoundRecord, SimConfig, SimResult, Simulation};
 use crate::global::GlobalParams;
+use crate::observe::RoundObserver;
 use crate::policy::{Policy, PolicyRegistry};
 use crate::selection::Selector;
 use crate::spec::{ExperimentSpec, SpecError};
@@ -44,7 +47,6 @@ use serde::{Deserialize, Serialize};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 // ---------------------------------------------------------------------------
 // Errors.
@@ -201,8 +203,7 @@ pub fn read_checkpoint(path: &Path) -> Result<serde::Value, ServeError> {
 // ---------------------------------------------------------------------------
 
 /// What a controlled run converges *toward* — the quantity the
-/// [`ConvergenceController`] steers each round by retuning `K` through
-/// [`Policy::tune`].
+/// [`ConvergenceController`] steers each round by retuning `K`.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum ConvergeTarget {
     /// Keep the fleet's total per-round energy near a budget. Overspent
@@ -221,6 +222,21 @@ pub enum ConvergeTarget {
 }
 
 impl ConvergeTarget {
+    /// Checks that the budget or floor is finite and positive. Floors
+    /// above 1 stay legal, as accuracy targets above 1 do; a negative
+    /// budget would pin `K` at 1 and a NaN one would write a checkpoint
+    /// no run can resume.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let value = match *self {
+            ConvergeTarget::EnergyBudget { joules_per_round } => joules_per_round,
+            ConvergeTarget::AccuracyFloor { accuracy } => accuracy,
+        };
+        if !value.is_finite() || value <= 0.0 {
+            return Err(ConfigError::BadControlTarget(value));
+        }
+        Ok(())
+    }
+
     /// The `(actual, target)` pair for one completed round — the
     /// controller's measurement and setpoint. Both targets share one
     /// sign convention: *actual below target grows `K`*, actual above
@@ -301,11 +317,6 @@ impl ConvergenceController {
         }
     }
 
-    /// The target being steered toward.
-    pub fn target(&self) -> ConvergeTarget {
-        self.target
-    }
-
     /// The controller's serializable position.
     pub fn state(&self) -> ControllerState {
         self.state
@@ -337,7 +348,7 @@ impl ConvergenceController {
 
     /// The parameters the current scale implies: the base `(B, E)` with
     /// `K` rescaled and clamped to `[1, max_k]` — always a valid
-    /// configuration, so [`Policy::tune`] can never invalidate the run.
+    /// configuration, so retuning can never invalidate the run.
     pub fn params(&self) -> GlobalParams {
         let k = (self.base.num_participants as f64 * self.state.scale).round() as usize;
         GlobalParams {
@@ -347,83 +358,17 @@ impl ConvergenceController {
     }
 }
 
-/// Wraps any [`Policy`] with a [`ConvergenceController`], surfacing the
-/// controller's current parameters through the wrapped policy's
-/// [`Policy::tune`] hook. [`ExperimentRun`] calls
-/// [`Controlled::observe_round`] after every emitted record and then
-/// re-invokes `tune` — the hook fires every round instead of once at
-/// startup.
-///
-/// The controller sits behind a [`Mutex`] because `tune` takes `&self`
-/// (policies are shared across worker threads); each `Controlled` is
-/// owned by exactly one run, so the lock is never contended.
-pub struct Controlled<'p> {
-    inner: &'p dyn Policy,
-    controller: Mutex<ConvergenceController>,
-}
-
-impl std::fmt::Debug for Controlled<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Controlled")
-            .field("inner", &self.inner.name())
-            .finish()
-    }
-}
-
-impl<'p> Controlled<'p> {
-    /// Wraps `inner` steering toward `target` on `config`. The scale-1.0
-    /// reference is whatever `inner.tune(config)` yields (falling back
-    /// to the config's own parameters), so controlling a
-    /// [`crate::policy::TunedPolicy`] scales its tuned `K`, not the
-    /// config's.
-    pub fn new(inner: &'p dyn Policy, target: ConvergeTarget, config: &SimConfig) -> Self {
-        let base = inner.tune(config).unwrap_or(config.params);
-        Controlled {
-            inner,
-            controller: Mutex::new(ConvergenceController::new(target, base, config)),
-        }
-    }
-
-    /// Feeds one completed round to the controller.
-    pub fn observe_round(&self, record: &RoundRecord) {
-        self.lock().observe(record);
-    }
-
-    /// The controller's serializable position (for checkpoints).
-    pub fn controller_state(&self) -> ControllerState {
-        self.lock().state()
-    }
-
-    /// Restores a checkpointed controller position.
-    pub fn restore_controller_state(&self, state: ControllerState) {
-        self.lock().restore(state);
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, ConvergenceController> {
-        self.controller.lock().expect("controller lock poisoned")
-    }
-}
-
-impl Policy for Controlled<'_> {
-    fn name(&self) -> &str {
-        self.inner.name()
-    }
-
-    fn make_selector(&self) -> Box<dyn Selector> {
-        self.inner.make_selector()
-    }
-
-    fn tune(&self, _config: &SimConfig) -> Option<GlobalParams> {
-        Some(self.lock().params())
-    }
-}
-
 // ---------------------------------------------------------------------------
 // A single resumable (policy, repeat) run.
 // ---------------------------------------------------------------------------
 
 /// One policy × one seed, runnable a record at a time, checkpointable
-/// between any two records, and resumable bit-identically.
+/// between any two records, and resumable bit-identically — the one
+/// driver of a policy run. [`crate::policy::run_policy`],
+/// [`ExperimentSpec::run`], `spec_run --trace` and [`serve`] all build an
+/// `ExperimentRun`, so the start-of-run [`Policy::tune`], the optional
+/// per-round [`ConvergenceController`] and the record order are decided
+/// here alone.
 ///
 /// ```
 /// use autofl_fed::engine::SimConfig;
@@ -438,19 +383,19 @@ impl Policy for Controlled<'_> {
 /// assert_eq!(result.policy, "FedAvg-Random");
 /// ```
 pub struct ExperimentRun<'p> {
-    sim: Simulation,
     selector: Box<dyn Selector>,
+    sim: Simulation,
     /// Records emitted so far, in emission (completion) order: the order
     /// the trace streams in, and so the order a checkpoint replays.
     records: Vec<RoundRecord>,
-    policy_name: String,
-    controlled: Option<Controlled<'p>>,
+    policy: &'p dyn Policy,
+    controller: Option<ConvergenceController>,
 }
 
 impl std::fmt::Debug for ExperimentRun<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ExperimentRun")
-            .field("policy", &self.policy_name)
+            .field("policy", &self.policy.name())
             .field("records", &self.records().len())
             .finish()
     }
@@ -459,28 +404,38 @@ impl std::fmt::Debug for ExperimentRun<'_> {
 impl<'p> ExperimentRun<'p> {
     /// Starts a fresh run of `policy` on `config`, optionally steering
     /// toward `control` each round. The policy's [`Policy::tune`] hook
-    /// runs once up front exactly as in
-    /// [`crate::policy::run_policy_observed`], but an invalid tuned
-    /// configuration is returned as a [`ConfigError`] instead of a
-    /// panic — a daemon must outlive a bad job.
+    /// runs once, here: its parameters start an uncontrolled run and are
+    /// the scale-1.0 base of a controlled one. An invalid configuration,
+    /// control target or tuned configuration is returned as a
+    /// [`ConfigError`] instead of a panic — a daemon must outlive a bad
+    /// job.
     pub fn new(
         config: &SimConfig,
         policy: &'p dyn Policy,
         control: Option<ConvergeTarget>,
     ) -> Result<Self, ConfigError> {
         config.validate()?;
-        let controlled = control.map(|target| Controlled::new(policy, target, config));
-        let tuner: &dyn Policy = match &controlled {
-            Some(c) => c,
-            None => policy,
-        };
-        let config = crate::policy::tuned_config(config, tuner)?;
+        if let Some(target) = control {
+            target.validate()?;
+        }
+        let tuned = policy.tune(config);
+        let controller = control.map(|target| {
+            ConvergenceController::new(target, tuned.unwrap_or(config.params), config)
+        });
+        let mut config = config.clone();
+        if let Some(params) = controller.as_ref().map(|c| c.params()).or(tuned) {
+            config.params = params;
+            config.validate()?;
+        }
+        // Minted before the simulation is built, so the selector's
+        // lifetime spans the run's set-up.
+        let selector = policy.make_selector();
         Ok(ExperimentRun {
+            selector,
             sim: Simulation::new(config),
-            selector: policy.make_selector(),
             records: Vec::new(),
-            policy_name: policy.name().to_string(),
-            controlled,
+            policy,
+            controller,
         })
     }
 
@@ -516,33 +471,62 @@ impl<'p> ExperimentRun<'p> {
         self.sim.config().params
     }
 
-    /// Runs until the next record is emitted and returns it, or `None`
-    /// once the run has finished (converged or horizon exhausted, and
-    /// every cohort in flight drained). After a record, the convergence
-    /// controller — if any — observes it and re-tunes the live
-    /// parameters through [`Policy::tune`], so the next cohort dispatches
-    /// with them. Stepping itself cannot fail; the `io::Result` keeps the
-    /// signature stable for drivers that stream records to a writer.
-    pub fn step(&mut self) -> std::io::Result<Option<RoundRecord>> {
-        let Some(record) = self.sim.step(self.selector.as_mut()) else {
-            return Ok(None);
-        };
-        if let Some(controlled) = &self.controlled {
-            controlled.observe_round(&record);
-            if let Some(params) = controlled.tune(self.sim.config()) {
-                self.sim.set_params(params);
-            }
+    /// Runs until the next record is emitted, keeps it and returns it:
+    /// `None` once the run has finished (converged or horizon exhausted,
+    /// and every cohort in flight drained). After a record, the
+    /// convergence controller — if any — observes it and retunes `K`, so
+    /// the next cohort dispatches with the new parameters.
+    fn advance(&mut self) -> Option<&RoundRecord> {
+        let record = self.sim.step(self.selector.as_mut())?;
+        if let Some(controller) = &mut self.controller {
+            controller.observe(&record);
+            self.sim.set_params(controller.params());
         }
-        self.records.push(record.clone());
-        Ok(Some(record))
+        self.records.push(record);
+        self.records.last()
     }
 
-    /// Finishes the run and wraps the records (sorted by round) in a
-    /// [`SimResult`] labelled with the policy name.
+    /// Runs until the next record is emitted and returns a copy of it, or
+    /// `None` once the run has finished (see [`ExperimentRun::finish`]
+    /// for running to the end). Stepping itself cannot fail; the
+    /// `io::Result` keeps the signature stable for drivers that stream
+    /// records to a writer.
+    pub fn step(&mut self) -> std::io::Result<Option<RoundRecord>> {
+        Ok(self.advance().cloned())
+    }
+
+    /// Runs to the end with `observers` attached and returns the result.
+    /// Each observer sees every record this call emits, in emission
+    /// order, and then — if the run reached its target — the result
+    /// sorted by round. Observers only borrow the records, so they cannot
+    /// perturb the run. An observer error (closed pipe, full disk) stops
+    /// the run at that record and is returned.
+    pub fn finish(
+        mut self,
+        observers: &mut [&mut dyn RoundObserver],
+    ) -> std::io::Result<SimResult> {
+        while let Some(record) = self.advance() {
+            for observer in observers.iter_mut() {
+                observer.on_round_end(record)?;
+            }
+        }
+        let result = self.into_result();
+        if result.converged() {
+            for observer in observers.iter_mut() {
+                observer.on_converged(&result)?;
+            }
+        }
+        Ok(result)
+    }
+
+    /// Wraps the records emitted so far, sorted by round, in a
+    /// [`SimResult`] labelled with the policy name. Concurrent cohorts
+    /// can complete out of dispatch order; `logical_time_s` keeps the
+    /// completion order.
     pub fn into_result(mut self) -> SimResult {
         self.records.sort_by_key(|r| r.round);
         SimResult {
-            policy: self.policy_name,
+            policy: self.policy.name().to_string(),
             target_accuracy: self.sim.config().target(),
             records: self.records,
         }
@@ -555,7 +539,7 @@ impl<'p> ExperimentRun<'p> {
     /// RNG) and the controller position.
     pub fn state_snapshot(&self) -> serde::Value {
         serde::Value::Map(vec![
-            ("policy".to_string(), self.policy_name.to_value()),
+            ("policy".to_string(), self.policy.name().to_value()),
             ("sim".to_string(), self.sim.state_snapshot()),
             ("records".to_string(), self.records.to_value()),
             (
@@ -564,8 +548,8 @@ impl<'p> ExperimentRun<'p> {
             ),
             (
                 "controller".to_string(),
-                match &self.controlled {
-                    Some(c) => c.controller_state().to_value(),
+                match &self.controller {
+                    Some(c) => c.state().to_value(),
                     None => serde::Value::Null,
                 },
             ),
@@ -576,10 +560,10 @@ impl<'p> ExperimentRun<'p> {
     /// onto a freshly built run of the same spec.
     fn state_restore(&mut self, payload: &serde::Value) -> Result<(), serde::Error> {
         let policy: String = serde::field(payload, "policy")?;
-        if policy != self.policy_name {
+        if policy != self.policy.name() {
             return Err(serde::Error::custom(format!(
                 "checkpoint belongs to policy `{policy}`, not `{}`",
-                self.policy_name
+                self.policy.name()
             )));
         }
         self.sim
@@ -590,15 +574,13 @@ impl<'p> ExperimentRun<'p> {
             .state_restore(serde::field_or_null(payload, "selector"))
             .map_err(|e| e.at("selector"))?;
         let controller: Option<ControllerState> = serde::field(payload, "controller")?;
-        match (&self.controlled, controller) {
+        match (&mut self.controller, controller) {
             (Some(c), Some(state)) => {
-                c.restore_controller_state(state);
+                c.restore(state);
                 // Re-assert the restored control trajectory: the sim's
                 // restored params already reflect it, but keeping both
                 // in lockstep costs nothing and survives refactors.
-                if let Some(params) = c.tune(self.sim.config()) {
-                    self.sim.set_params(params);
-                }
+                self.sim.set_params(c.params());
             }
             (None, None) => {}
             (have, _) => {
@@ -1070,6 +1052,25 @@ mod tests {
             &reference.records,
             &resumed.into_result().records
         ));
+    }
+
+    #[test]
+    fn a_non_finite_control_target_is_a_config_error() {
+        let config = SimConfig::tiny_test(2);
+        for target in [
+            ConvergeTarget::EnergyBudget {
+                joules_per_round: f64::NAN,
+            },
+            ConvergeTarget::AccuracyFloor {
+                accuracy: f64::INFINITY,
+            },
+        ] {
+            let err = ExperimentRun::new(&config, &RandomPolicy, Some(target)).unwrap_err();
+            assert!(
+                matches!(err, ConfigError::BadControlTarget(_)),
+                "got {err:?}"
+            );
+        }
     }
 
     #[test]

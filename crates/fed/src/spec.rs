@@ -27,8 +27,8 @@
 
 use crate::builder::ConfigError;
 use crate::engine::{SimConfig, SimResult};
-use crate::policy::{run_policy, Policy, PolicyRegistry};
-use crate::serve::ConvergeTarget;
+use crate::policy::{Policy, PolicyRegistry};
+use crate::serve::{ConvergeTarget, ExperimentRun};
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -43,12 +43,13 @@ pub struct ExperimentSpec {
     pub policies: Vec<String>,
     /// Number of repeats; repeat `i` uses master seed `config.seed + i`.
     pub repeats: usize,
-    /// Optional convergence target: when set, the serve daemon wraps
-    /// every policy in a [`crate::serve::ConvergenceController`] that
-    /// retunes `K` each round toward the target. Ignored by the plain
-    /// [`ExperimentSpec::run`] fan-out, which keeps parameters fixed.
-    /// Omitted from the JSON when `None`, so specs without control stay
-    /// byte-stable under `AUTOFL_REGEN_SPECS`.
+    /// Optional convergence target: when set, every run of the spec
+    /// carries a [`crate::serve::ConvergenceController`] that retunes `K`
+    /// each round toward the target — under [`ExperimentSpec::run`],
+    /// `spec_run --trace` and the serve daemon alike, since all three
+    /// drive a [`crate::serve::ExperimentRun`]. Omitted from the JSON
+    /// when `None`, so specs without control stay byte-stable under
+    /// `AUTOFL_REGEN_SPECS`.
     #[serde(skip_serializing_if = "Option::is_none")]
     pub control: Option<ConvergeTarget>,
 }
@@ -146,10 +147,14 @@ impl ExperimentSpec {
         Ok(spec)
     }
 
-    /// Registry-independent validation: config consistency, non-empty
-    /// policy list, at least one repeat.
+    /// Registry-independent validation: config consistency, a finite
+    /// positive control target, non-empty policy list, at least one
+    /// repeat.
     pub fn validate(&self) -> Result<(), SpecError> {
         self.config.validate()?;
+        if let Some(target) = self.control {
+            target.validate()?;
+        }
         if self.policies.is_empty() {
             return Err(SpecError::NoPolicies);
         }
@@ -175,9 +180,11 @@ impl ExperimentSpec {
             .collect()
     }
 
-    /// Executes the spec: every policy × every repeat, fanned out across
-    /// the worker pool, returned grouped by repeat and then by policy in
-    /// spec order (the grouping `comparison`-style normalisation wants).
+    /// Executes the spec: every policy × every repeat (under the spec's
+    /// `control`, if any), fanned out across the worker pool, returned
+    /// grouped by repeat and then by policy in spec order (the grouping
+    /// `comparison`-style normalisation wants). A policy whose tuned
+    /// parameters invalidate the config is a [`SpecError::Config`].
     pub fn run(&self, registry: &PolicyRegistry) -> Result<Vec<SpecRun>, SpecError> {
         self.validate()?;
         let policies = self.resolve(registry)?;
@@ -187,20 +194,23 @@ impl ExperimentSpec {
                 runs.push((repeat, *policy));
             }
         }
-        Ok(runs
+        let runs: Vec<Result<SpecRun, SpecError>> = runs
             .par_iter()
             .map(|(repeat, policy)| {
                 let mut config = self.config.clone();
                 config.seed = self.config.seed.wrapping_add(*repeat as u64);
-                let result = run_policy(&config, *policy);
-                SpecRun {
+                let result = ExperimentRun::new(&config, *policy, self.control)?
+                    .finish(&mut [])
+                    .expect("a run without observers cannot fail");
+                Ok(SpecRun {
                     policy: policy.name().to_string(),
                     seed: config.seed,
                     repeat: *repeat,
                     result,
-                }
+                })
             })
-            .collect())
+            .collect();
+        runs.into_iter().collect()
     }
 }
 
@@ -209,7 +219,8 @@ mod tests {
     use super::*;
     use crate::engine::Fidelity;
     use crate::fleet::{FleetDynamics, StragglerPolicy};
-    use crate::policy::baseline_registry;
+    use crate::global::GlobalParams;
+    use crate::policy::{baseline_registry, RandomPolicy, TunedPolicy};
     use autofl_data::partition::DataDistribution;
 
     fn spec_fixture() -> ExperimentSpec {
@@ -270,6 +281,47 @@ mod tests {
         let parsed = ExperimentSpec::from_json(&json).expect("parses");
         assert_eq!(parsed, controlled);
         assert_eq!(parsed.to_json(), json);
+    }
+
+    #[test]
+    fn non_positive_control_targets_are_refused_on_spec_load() {
+        for target in [
+            ConvergeTarget::EnergyBudget {
+                joules_per_round: -250.0,
+            },
+            ConvergeTarget::AccuracyFloor { accuracy: 0.0 },
+        ] {
+            let json = spec_fixture().with_control(target).to_json();
+            let err = ExperimentSpec::from_json(&json).unwrap_err();
+            assert!(
+                matches!(err, SpecError::Config(ConfigError::BadControlTarget(_))),
+                "got {err:?}"
+            );
+        }
+        // Floors above 1 stay legal, as accuracy targets above 1 do.
+        let above_one =
+            spec_fixture().with_control(ConvergeTarget::AccuracyFloor { accuracy: 1.5 });
+        assert!(ExperimentSpec::from_json(&above_one.to_json()).is_ok());
+    }
+
+    #[test]
+    fn a_policy_tuned_past_the_fleet_is_a_spec_error_not_a_panic() {
+        let mut registry = baseline_registry();
+        registry.register(Box::new(TunedPolicy::new(
+            "BadK",
+            GlobalParams::new(8, 1, 500),
+            Box::new(RandomPolicy),
+        )));
+        let mut spec = spec_fixture();
+        spec.policies = vec!["BadK".into()];
+        let err = spec.run(&registry).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Config(ConfigError::ParticipantsExceedFleet { .. })
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]

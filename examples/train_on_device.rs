@@ -2,15 +2,16 @@
 //! deployment where every round actually trains the scaled-down CNN with
 //! the `autofl-nn` substrate and evaluates on a held-out test set.
 //!
-//! Demonstrates a custom [`RoundObserver`]: the per-round report is a
-//! observer hooked into `run_with`, not a hand-rolled loop around
-//! `Simulation::step`.
+//! Demonstrates a custom [`RoundObserver`]: the per-round report is an
+//! observer attached through `ExperimentRun::finish`, not a hand-rolled
+//! loop around `ExperimentRun::step`.
 //!
 //! ```sh
 //! cargo run --release --example train_on_device
 //! ```
 
 use autofl::fed::engine::{Fidelity, RoundRecord, SimResult, Simulation};
+use autofl::fed::serve::ExperimentRun;
 use autofl::{standard_registry, RoundObserver};
 use autofl_data::partition::DataDistribution;
 use autofl_fed::GlobalParams;
@@ -44,7 +45,7 @@ impl RoundObserver for RoundReport {
 
 fn main() {
     // Shrink the deployment so real training stays interactive.
-    let mut sim = Simulation::builder(Workload::CnnMnist)
+    let config = Simulation::builder(Workload::CnnMnist)
         .devices(20)
         .samples_per_device(60)
         .test_samples(256)
@@ -56,15 +57,15 @@ fn main() {
         .distribution(DataDistribution::non_iid_percent(50))
         .max_rounds(25)
         .target_accuracy(0.90)
-        .build()
+        .build_config()
         .expect("valid real-training configuration");
 
     println!(
         "== Real federated training ({} devices, CNN on synthetic digits) ==",
-        sim.config().num_devices
+        config.num_devices
     );
     let registry = standard_registry();
-    let mut agent = registry.expect("AutoFL").make_selector();
-    let mut report = RoundReport;
-    let _ = sim.run_with(agent.as_mut(), &mut [&mut report]);
+    let run = ExperimentRun::new(&config, registry.expect("AutoFL"), None)
+        .expect("AutoFL keeps the configuration valid");
+    let _ = run.finish(&mut [&mut RoundReport]);
 }

@@ -8,8 +8,6 @@
 
 mod common;
 
-use autofl::fed::observe::JsonlSink;
-use autofl::fed::policy::run_policy_observed;
 use autofl::fed::spec::ExperimentSpec;
 use autofl::standard_registry;
 use autofl_fed::adversary::{AdversaryConfig, AdversaryRole};
@@ -17,10 +15,10 @@ use autofl_fed::algorithms::{AggregationAlgorithm, ClientUpdate, KrumAggregator}
 use autofl_fed::engine::{RoundRecord, SimConfig, SimResult, Simulation};
 use autofl_fed::fabric::{LinkModel, NetworkFabric};
 use autofl_fed::fleet::FleetDynamics;
-use autofl_fed::policy::RandomPolicy;
+use autofl_fed::policy::{run_policy, RandomPolicy};
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{read_checkpoint, write_checkpoint, ExperimentRun};
-use common::trace_digest;
+use common::{spec_run_trace, trace_digest};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -460,15 +458,7 @@ fn adv_spec_trace_matches_the_checked_in_golden_file() {
     // `adversarial`/`flagged` counters on every record — byte for byte,
     // exactly as `spec_run tests/specs/adv_smoke.json --trace` writes it.
     let path = "tests/specs/adv_smoke_trace.jsonl";
-    let spec = adv_smoke_spec();
-    let registry = standard_registry();
-    let policy = registry
-        .get(&spec.policies[0])
-        .expect("first policy resolves");
-    let mut sink = JsonlSink::new(Vec::new());
-    let result = run_policy_observed(&spec.config, policy, &mut [&mut sink])
-        .expect("in-memory sink cannot fail");
-    let produced = String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8");
+    let (produced, result) = spec_run_trace(&adv_smoke_spec());
     assert_eq!(produced.lines().count(), result.records.len());
     let poisoned: usize = result
         .records
@@ -530,8 +520,7 @@ fn conditions_digests() -> Vec<(String, serde_json::Value)> {
     for name in ["O_participant", "O_FL", "AutoFL"] {
         let policy = registry.get(name).expect("registered policy");
         for shards in [1, 4] {
-            let mut selector = policy.make_selector();
-            let result = Simulation::new(lying_sensor_config(shards)).run(selector.as_mut());
+            let result = run_policy(&lying_sensor_config(shards), policy);
             let label = format!("{name} shards={shards}");
             assert!(
                 result

@@ -20,7 +20,7 @@ mod common;
 
 use autofl_fed::engine::{Fidelity, RoundRecord, SimConfig, Simulation};
 use autofl_fed::fleet::{survivor_weights, FleetDynamics, StragglerPolicy};
-use autofl_fed::policy::RandomPolicy;
+use autofl_fed::policy::{run_policy, RandomPolicy};
 use autofl_fed::runtime::{staleness_weight, AsyncRuntime};
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{ConvergeTarget, ExperimentRun};
@@ -74,8 +74,7 @@ fn policy_runs() -> Vec<(String, Vec<RoundRecord>)> {
     let mut runs = Vec::new();
     for policy in autofl_core::standard_registry().iter() {
         for shards in [1, 4] {
-            let mut selector = policy.make_selector();
-            let result = Simulation::new(dynamic_config(13, shards)).run(selector.as_mut());
+            let result = run_policy(&dynamic_config(13, shards), policy);
             runs.push((format!("{} shards={shards}", policy.name()), result.records));
         }
     }

@@ -1,5 +1,6 @@
 //! Helpers shared by the integration-test binaries that declare
-//! `mod common;`: FNV-1a digests and the pinned barrier traces.
+//! `mod common;`: JSONL traces, FNV-1a digests and the pinned barrier
+//! traces.
 //!
 //! Every run steps the event scheduler, and its full barrier (the
 //! default) reproduces the traces of the lockstep FedAvg loop it replaced
@@ -10,8 +11,11 @@
 // Each test binary uses only some of these helpers.
 #![allow(dead_code)]
 
-use autofl_fed::engine::{RoundRecord, SimConfig};
+use autofl_fed::engine::{RoundRecord, SimConfig, SimResult};
 use autofl_fed::fabric::{CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule};
+use autofl_fed::observe::JsonlSink;
+use autofl_fed::serve::ExperimentRun;
+use autofl_fed::spec::ExperimentSpec;
 
 /// The golden file of barrier trace digests, keyed by run label.
 pub const BARRIER_DIGESTS: &str = "tests/specs/barrier_digests.json";
@@ -26,16 +30,35 @@ pub fn fnv1a_hex(bytes: &[u8]) -> String {
     format!("{hash:016x}")
 }
 
-/// FNV-1a 64-bit digest of a run's JSONL trace — one serialized record
-/// per line, as the round sinks write it — as fixed-width hex. Floats
-/// serialize shortest-round-trip, so equal digests mean bit-identical
-/// records.
-pub fn trace_digest(records: &[RoundRecord]) -> String {
-    let trace: String = records
+/// A run's JSONL trace: one serialized record per line, as the round
+/// sinks write it.
+pub fn jsonl(records: &[RoundRecord]) -> String {
+    records
         .iter()
         .map(|r| serde_json::to_string(r).expect("record serializes") + "\n")
-        .collect();
-    fnv1a_hex(trace.as_bytes())
+        .collect()
+}
+
+/// FNV-1a 64-bit digest of a run's JSONL trace, as fixed-width hex.
+/// Floats serialize shortest-round-trip, so equal digests mean
+/// bit-identical records.
+pub fn trace_digest(records: &[RoundRecord]) -> String {
+    fnv1a_hex(jsonl(records).as_bytes())
+}
+
+/// Exactly what `spec_run <spec> --trace` writes, and the run behind it:
+/// the spec's first policy at the first repeat's seed, under the spec's
+/// `control`, with a JSONL round sink attached.
+pub fn spec_run_trace(spec: &ExperimentSpec) -> (String, SimResult) {
+    let registry = autofl::standard_registry();
+    let policy = registry.expect(&spec.policies[0]);
+    let mut sink = JsonlSink::new(Vec::new());
+    let result = ExperimentRun::new(&spec.config, policy, spec.control)
+        .expect("spec validates")
+        .finish(&mut [&mut sink])
+        .expect("in-memory sink cannot fail");
+    let trace = String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8");
+    (trace, result)
 }
 
 /// A fabric exercising every feature at once: noisy lossy links, a

@@ -12,6 +12,7 @@ use autofl_device::scenario::VarianceScenario;
 use autofl_fed::engine::{Fidelity, SimConfig, SimResult, Simulation};
 use autofl_fed::fleet::{FleetDynamics, StragglerPolicy};
 use autofl_fed::oracle::OracleSelector;
+use autofl_fed::policy::run_policy;
 use autofl_fed::selection::{RandomSelector, Selector};
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
@@ -147,8 +148,7 @@ fn thread_count_never_changes_dropout_enabled_results() {
         let run = |threads: usize| {
             with_threads(threads, || {
                 let cfg = dropout_config(13, StragglerPolicy::OverSelect { extra: 5 });
-                let mut selector = policy.make_selector();
-                Simulation::new(cfg).run(selector.as_mut())
+                run_policy(&cfg, policy)
             })
         };
         let base = run(1);

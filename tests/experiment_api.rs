@@ -6,13 +6,16 @@
 //! To regenerate the checked-in spec files after an intentional schema
 //! change: `AUTOFL_REGEN_SPECS=1 cargo test --test experiment_api`.
 
+mod common;
+
 use autofl::fed::engine::{SimConfig, Simulation};
-use autofl::fed::observe::JsonlSink;
-use autofl::fed::policy::{run_policy, run_policy_observed, Policy};
+use autofl::fed::policy::{run_policy, Policy};
+use autofl::fed::serve::{serve, ConvergeTarget, ServeOptions, UnitSummary};
 use autofl::fed::spec::ExperimentSpec;
 use autofl::{standard_registry, PAPER_POLICIES};
 use autofl_fed::GlobalParams;
 use autofl_nn::zoo::Workload;
+use common::{jsonl, spec_run_trace};
 
 /// A small fleet with every tier present, high enough that K=20 fits.
 fn conformance_config() -> SimConfig {
@@ -138,11 +141,26 @@ fn fig04_spec() -> ExperimentSpec {
     )
 }
 
+/// The CI convergence-control spec: the smoke fleet under a per-round
+/// energy budget of about half what uncontrolled FedAvg-Random spends
+/// there (the `fig_tune --smoke` ratio), so the controller shrinks `K`.
+fn control_smoke_spec() -> ExperimentSpec {
+    let mut config = SimConfig::smoke(42);
+    config.max_rounds = 60;
+    config.target_accuracy = Some(1.1);
+    ExperimentSpec::new("ci-control-smoke", config, ["FedAvg-Random", "AutoFL"], 1).with_control(
+        ConvergeTarget::EnergyBudget {
+            joules_per_round: 200.0,
+        },
+    )
+}
+
 #[test]
 fn checked_in_spec_files_match_their_generators() {
     let specs = [
         ("tests/specs/smoke.json", smoke_spec()),
         ("tests/specs/fig04_s3_cnn.json", fig04_spec()),
+        ("tests/specs/control_smoke.json", control_smoke_spec()),
     ];
     for (path, spec) in specs {
         if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
@@ -170,14 +188,7 @@ fn smoke_spec_trace_matches_the_checked_in_golden_file() {
     let path = "tests/specs/smoke_trace.jsonl";
     let text = std::fs::read_to_string("tests/specs/smoke.json").expect("smoke spec");
     let spec = ExperimentSpec::from_json(&text).expect("smoke spec parses");
-    let registry = standard_registry();
-    let policy = registry
-        .get(&spec.policies[0])
-        .expect("first policy resolves");
-    let mut sink = JsonlSink::new(Vec::new());
-    let result = run_policy_observed(&spec.config, policy, &mut [&mut sink])
-        .expect("in-memory sink cannot fail");
-    let produced = String::from_utf8(sink.into_inner()).expect("JSONL is UTF-8");
+    let (produced, result) = spec_run_trace(&spec);
     assert_eq!(produced.lines().count(), result.records.len());
     if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
         std::fs::write(path, &produced).expect("write golden trace");
@@ -191,6 +202,57 @@ fn smoke_spec_trace_matches_the_checked_in_golden_file() {
          format or the smoke trajectory changed \
          (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
     );
+}
+
+#[test]
+fn a_controlled_spec_gives_one_trace_through_every_runner() {
+    // `control` means the same thing under `ExperimentSpec::run`,
+    // `spec_run --trace` and `spec_serve`.
+    let spec = control_smoke_spec();
+    let registry = standard_registry();
+    let runs = spec.run(&registry).expect("control spec runs");
+    let from_spec_run = jsonl(&runs[0].result.records);
+    assert!(
+        spec_run_trace(&spec).0 == from_spec_run,
+        "spec_run --trace and ExperimentSpec::run disagree"
+    );
+
+    // What `spec_serve --once` writes for the same unit.
+    let root = std::env::temp_dir().join(format!("autofl-control-smoke-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
+    std::fs::create_dir_all(root.join("queue")).expect("queue dir");
+    std::fs::write(root.join("queue/control_smoke.json"), spec.to_json()).expect("queue spec");
+    let opts = ServeOptions {
+        once: true,
+        ..ServeOptions::new(&root)
+    };
+    serve(&registry, &opts).expect("serve drains the job");
+    let done = root.join("done/control_smoke");
+    let served =
+        std::fs::read_to_string(done.join("traces/FedAvg-Random-r0.jsonl")).expect("served trace");
+    assert!(
+        served == from_spec_run,
+        "spec_serve and ExperimentSpec::run disagree"
+    );
+
+    // The control block took effect: K shrank, and the trace differs from
+    // the same spec without control.
+    let summary: Vec<UnitSummary> =
+        serde_json::from_str(&std::fs::read_to_string(done.join("summary.json")).expect("summary"))
+            .expect("summary parses");
+    assert!(
+        summary
+            .iter()
+            .all(|unit| unit.final_k < spec.config.params.num_participants),
+        "an energy budget of half the uncontrolled spend must shrink K: {summary:?}"
+    );
+    let uncontrolled = ExperimentSpec {
+        control: None,
+        ..spec.clone()
+    };
+    let plain = uncontrolled.run(&registry).expect("uncontrolled spec runs");
+    assert!(jsonl(&plain[0].result.records) != from_spec_run);
+    std::fs::remove_dir_all(&root).expect("clean up");
 }
 
 #[test]

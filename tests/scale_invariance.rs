@@ -11,12 +11,14 @@
 //!   for random, cluster and oracle policies (and a 1k-device run for
 //!   the AutoFL controller's top-K cut),
 //! * the labels-only surrogate data path produces the same partition
-//!   statistics as the full generator.
+//!   statistics as the full generator,
+//! * a record's participant list is cohort-sized, not a fleet-sized
+//!   buffer a selector cut its cohort from.
 
 use autofl::fed::algorithms::{AggregationAlgorithm, ClientUpdate, ExactF32Sum};
 use autofl::fed::engine::{SimConfig, SimResult, Simulation};
 use autofl::fed::fleet::FleetDynamics;
-use autofl::fed::policy::Policy;
+use autofl::fed::policy::run_policy;
 use autofl::fed::runtime::AsyncRuntime;
 use autofl::standard_registry;
 use autofl_data::partition::DataDistribution;
@@ -96,17 +98,12 @@ fn scale_config(shards: usize) -> SimConfig {
         .expect("scale config is valid")
 }
 
-fn run_policy_at(config: SimConfig, policy: &dyn Policy) -> SimResult {
-    let mut selector = policy.make_selector();
-    Simulation::new(config).run(selector.as_mut())
-}
-
 #[test]
 fn ten_k_device_run_is_bit_identical_across_shards_and_threads() {
     let registry = standard_registry();
     for name in ["FedAvg-Random", "C3", "O_FL"] {
         let policy = registry.expect(name);
-        let base = with_threads(1, || run_policy_at(scale_config(1), policy));
+        let base = with_threads(1, || run_policy(&scale_config(1), policy));
         let dropouts: usize = base.records.iter().map(|r| r.dropouts.len()).sum();
         assert!(dropouts > 0, "{name}: churn must actually drop devices");
         for shards in [1, 4, 16] {
@@ -114,9 +111,31 @@ fn ten_k_device_run_is_bit_identical_across_shards_and_threads() {
                 if (shards, threads) == (1, 1) {
                     continue;
                 }
-                let other = with_threads(threads, || run_policy_at(scale_config(shards), policy));
+                let other = with_threads(threads, || run_policy(&scale_config(shards), policy));
                 assert_bit_identical(&base, &other, &format!("{name} s{shards} t{threads}"));
             }
+        }
+    }
+}
+
+#[test]
+fn records_do_not_keep_the_fleet_sized_selection_buffer() {
+    // Random shuffles every eligible id and truncates to K; AutoFL cuts
+    // its top K out of a ranking of the eligible fleet. Sweeps and spec
+    // runs hold every record, so each must own only its cohort.
+    let registry = standard_registry();
+    for name in ["FedAvg-Random", "AutoFL"] {
+        let result = run_policy(&scale_config(1), registry.expect(name));
+        assert!(!result.records.is_empty());
+        for record in &result.records {
+            let ids = &record.participants;
+            assert!(
+                ids.capacity() <= ids.len() + 8,
+                "{name} round {}: {} ids held in a Vec of capacity {}",
+                record.round,
+                ids.len(),
+                ids.capacity()
+            );
         }
     }
 }
@@ -144,7 +163,7 @@ fn hundred_k_device_async_run_is_bit_identical_across_shards_and_threads() {
     };
     let policy = standard_registry();
     let policy = policy.expect("FedAvg-Random");
-    let base = with_threads(1, || run_policy_at(config(1), policy));
+    let base = with_threads(1, || run_policy(&config(1), policy));
     let dropouts: usize = base.records.iter().map(|r| r.dropouts.len()).sum();
     assert!(dropouts > 0, "churn must actually drop devices");
     assert!(
@@ -156,7 +175,7 @@ fn hundred_k_device_async_run_is_bit_identical_across_shards_and_threads() {
             if (shards, threads) == (1, 1) {
                 continue;
             }
-            let other = with_threads(threads, || run_policy_at(config(shards), policy));
+            let other = with_threads(threads, || run_policy(&config(shards), policy));
             assert_bit_identical(&base, &other, &format!("100k async s{shards} t{threads}"));
         }
     }
@@ -183,10 +202,10 @@ fn autofl_controller_is_bit_identical_across_shards_and_threads() {
             .build_config()
             .expect("autofl scale config is valid")
     };
-    let base = with_threads(1, || run_policy_at(config(1), policy));
+    let base = with_threads(1, || run_policy(&config(1), policy));
     for shards in [4, 16] {
         for threads in [1, 4] {
-            let other = with_threads(threads, || run_policy_at(config(shards), policy));
+            let other = with_threads(threads, || run_policy(&config(shards), policy));
             assert_bit_identical(&base, &other, &format!("AutoFL s{shards} t{threads}"));
         }
     }
