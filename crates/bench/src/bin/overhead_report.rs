@@ -26,7 +26,7 @@ fn main() {
         agent.overhead().total_per_round_us()
     );
     println!(
-        "Q-table memory : {:>9.1} KiB        (paper: 80 MB dense tables; ours are lazy)",
+        "Q-table memory : {:>9.1} KiB        (paper: 80 MB dense tables; ours: the lazy row arena's allocation)",
         agent.memory_bytes() as f64 / 1024.0
     );
 

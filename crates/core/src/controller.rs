@@ -1,9 +1,17 @@
 //! The AutoFL controller: epsilon-greedy Q-learning over participant
 //! selection and execution targets (Algorithm 1 of the paper).
+//!
+//! Each round, `select` derives every device's local state (one
+//! conditions read per device) and, unless the round explores, scores
+//! every eligible device on its Q-table row, in fleet order. The pending
+//! round keeps those row handles, so the Q-update after the round's
+//! feedback looks up only the devices `select` did not score, in device
+//! order. Those two orders fix when each row is created, and so its
+//! random initial values (see [`crate::qtable`]).
 
 use crate::action::Action;
 use crate::overhead::Overhead;
-use crate::qtable::{QSharing, QTableSet};
+use crate::qtable::{QSharing, QTableSet, RowId};
 use crate::reward::{reward, ParticipationOutcome, RewardConfig, RewardInputs};
 use crate::state::{GlobalState, LocalState, StateSpace};
 use autofl_device::cost::{execute, ExecutionPlan};
@@ -70,6 +78,11 @@ struct PendingRound {
     global_state: GlobalState,
     /// `(local state, chosen action)` for every fleet device.
     per_device: Vec<(LocalState, Action)>,
+    /// The row `select` scored each device on, indexed by device id:
+    /// `Some` for the eligible devices of an exploiting round. A cache
+    /// for the Q-update, never serialized — empty for an exploring round
+    /// and for rounds restored from a checkpoint.
+    rows: Vec<Option<RowId>>,
 }
 
 /// The AutoFL selector (the paper's contribution).
@@ -157,7 +170,8 @@ impl AutoFl {
         &self.overhead
     }
 
-    /// Approximate Q-table memory in bytes.
+    /// Bytes the Q-table arena has allocated (see
+    /// [`QTableSet::memory_bytes`]); 0 before the first round.
     pub fn memory_bytes(&self) -> usize {
         self.tables.as_ref().map(|t| t.memory_bytes()).unwrap_or(0)
     }
@@ -279,6 +293,7 @@ impl Selector for AutoFl {
         let eps = self.config.epsilon * self.config.epsilon_decay.powi(ctx.round as i32);
         let explore = self.rng.gen::<f64>() < eps;
         let mut actions: Vec<Action> = vec![Action::Idle; ctx.fleet.len()];
+        let mut rows = Vec::new();
         let participants: Vec<DeviceId> = if explore {
             // Exploration draws only from the check-in-eligible pool —
             // the server never contacts ineligible devices.
@@ -292,25 +307,18 @@ impl Selector for AutoFl {
             }
             ids
         } else {
-            // Pre-sized from the per-shard availability bins: the store
-            // already counted the eligible devices, so no fleet scan (or
-            // Vec regrowth) is needed to size the candidate buffer.
-            let mut scored: Vec<(DeviceId, Action, f64)> =
-                Vec::with_capacity(ctx.availability.eligible_count());
-            scored.extend(
-                ctx.fleet
-                    .iter()
-                    .filter(|d| ctx.availability.is_eligible(d.id().0))
-                    .map(|d| {
-                        let id = d.id();
-                        let (a, q) = tables.table_mut(id).best_action(
-                            global_state,
-                            locals[id.0],
-                            &candidates,
-                        );
-                        (id, a, q)
-                    }),
-            );
+            // Every eligible device is scored on its row, in fleet order.
+            rows = vec![None; ctx.fleet.len()];
+            let mut scored: Vec<(DeviceId, Action, f64)> = ctx
+                .eligible_ids()
+                .into_iter()
+                .map(|id| {
+                    let row = tables.row(id, global_state, locals[id.0]);
+                    rows[id.0] = Some(row);
+                    let (a, q) = tables.best_action(row, &candidates);
+                    (id, a, q)
+                })
+                .collect();
             // Deterministic partial top-K over Q-values (O(N + K log K)
             // instead of sorting the whole eligible fleet): ties keep
             // fleet order via the device-id tie-break, exactly as the
@@ -372,6 +380,7 @@ impl Selector for AutoFl {
             PendingRound {
                 global_state,
                 per_device: locals.into_iter().zip(actions).collect(),
+                rows,
             },
         ));
         SelectionDecision {
@@ -396,59 +405,66 @@ impl Selector for AutoFl {
         // Reward phase (Eq. 5–7). Deadline misses and mid-round dropouts
         // carry their own (default-zero) penalties, so the agent can
         // learn to route around flaky devices rather than just expensive
-        // ones.
+        // ones. `reward` is pure and every idle device's inputs are the
+        // same, so the idle reward is computed once and overwritten for
+        // the devices the feedback names.
         let t_reward = Instant::now();
-        let mut local_energy = vec![feedback.idle_energy_per_device_j; pending.per_device.len()];
-        let mut outcomes = vec![ParticipationOutcome::Idle; pending.per_device.len()];
+        let reward_config = self.resolved_reward.unwrap_or(self.config.reward);
+        let reward_of = |local_energy_j: f64, outcome: ParticipationOutcome| {
+            reward(
+                &reward_config,
+                &RewardInputs {
+                    local_energy_j,
+                    global_energy_j: feedback.global_energy_j,
+                    accuracy: feedback.accuracy,
+                    prev_accuracy: feedback.prev_accuracy,
+                    outcome,
+                    staleness: feedback.mean_staleness,
+                    uplink_bytes: feedback.bytes_uplinked as f64,
+                },
+            )
+        };
+        let idle_j = feedback.idle_energy_per_device_j;
+        let mut rewards =
+            vec![reward_of(idle_j, ParticipationOutcome::Idle); pending.per_device.len()];
         for (id, e) in feedback
             .participants
             .iter()
             .zip(feedback.per_participant_energy_j)
         {
-            local_energy[id.0] = *e;
-            outcomes[id.0] = ParticipationOutcome::Completed;
+            rewards[id.0] = reward_of(*e, ParticipationOutcome::Completed);
         }
+        // A straggler or dropout keeps the energy of its participation
+        // (idle energy if it was not a participant).
+        let energy_of = |id: &DeviceId| {
+            feedback
+                .participants
+                .iter()
+                .rposition(|p| p == id)
+                .map_or(idle_j, |i| feedback.per_participant_energy_j[i])
+        };
         for id in feedback.dropped {
-            outcomes[id.0] = ParticipationOutcome::DeadlineMiss;
+            rewards[id.0] = reward_of(energy_of(id), ParticipationOutcome::DeadlineMiss);
         }
         for id in feedback.dropouts {
-            outcomes[id.0] = ParticipationOutcome::Dropout;
+            rewards[id.0] = reward_of(energy_of(id), ParticipationOutcome::Dropout);
         }
-        let reward_config = self.resolved_reward.unwrap_or(self.config.reward);
-        let rewards: Vec<f64> = (0..pending.per_device.len())
-            .map(|d| {
-                reward(
-                    &reward_config,
-                    &RewardInputs {
-                        local_energy_j: local_energy[d],
-                        global_energy_j: feedback.global_energy_j,
-                        accuracy: feedback.accuracy,
-                        prev_accuracy: feedback.prev_accuracy,
-                        outcome: outcomes[d],
-                        staleness: feedback.mean_staleness,
-                        uplink_bytes: feedback.bytes_uplinked as f64,
-                    },
-                )
-            })
-            .collect();
         let reward_elapsed = t_reward.elapsed();
 
-        // Update phase: tabular Q-learning. The paper's own sensitivity
-        // study picks µ = 0.1 because consecutive round states are only
-        // weakly related; we bootstrap against the same state's best
-        // action, which is exact in that near-myopic regime.
+        // Update phase: tabular Q-learning, in device-id order (a shared
+        // row can take several updates in one round). The paper's own
+        // sensitivity study picks µ = 0.1 because consecutive round
+        // states are only weakly related; we bootstrap against the same
+        // state's best action, which is exact in that near-myopic regime.
         let t_update = Instant::now();
         let gamma = self.config.learning_rate;
         let mu = self.config.discount;
         for (d, ((local_state, action), r)) in pending.per_device.iter().zip(&rewards).enumerate() {
-            tables.table_mut(DeviceId(d)).update(
-                pending.global_state,
-                *local_state,
-                *action,
-                *r,
-                gamma,
-                mu,
-            );
+            let row = match pending.rows.get(d) {
+                Some(&Some(row)) => row,
+                _ => tables.row(DeviceId(d), pending.global_state, *local_state),
+            };
+            tables.update(row, *action, *r, gamma, mu);
         }
         let update_elapsed = t_update.elapsed();
         self.overhead
@@ -537,6 +553,7 @@ impl Selector for AutoFl {
                 PendingRound {
                     global_state,
                     per_device,
+                    rows: Vec::new(),
                 },
             ));
         }
@@ -551,6 +568,32 @@ impl Selector for AutoFl {
         self.rng = SmallRng::from_state(rng_state);
         self.reward_history = reward_history;
         self.resolved_reward = resolved_reward;
+        Ok(())
+    }
+
+    // The Q-table index and every pending round hold one entry per fleet
+    // device; a restored state of another length would panic in a later
+    // step (or, too long, silently run on another fleet's state).
+    fn check_restored(&self, devices: usize) -> Result<(), serde::Error> {
+        let wrong = |what: &str, len: usize| {
+            serde::Error::custom(format!(
+                "{what} covers {len} devices but the fleet has {devices}"
+            ))
+        };
+        if let Some(tables) = &self.tables {
+            if tables.num_devices() != devices {
+                return Err(wrong("the Q-table index", tables.num_devices())
+                    .at("index")
+                    .at("tables"));
+            }
+        }
+        for (i, (_, p)) in self.pending.iter().enumerate() {
+            if p.per_device.len() != devices {
+                return Err(wrong("the pending round", p.per_device.len())
+                    .at("per_device")
+                    .at(&format!("pending[{i}]")));
+            }
+        }
         Ok(())
     }
 }

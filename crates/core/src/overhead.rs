@@ -4,7 +4,23 @@
 //! (496.8 µs), selecting participants/targets (10.5 µs), computing the
 //! reward (2.1 µs) and updating the Q-tables (22.1 µs), plus 80 MB of
 //! Q-table memory for 200 devices. [`Overhead`] collects the same
-//! breakdown from the live controller.
+//! breakdown from the live controller (`crate::controller`):
+//!
+//! - **observe**: the global state and every device's local state, one
+//!   conditions read per device (plus, on the first round, the Q-table
+//!   set-up and the reward scales);
+//! - **select**: finding or creating the Q-table row of every eligible
+//!   device, scoring it, the top-K cut, the per-device ε-greedy action
+//!   and the pace clamp — or, in an exploring round, the random draw;
+//! - **reward**: Eq. (5)–(7), once for the idle devices and once for
+//!   each device the round's feedback names;
+//! - **update**: the rows of the devices `select` did not score (it
+//!   hands the others over as row handles), then one Q-update per
+//!   device in id order.
+//!
+//! The memory figure, `AutoFl::memory_bytes`, is what the Q-table arena
+//! has allocated (`crate::qtable::QTableSet::memory_bytes`), not a
+//! per-row estimate.
 
 use std::time::Duration;
 

@@ -218,6 +218,16 @@ pub trait Selector {
             ))),
         }
     }
+
+    /// Checks state restored by [`Selector::state_restore`] against the
+    /// fleet of `devices` devices the run resumes on, which the restore
+    /// itself does not see: a checkpoint can pass its digest and still
+    /// hold per-device state of the wrong length. Runs after every
+    /// restore; the default accepts anything.
+    fn check_restored(&self, devices: usize) -> Result<(), serde::Error> {
+        let _ = devices;
+        Ok(())
+    }
 }
 
 /// Deterministic partial top-`k` selection: truncates `items` to the `k`

@@ -572,6 +572,7 @@ impl<'p> ExperimentRun<'p> {
         self.records = serde::field(payload, "records")?;
         self.selector
             .state_restore(serde::field_or_null(payload, "selector"))
+            .and_then(|()| self.selector.check_restored(self.sim.fleet().len()))
             .map_err(|e| e.at("selector"))?;
         let controller: Option<ControllerState> = serde::field(payload, "controller")?;
         match (&mut self.controller, controller) {

@@ -9,7 +9,8 @@
 
 mod common;
 
-use autofl_core::policy::standard_registry;
+use autofl_core::policy::{standard_registry, AutoFlPolicy};
+use autofl_core::{AutoFlConfig, QSharing};
 use autofl_fed::engine::{RoundRecord, SimConfig};
 use autofl_fed::fabric::{LinkModel, NetworkFabric};
 use autofl_fed::fleet::FleetDynamics;
@@ -23,6 +24,10 @@ use common::fnv1a_hex;
 
 /// The golden file of checkpoint-file digests, keyed by run label.
 const CHECKPOINT_DIGESTS: &str = "tests/specs/checkpoint_digests.json";
+
+/// The golden file of AutoFL run digests (trace plus learned state) for
+/// the controller configurations the other goldens leave out.
+const AUTOFL_DIGESTS: &str = "tests/specs/autofl_digests.json";
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
 /// previous value afterwards (same idiom as tests/determinism.rs: thread
@@ -154,17 +159,25 @@ fn entry<'v>(value: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json:
 }
 
 /// A checkpoint can pass its digest and still be inconsistent. Steps a
-/// pipelined buffered run once (two cohorts dispatched, one still in
-/// flight), lets `corrupt` edit its scheduler state, re-envelopes the
-/// payload so the digest matches, and returns the error resuming yields —
-/// resume must refuse the state instead of panicking in a later step.
-fn resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> String {
+/// pipelined buffered run of `policy` for `records` records (two cohorts
+/// dispatched, one still in flight), lets `corrupt` edit its payload,
+/// re-envelopes the payload so the digest matches, and returns the error
+/// resuming yields — resume must refuse the state instead of panicking
+/// in a later step.
+fn corrupted_resume_error(
+    label: &str,
+    policy: &dyn Policy,
+    records: usize,
+    corrupt: impl FnOnce(&mut serde_json::Value),
+) -> String {
     let mut config = full_config(29, 1);
     config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
-    let mut run = ExperimentRun::new(&config, &RandomPolicy, None).expect("config validates");
-    run.step().expect("no observers").expect("a first record");
+    let mut run = ExperimentRun::new(&config, policy, None).expect("config validates");
+    for _ in 0..records {
+        run.step().expect("no observers").expect("a record");
+    }
     let mut payload = run.state_snapshot();
-    corrupt(entry(entry(&mut payload, "sim"), "scheduler"));
+    corrupt(&mut payload);
 
     let dir = std::env::temp_dir().join(format!("autofl-ckpt-{label}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
@@ -172,9 +185,36 @@ fn resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> St
     write_checkpoint(&path, payload).expect("checkpoint writes");
     let payload = read_checkpoint(&path).expect("the digest still matches");
     std::fs::remove_dir_all(&dir).unwrap();
-    ExperimentRun::resume(&config, &RandomPolicy, None, &payload)
-        .expect_err("an inconsistent scheduler must not resume")
+    ExperimentRun::resume(&config, policy, None, &payload)
+        .expect_err("an inconsistent checkpoint must not resume")
         .to_string()
+}
+
+/// [`corrupted_resume_error`] of a FedAvg-Random run after one record,
+/// with `corrupt` editing its scheduler state.
+fn resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> String {
+    corrupted_resume_error(label, &RandomPolicy, 1, |payload| {
+        corrupt(entry(entry(payload, "sim"), "scheduler"))
+    })
+}
+
+/// [`corrupted_resume_error`] of an AutoFL run after three records, with
+/// `corrupt` editing its selector state (`tiny_test`: 12 devices).
+fn selector_resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> String {
+    let registry = standard_registry();
+    corrupted_resume_error(label, registry.expect("AutoFL"), 3, |payload| {
+        corrupt(entry(payload, "selector"))
+    })
+}
+
+/// Cuts the sequence `value` to `len` items, or extends it with copies
+/// of its last item.
+fn resize(value: &mut serde_json::Value, len: usize) {
+    let serde_json::Value::Seq(items) = value else {
+        panic!("expected a sequence, found {}", value.kind());
+    };
+    let last = items.last().expect("a non-empty sequence").clone();
+    items.resize(len, last);
 }
 
 #[test]
@@ -205,6 +245,34 @@ fn resume_rejects_a_participant_outside_the_fleet() {
         participants[0] = serde_json::Value::UInt(12);
     });
     assert!(err.contains("outside the 12-device fleet"), "{err}");
+}
+
+#[test]
+fn resume_rejects_selector_state_that_does_not_fit_the_fleet() {
+    // `tiny_test` fleets hold devices 0..12; resuming any of these used
+    // to succeed, and the short ones panicked in a later step.
+    for (label, len) in [("index-short", 3), ("index-long", 13)] {
+        let err = selector_resume_error(label, |selector| {
+            resize(entry(entry(selector, "tables"), "index"), len);
+        });
+        let expected = format!(
+            "selector.tables.index: the Q-table index covers {len} devices but the fleet has 12"
+        );
+        assert!(err.contains(&expected), "{err}");
+    }
+    let err = selector_resume_error("pending-short", |selector| {
+        let serde_json::Value::Seq(pending) = entry(selector, "pending") else {
+            panic!("pending is a sequence");
+        };
+        assert!(!pending.is_empty(), "a cohort is in flight");
+        resize(entry(&mut pending[0], "per_device"), 2);
+    });
+    assert!(
+        err.contains(
+            "selector.pending[0].per_device: the pending round covers 2 devices but the fleet has 12"
+        ),
+        "{err}"
+    );
 }
 
 #[test]
@@ -327,4 +395,125 @@ fn readers_check_the_canonical_payload_not_the_file_bytes() {
     let err = read_checkpoint(&path).expect_err("a flipped payload byte must be rejected");
     assert!(err.to_string().contains("digest mismatch"), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The text `AUTOFL_DIGESTS` pins of one AutoFL run: its trace, then its
+/// `state_snapshot` text after record `mid` (with cohorts in flight, so
+/// pending rounds land in it) and after the last record. Q-tables,
+/// pending rounds, agent RNG and the `reward_history` bits are all in
+/// the snapshots. Also asserts that a run resumed from the mid-run
+/// snapshot ends on the same trace and snapshot.
+fn autofl_pinned_text(config: &SimConfig, policy: &dyn Policy, mid: usize) -> String {
+    let snapshot_text = |run: &ExperimentRun| {
+        serde_json::to_string(&run.state_snapshot()).expect("snapshot serializes")
+    };
+    let mut run = ExperimentRun::new(config, policy, None).expect("config validates");
+    for _ in 0..mid {
+        run.step()
+            .expect("no observers")
+            .expect("the snapshot point is before the end of the run");
+    }
+    let payload = run.state_snapshot();
+    let mid_text = serde_json::to_string(&payload).expect("snapshot serializes");
+    while run.step().expect("no observers").is_some() {}
+    let end_text = snapshot_text(&run);
+
+    let mut resumed =
+        ExperimentRun::resume(config, policy, None, &payload).expect("snapshot restores");
+    while resumed.step().expect("no observers").is_some() {}
+    assert!(
+        trace(resumed.records()) == trace(run.records()) && snapshot_text(&resumed) == end_text,
+        "resuming after record {mid} diverged"
+    );
+    trace(run.records()) + &mid_text + "\n" + &end_text
+}
+
+#[test]
+fn autofl_configurations_are_pinned() {
+    // Owns `AUTOFL_DIGESTS`. Every case pipelines two buffered cohorts
+    // under realistic fleet dynamics. Under `SharedPerTier` the order in
+    // which devices first touch a shared row fixes its random initial
+    // Q-values, so the pin covers row-creation order across devices.
+    let case = |devices: usize, shards: usize, seed: u64| {
+        let mut config = full_config(seed, shards);
+        config.num_devices = devices;
+        config.max_rounds = 24;
+        config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+        config
+    };
+    let cases = [
+        (
+            "SharedPerTier",
+            AutoFlConfig {
+                sharing: QSharing::SharedPerTier,
+                ..Default::default()
+            },
+        ),
+        (
+            "dvfs off",
+            AutoFlConfig {
+                dvfs_enabled: false,
+                ..Default::default()
+            },
+        ),
+        (
+            "epsilon_decay=0.9",
+            AutoFlConfig {
+                epsilon_decay: 0.9,
+                ..Default::default()
+            },
+        ),
+        (
+            // Every round explores: rows are created only by updates.
+            "epsilon=1",
+            AutoFlConfig {
+                epsilon: 1.0,
+                ..Default::default()
+            },
+        ),
+        (
+            "epsilon=0",
+            AutoFlConfig {
+                epsilon: 0.0,
+                ..Default::default()
+            },
+        ),
+    ];
+    let mut entries = Vec::new();
+    for (seed, (label, agent)) in (61..).zip(cases) {
+        let policy = AutoFlPolicy::with_config(agent);
+        let text = autofl_pinned_text(&case(48, 2, seed), &policy, 9);
+        entries.push((
+            format!("AutoFL {label}"),
+            serde_json::Value::Str(fnv1a_hex(text.as_bytes())),
+        ));
+    }
+    let policy = AutoFlPolicy::paper_default();
+    let large = case(4_000, 16, 67);
+    let t1 = with_threads(1, || {
+        fnv1a_hex(autofl_pinned_text(&large, &policy, 9).as_bytes())
+    });
+    let t4 = with_threads(4, || {
+        fnv1a_hex(autofl_pinned_text(&large, &policy, 9).as_bytes())
+    });
+    assert_eq!(t1, t4, "4000-device AutoFL differs between 1 and 4 threads");
+    entries.push((
+        "AutoFL 4000 devices 16 shards".to_string(),
+        serde_json::Value::Str(t1),
+    ));
+
+    let text = serde_json::to_string_pretty(&serde_json::Value::Map(entries))
+        .expect("digests serialize")
+        + "\n";
+    if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
+        std::fs::write(AUTOFL_DIGESTS, &text).expect("write AutoFL digests");
+        return;
+    }
+    let golden = std::fs::read_to_string(AUTOFL_DIGESTS)
+        .unwrap_or_else(|e| panic!("{AUTOFL_DIGESTS}: {e} (AUTOFL_REGEN_SPECS=1 to create)"));
+    assert_eq!(
+        golden, text,
+        "{AUTOFL_DIGESTS} is stale or not canonical \
+         (AUTOFL_REGEN_SPECS=1 to regenerate intentionally)"
+    );
 }
