@@ -23,7 +23,8 @@
 //! checkpoint/resume cleanly — see `docs/serving.md`).
 
 use autofl_fed::engine::{SimConfig, Simulation};
-use autofl_fed::policy::{Policy, RandomPolicy};
+use autofl_fed::policy::Policy;
+use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{ConvergeTarget, ExperimentRun};
 use autofl_nn::zoo::Workload;
 
@@ -57,7 +58,7 @@ struct Row {
 
 fn run_row(config: &SimConfig, control: Option<ConvergeTarget>, label: &str) -> Row {
     let mut run =
-        ExperimentRun::new(config, &RandomPolicy, control).expect("tune sweep config validates");
+        ExperimentRun::new(config, &RandomSelector, control).expect("tune sweep config validates");
     while run.step().expect("no observers attached").is_some() {}
     let final_k = run.params().num_participants;
     let result = run.into_result();
@@ -87,7 +88,7 @@ fn main() {
         base.num_devices,
         base.params.num_participants,
         base.max_rounds,
-        RandomPolicy.name(),
+        RandomSelector.name(),
     );
 
     let baseline = run_row(&base, None, "uncontrolled");

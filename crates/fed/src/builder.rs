@@ -55,6 +55,14 @@ pub enum ConfigError {
     ZeroGlobalParam,
     /// Devices hold no training samples.
     NoSamples,
+    /// A device's per-round training work — `E × samples_per_device ×`
+    /// the workload's training FLOPs per sample — overflows `u64`.
+    LocalWorkOverflow {
+        /// Local epochs `E`.
+        local_epochs: usize,
+        /// Training samples per device.
+        samples_per_device: usize,
+    },
     /// No held-out test samples.
     NoTestSamples,
     /// The horizon is zero rounds.
@@ -170,6 +178,14 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "global parameters (B, E, K) must all be positive")
             }
             ConfigError::NoSamples => write!(f, "samples_per_device must be positive"),
+            ConfigError::LocalWorkOverflow {
+                local_epochs,
+                samples_per_device,
+            } => write!(
+                f,
+                "E = {local_epochs} local epochs over {samples_per_device} samples per \
+                 device overflow the per-round training FLOP count"
+            ),
             ConfigError::NoTestSamples => write!(f, "test_samples must be positive"),
             ConfigError::NoRounds => write!(f, "max_rounds must be positive"),
             ConfigError::NoShards => write!(f, "shards must be positive (1 = unsharded)"),
@@ -312,6 +328,17 @@ impl SimConfig {
         }
         if self.samples_per_device == 0 {
             return Err(ConfigError::NoSamples);
+        }
+        // Every device holds `samples_per_device` samples, so this is the
+        // largest product `RoundContext::task_for` forms.
+        let work = (self.params.local_epochs as u64)
+            .checked_mul(self.samples_per_device as u64)
+            .and_then(|w| w.checked_mul(self.workload.reference_training_flops_per_sample()));
+        if work.is_none() {
+            return Err(ConfigError::LocalWorkOverflow {
+                local_epochs: self.params.local_epochs,
+                samples_per_device: self.samples_per_device,
+            });
         }
         if self.test_samples == 0 {
             return Err(ConfigError::NoTestSamples);

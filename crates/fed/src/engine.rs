@@ -8,7 +8,7 @@ use crate::adversary::{AdversaryConfig, AdversaryRole};
 use crate::algorithms::AggregationAlgorithm;
 use crate::conditions::ConditionsView;
 use crate::estimate::participant_costs;
-use crate::fabric::{NetworkFabric, RoundNetStats, UpdateCodec};
+use crate::fabric::{NetworkFabric, RoundNetStats};
 use crate::fleet::{AvailabilityView, FleetDynamics, FleetStore, ShardBin, StragglerPolicy};
 use crate::global::GlobalParams;
 use crate::selection::{RoundContext, RoundFeedback, SelectionDecision, Selector};
@@ -820,11 +820,10 @@ impl Simulation {
         // 2b. Fabric codec: the uplink carries the *encoded* update, so
         // the communication time/energy path (Eq. 3) prices the exact
         // encoded byte count and compression savings flow into PPW.
-        let codec: Option<Box<dyn UpdateCodec>> =
-            self.config.network.as_ref().map(|f| f.build_codec());
+        let network = self.config.network.as_ref();
         let model_params = (self.config.workload.reference_model_bytes() / 4) as usize;
-        let encoded_bytes = codec.as_ref().map(|c| c.encoded_bytes(model_params, round));
-        let codec_fidelity = codec.as_ref().map_or(1.0, |c| c.fidelity(round));
+        let encoded_bytes = network.map(|f| f.encoded_bytes(model_params, round));
+        let codec_fidelity = network.map_or(1.0, |f| f.fidelity(round));
         if let Some(bytes) = encoded_bytes {
             for task in &mut self.scratch.tasks {
                 task.upload_bytes = bytes;
@@ -1265,8 +1264,9 @@ impl Simulation {
     /// Restores the state captured by [`Simulation::state_snapshot`] onto
     /// a freshly built simulation of the *same* [`SimConfig`]. After
     /// this, continuing the run reproduces the uninterrupted run bit for
-    /// bit (pinned in `tests/checkpoint.rs`). A scheduler state that is
-    /// inconsistent with itself or the fleet is an error, not a later
+    /// bit (pinned in `tests/checkpoint.rs`). Parameters the config's
+    /// [`SimConfig::validate`] rejects, or a scheduler state that is
+    /// inconsistent with itself or the fleet, are an error, not a later
     /// panic.
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         let rng_words: Vec<u64> = serde::field(value, "rng")?;
@@ -1275,6 +1275,9 @@ impl Simulation {
             .map_err(|_| serde::Error::custom("engine rng state must have 4 words").at("rng"))?;
         self.rng = SmallRng::from_state(rng_state);
         self.config.params = serde::field(value, "params")?;
+        self.config
+            .validate()
+            .map_err(|e| serde::Error::custom(e.to_string()).at("params"))?;
         self.engine
             .state_restore(serde::field_or_null(value, "engine"))
             .map_err(|e| e.at("engine"))?;

@@ -195,10 +195,9 @@ impl PartitionSchedule {
 
 /// The serializable codec selection of a [`NetworkFabric`].
 ///
-/// This flat enum is the spec-file surface; [`NetworkFabric::build_codec`]
-/// lowers it (plus [`NetworkFabric::full_sync_every`]) into the
-/// [`UpdateCodec`] object the engine drives, including the
-/// [`PeriodicFullSync`] composition.
+/// Together with [`NetworkFabric::full_sync_every`] this is the whole
+/// codec: [`NetworkFabric::encoded_bytes`], [`NetworkFabric::fidelity`]
+/// and [`NetworkFabric::transcode`] each match on it, sync rounds first.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum CodecSpec {
     /// No compression: full float32 deltas.
@@ -286,23 +285,75 @@ impl NetworkFabric {
         self
     }
 
-    /// Lowers the serialized codec selection into the [`UpdateCodec`]
-    /// object the engine drives, wrapping it in [`PeriodicFullSync`] when
-    /// `full_sync_every` is set.
-    pub fn build_codec(&self) -> Box<dyn UpdateCodec> {
-        let inner: Box<dyn UpdateCodec> = match self.codec {
-            CodecSpec::Identity => Box::new(IdentityCodec),
-            CodecSpec::TopK { k_frac } => Box::new(TopK { k_frac }),
-            CodecSpec::Int8Quant => Box::new(Int8Quant),
-            CodecSpec::TopKInt8 { k_frac } => Box::new(TopKInt8 { k_frac }),
-        };
-        match self.full_sync_every {
-            Some(every) => Box::new(PeriodicFullSync {
-                every: every.max(1),
-                inner,
-            }),
-            None => inner,
+    /// Whether `round` is a full-precision sync round: a round index
+    /// divisible by [`NetworkFabric::full_sync_every`]. Never, without a
+    /// full-sync cadence.
+    pub fn is_sync_round(&self, round: usize) -> bool {
+        self.full_sync_every
+            .is_some_and(|every| round % every.max(1) == 0)
+    }
+
+    /// Uplink bytes of one encoded update with `params` coordinates in
+    /// round `round` — the *exact* payload size wired into the Eq. 3
+    /// communication time/energy path. Sync rounds and the identity codec
+    /// send 4 bytes per coordinate.
+    pub fn encoded_bytes(&self, params: usize, round: usize) -> u64 {
+        if self.is_sync_round(round) {
+            return 4 * params as u64;
         }
+        match self.codec {
+            CodecSpec::Identity => 4 * params as u64,
+            CodecSpec::TopK { k_frac } => 8 * top_k_count(k_frac, params) as u64,
+            CodecSpec::Int8Quant => params as u64 + 4,
+            CodecSpec::TopKInt8 { k_frac } => 5 * top_k_count(k_frac, params) as u64 + 4,
+        }
+    }
+
+    /// The surrogate's calibrated update-quality multiplier in `(0, 1]`
+    /// for round `round`, applied to survivor update fractions before
+    /// aggregation under `Fidelity::Surrogate`. Exactly `1.0` for
+    /// lossless rounds, so the multiplication passes fractions through
+    /// bit-unchanged.
+    pub fn fidelity(&self, round: usize) -> f64 {
+        if self.is_sync_round(round) {
+            return 1.0;
+        }
+        // Top-k is calibrated so 10 % costs ~1pp of plateau accuracy on
+        // the surrogate — consistent with the near-baseline accuracy
+        // top-k sparsification reaches in practice at these densities.
+        // Stochastic rounding is unbiased, so int8 charges only the added
+        // quantization variance.
+        match self.codec {
+            CodecSpec::Identity => 1.0,
+            CodecSpec::TopK { k_frac } => k_frac.clamp(0.0, 1.0).powf(0.08),
+            CodecSpec::Int8Quant => 0.99,
+            CodecSpec::TopKInt8 { k_frac } => 0.99 * k_frac.clamp(0.0, 1.0).powf(0.08),
+        }
+    }
+
+    /// Applies the codec's encode→decode round trip to `delta` in place,
+    /// the real transport applied to model deltas under
+    /// `Fidelity::RealTraining`. `rng` is the device's tagged
+    /// `TAG_CODEC` stream; sync rounds leave `delta` untouched.
+    pub fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng) {
+        if self.is_sync_round(round) {
+            return;
+        }
+        match self.codec {
+            CodecSpec::Identity => {}
+            CodecSpec::TopK { k_frac } => sparsify_top_k(delta, top_k_count(k_frac, delta.len())),
+            CodecSpec::Int8Quant => int8_round_trip(delta, rng),
+            CodecSpec::TopKInt8 { k_frac } => {
+                sparsify_top_k(delta, top_k_count(k_frac, delta.len()));
+                int8_round_trip(delta, rng);
+            }
+        }
+    }
+
+    /// The fabric as a boxed [`UpdateCodec`], for the real-training
+    /// engine's per-delta transcode.
+    pub fn build_codec(&self) -> Box<dyn UpdateCodec> {
+        Box::new(self.clone())
     }
 }
 
@@ -318,60 +369,24 @@ pub(crate) fn codec_stream(seed: u64, round: usize, id: usize) -> SmallRng {
     SmallRng::seed_from_u64(device_stream_seed(seed, TAG_CODEC, round as u64, id))
 }
 
-/// A communication-efficient update transform.
+/// A communication-efficient update transform: the encode→decode round
+/// trip of [`NetworkFabric::transcode`] behind a trait object.
 ///
-/// Three views of one codec, kept consistent by the proptests in
-/// `tests/network_fabric.rs`:
-///
-/// * [`UpdateCodec::encoded_bytes`] — the *exact* uplink payload size,
-///   wired into the Eq. 3 communication time/energy path;
-/// * [`UpdateCodec::transcode`] — the real encode→decode round trip
-///   applied to model deltas under `Fidelity::RealTraining`;
-/// * [`UpdateCodec::fidelity`] — the surrogate's calibrated
-///   update-quality multiplier (1.0 = lossless), applied to survivor
-///   update fractions before aggregation under `Fidelity::Surrogate`.
-pub trait UpdateCodec: Send + Sync {
-    /// Codec name for reports.
-    fn name(&self) -> &'static str;
-
-    /// Uplink bytes of one encoded update with `params` coordinates in
-    /// round `round`.
-    fn encoded_bytes(&self, params: usize, round: usize) -> u64;
-
-    /// The surrogate update-quality multiplier in `(0, 1]` for round
-    /// `round`. Exactly `1.0` for lossless rounds, so the multiplication
-    /// passes fractions through bit-unchanged.
-    fn fidelity(&self, round: usize) -> f64;
-
+/// [`NetworkFabric`] is its one implementation. The trait stays so that
+/// [`crate::accuracy::RealTrainingEngine::new`] and external harnesses
+/// (the perfbench timing harness) can hold the codec as a
+/// `Box<dyn UpdateCodec>`; byte counts and surrogate fidelity are plain
+/// [`NetworkFabric`] methods.
+pub trait UpdateCodec: Send + Sync + std::fmt::Debug {
     /// Applies the encode→decode round trip to `delta` in place.
     /// `rng` is the device's tagged `TAG_CODEC` stream.
     fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng);
 }
 
-impl std::fmt::Debug for dyn UpdateCodec {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "UpdateCodec({})", self.name())
+impl UpdateCodec for NetworkFabric {
+    fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng) {
+        NetworkFabric::transcode(self, delta, round, rng);
     }
-}
-
-/// The no-compression codec: 4 bytes per coordinate, lossless.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct IdentityCodec;
-
-impl UpdateCodec for IdentityCodec {
-    fn name(&self) -> &'static str {
-        "identity"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        4 * params as u64
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        1.0
-    }
-
-    fn transcode(&self, _delta: &mut [f32], _round: usize, _rng: &mut SmallRng) {}
 }
 
 /// Number of coordinates a top-k codec keeps: `round(k_frac × params)`,
@@ -439,134 +454,6 @@ fn int8_round_trip(delta: &mut [f32], rng: &mut SmallRng) {
     }
 }
 
-/// Top-k sparsification: keep the `k_frac` largest-magnitude
-/// coordinates. 8 bytes per survivor (u32 index + f32 value).
-#[derive(Debug, Clone, Copy)]
-pub struct TopK {
-    /// Fraction of coordinates kept, in `(0, 1]`.
-    pub k_frac: f64,
-}
-
-impl UpdateCodec for TopK {
-    fn name(&self) -> &'static str {
-        "top-k"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        8 * top_k_count(self.k_frac, params) as u64
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        // Calibrated so TopK(10%) costs ~1pp of plateau accuracy on the
-        // surrogate — consistent with the near-baseline accuracy top-k
-        // sparsification reaches in practice at these densities.
-        self.k_frac.clamp(0.0, 1.0).powf(0.08)
-    }
-
-    fn transcode(&self, delta: &mut [f32], _round: usize, _rng: &mut SmallRng) {
-        sparsify_top_k(delta, top_k_count(self.k_frac, delta.len()));
-    }
-}
-
-/// QSGD-style int8 quantization with stochastic rounding. One byte per
-/// coordinate plus a 4-byte scale.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Int8Quant;
-
-impl UpdateCodec for Int8Quant {
-    fn name(&self) -> &'static str {
-        "int8"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        params as u64 + 4
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        // Stochastic rounding is unbiased; the surrogate charges only the
-        // added quantization variance.
-        0.99
-    }
-
-    fn transcode(&self, delta: &mut [f32], _round: usize, rng: &mut SmallRng) {
-        int8_round_trip(delta, rng);
-    }
-}
-
-/// Top-k sparsification followed by int8 quantization of the survivors:
-/// 5 bytes per survivor (u32 index + i8 value) plus a 4-byte scale.
-#[derive(Debug, Clone, Copy)]
-pub struct TopKInt8 {
-    /// Fraction of coordinates kept, in `(0, 1]`.
-    pub k_frac: f64,
-}
-
-impl UpdateCodec for TopKInt8 {
-    fn name(&self) -> &'static str {
-        "top-k+int8"
-    }
-
-    fn encoded_bytes(&self, params: usize, _round: usize) -> u64 {
-        5 * top_k_count(self.k_frac, params) as u64 + 4
-    }
-
-    fn fidelity(&self, _round: usize) -> f64 {
-        0.99 * self.k_frac.clamp(0.0, 1.0).powf(0.08)
-    }
-
-    fn transcode(&self, delta: &mut [f32], _round: usize, rng: &mut SmallRng) {
-        sparsify_top_k(delta, top_k_count(self.k_frac, delta.len()));
-        int8_round_trip(delta, rng);
-    }
-}
-
-/// Periodic full-sync composition: every `every`-th round (round index
-/// divisible by `every`) uploads the full-precision update; other rounds
-/// delegate to `inner`. Bounds compression drift the way periodic
-/// synchronization does in communication-efficient FL systems.
-#[derive(Debug)]
-pub struct PeriodicFullSync {
-    /// Full-sync period in rounds (≥ 1).
-    pub every: usize,
-    /// The codec used on non-sync rounds.
-    pub inner: Box<dyn UpdateCodec>,
-}
-
-impl PeriodicFullSync {
-    /// Whether `round` is a full-precision sync round.
-    pub fn is_sync_round(&self, round: usize) -> bool {
-        round % self.every.max(1) == 0
-    }
-}
-
-impl UpdateCodec for PeriodicFullSync {
-    fn name(&self) -> &'static str {
-        "periodic-full-sync"
-    }
-
-    fn encoded_bytes(&self, params: usize, round: usize) -> u64 {
-        if self.is_sync_round(round) {
-            4 * params as u64
-        } else {
-            self.inner.encoded_bytes(params, round)
-        }
-    }
-
-    fn fidelity(&self, round: usize) -> f64 {
-        if self.is_sync_round(round) {
-            1.0
-        } else {
-            self.inner.fidelity(round)
-        }
-    }
-
-    fn transcode(&self, delta: &mut [f32], round: usize, rng: &mut SmallRng) {
-        if !self.is_sync_round(round) {
-            self.inner.transcode(delta, round, rng);
-        }
-    }
-}
-
 /// Per-round network accounting carried on
 /// [`crate::engine::RoundRecord::net`] when a fabric is attached.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
@@ -594,9 +481,14 @@ mod tests {
         SmallRng::seed_from_u64(seed)
     }
 
+    /// An ideal-link fabric compressing every round with `codec`.
+    fn fabric(codec: CodecSpec) -> NetworkFabric {
+        NetworkFabric::ideal().with_codec(codec)
+    }
+
     #[test]
     fn top_k_keeps_exactly_k_largest_magnitudes() {
-        let codec = TopK { k_frac: 0.4 };
+        let codec = fabric(CodecSpec::TopK { k_frac: 0.4 });
         let mut delta = vec![0.1f32, -3.0, 0.2, 2.0, -0.05];
         codec.transcode(&mut delta, 0, &mut rng(1));
         assert_eq!(delta, vec![0.0, -3.0, 0.0, 2.0, 0.0]);
@@ -623,26 +515,24 @@ mod tests {
     #[test]
     fn encoded_bytes_are_exact() {
         let params = 1_000_000;
-        assert_eq!(IdentityCodec.encoded_bytes(params, 3), 4_000_000);
-        assert_eq!(TopK { k_frac: 0.1 }.encoded_bytes(params, 3), 800_000);
-        assert_eq!(Int8Quant.encoded_bytes(params, 3), 1_000_004);
-        assert_eq!(TopKInt8 { k_frac: 0.1 }.encoded_bytes(params, 3), 500_004);
+        let bytes = |codec| fabric(codec).encoded_bytes(params, 3);
+        assert_eq!(bytes(CodecSpec::Identity), 4_000_000);
+        assert_eq!(bytes(CodecSpec::TopK { k_frac: 0.1 }), 800_000);
+        assert_eq!(bytes(CodecSpec::Int8Quant), 1_000_004);
+        assert_eq!(bytes(CodecSpec::TopKInt8 { k_frac: 0.1 }), 500_004);
     }
 
     #[test]
     fn top_k_at_ten_percent_is_at_least_five_x() {
         let params = 1_663_370; // CnnMnist reference model / 4 bytes
-        let full = IdentityCodec.encoded_bytes(params, 0) as f64;
-        let topk = TopK { k_frac: 0.1 }.encoded_bytes(params, 0) as f64;
+        let full = NetworkFabric::ideal().encoded_bytes(params, 0) as f64;
+        let topk = fabric(CodecSpec::TopK { k_frac: 0.1 }).encoded_bytes(params, 0) as f64;
         assert!(full / topk >= 5.0, "reduction {}", full / topk);
     }
 
     #[test]
     fn periodic_full_sync_composes() {
-        let codec = PeriodicFullSync {
-            every: 4,
-            inner: Box::new(TopK { k_frac: 0.25 }),
-        };
+        let codec = fabric(CodecSpec::TopK { k_frac: 0.25 }).with_full_sync(4);
         assert_eq!(codec.encoded_bytes(100, 0), 400);
         assert_eq!(codec.encoded_bytes(100, 1), 8 * 25);
         assert_eq!(codec.encoded_bytes(100, 4), 400);
@@ -659,9 +549,18 @@ mod tests {
             .with_codec(CodecSpec::TopK { k_frac: 0.1 })
             .with_full_sync(10);
         let codec = fabric.build_codec();
-        assert_eq!(codec.name(), "periodic-full-sync");
-        assert_eq!(codec.encoded_bytes(1000, 0), 4000);
-        assert_eq!(codec.encoded_bytes(1000, 5), 800);
+        let delta: Vec<f32> = (1..=20).map(|i| i as f32).collect();
+        for round in [0, 10, 20] {
+            let mut synced = delta.clone();
+            codec.transcode(&mut synced, round, &mut rng(1));
+            assert_eq!(synced, delta, "sync round {round} is lossless");
+        }
+        for round in [1, 5, 19] {
+            let mut sparse = delta.clone();
+            codec.transcode(&mut sparse, round, &mut rng(1));
+            let kept: Vec<usize> = (0..sparse.len()).filter(|&i| sparse[i] != 0.0).collect();
+            assert_eq!(kept, [18, 19], "round {round} keeps the top 10 %");
+        }
     }
 
     #[test]
@@ -704,8 +603,11 @@ mod tests {
 
     #[test]
     fn codec_fidelity_is_exactly_one_for_identity() {
-        assert_eq!(IdentityCodec.fidelity(17).to_bits(), 1.0f64.to_bits());
-        let f = TopK { k_frac: 0.1 }.fidelity(0);
+        assert_eq!(
+            NetworkFabric::ideal().fidelity(17).to_bits(),
+            1.0f64.to_bits()
+        );
+        let f = fabric(CodecSpec::TopK { k_frac: 0.1 }).fidelity(0);
         assert!(f > 0.7 && f < 1.0, "fidelity {f}");
     }
 }

@@ -227,7 +227,8 @@ const TAG_DROP: u64 = 0xd109;
 const TAG_SHADOW: u64 = 0x5ad0;
 /// Per-device link draws (latency + message loss) of the network fabric.
 pub(crate) const TAG_NET: u64 = 0x7e70;
-/// Stochastic-rounding streams of the update codecs (`Int8Quant`).
+/// Stochastic-rounding streams of the int8 update codecs
+/// (`CodecSpec::Int8Quant`, `CodecSpec::TopKInt8`).
 pub(crate) const TAG_CODEC: u64 = 0xc0de;
 /// Adversary subsystem streams: role assignment (round key 0) and
 /// per-round misbehaviour draws (round key `round + 1`) — see
@@ -440,7 +441,8 @@ impl FleetStore {
 
     /// Restores state captured by [`FleetStore::state_snapshot`] onto a
     /// store freshly built from the same config (same fleet size and
-    /// shard count).
+    /// shard count). Every per-device column of a shard must cover the
+    /// shard's extent.
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         let len: usize = serde::field(value, "len")?;
         let shards: Vec<FleetShard> = serde::field(value, "shards")?;
@@ -453,11 +455,25 @@ impl FleetStore {
                 shards.len()
             )));
         }
-        for (have, got) in self.shards.iter().zip(&shards) {
+        for (s, (have, got)) in self.shards.iter().zip(&shards).enumerate() {
             if have.offset != got.offset || have.len() != got.len() {
                 return Err(serde::Error::custom(
                     "fleet shard extents do not match the checkpoint",
                 ));
+            }
+            let columns = [
+                ("throttle", got.throttle.len()),
+                ("charging", got.charging.len()),
+                ("foreground", got.foreground.len()),
+                ("online", got.online.len()),
+                ("eligible", got.eligible.len()),
+            ];
+            if let Some((column, len)) = columns.iter().find(|(_, len)| *len != have.len()) {
+                return Err(serde::Error::custom(format!(
+                    "column `{column}` holds {len} devices but the shard covers {}",
+                    have.len()
+                ))
+                .at(&format!("shards[{s}]")));
             }
         }
         self.shards = shards;

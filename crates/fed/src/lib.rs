@@ -37,14 +37,16 @@
 //! * [`fabric`] — the opt-in network fabric between dispatch and
 //!   aggregation: per-device link latency/loss on tagged RNG streams,
 //!   scripted [`fabric::PartitionSchedule`]s, and communication-efficient
-//!   [`fabric::UpdateCodec`]s (top-k, int8/QSGD, periodic full-sync) with
-//!   exact byte accounting wired into the Eq. 3 comm-energy path.
+//!   update codecs ([`fabric::CodecSpec`]: top-k, int8/QSGD, optionally
+//!   with periodic full-sync) with exact byte accounting wired into the
+//!   Eq. 3 comm-energy path.
 //!
 //! The experiment-facing API layers on top:
 //!
 //! * [`builder`] — fluent, validating [`builder::SimBuilder`]
 //!   construction (`Simulation::builder(workload)…build()`).
-//! * [`policy`] — the open [`policy::Policy`] trait and the name-addressed
+//! * [`policy`] — the open [`policy::Policy`] trait (every stateless
+//!   selector is its own policy) and the name-addressed
 //!   [`policy::PolicyRegistry`] of baselines.
 //! * [`observe`] — [`observe::RoundObserver`] hooks with CSV/JSONL sinks
 //!   and live progress, attached through [`serve::ExperimentRun::finish`].
@@ -109,8 +111,8 @@ pub use builder::{ConfigError, SimBuilder};
 pub use clusters::CharacterizationCluster;
 pub use engine::{Fidelity, RoundRecord, SimConfig, SimResult, Simulation};
 pub use fabric::{
-    CodecSpec, IdentityCodec, Int8Quant, LinkModel, NetworkFabric, PartitionRule,
-    PartitionSchedule, PeriodicFullSync, RoundNetStats, TopK, TopKInt8, UpdateCodec,
+    CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule, RoundNetStats,
+    UpdateCodec,
 };
 pub use fleet::{
     survivor_weights, AvailabilityView, DeviceAvailability, FleetDynamics, FleetStore, ShardBin,
@@ -119,10 +121,7 @@ pub use fleet::{
 pub use global::GlobalParams;
 pub use observe::{CsvSink, JsonlSink, Progress, RoundObserver};
 pub use oracle::OracleSelector;
-pub use policy::{
-    baseline_registry, run_policy, ClusterPolicy, OraclePolicy, Policy, PolicyRegistry,
-    RandomPolicy, TunedPolicy,
-};
+pub use policy::{baseline_registry, run_policy, Policy, PolicyRegistry, TunedPolicy};
 pub use runtime::{staleness_weight, AsyncRuntime};
 pub use selection::{
     top_k_by, ClusterSelector, RandomSelector, RoundContext, RoundFeedback, SelectionDecision,

@@ -11,7 +11,7 @@
 //! use autofl_fed::engine::Simulation;
 //! use autofl_fed::global::GlobalParams;
 //! use autofl_fed::observe::{JsonlSink, RoundObserver};
-//! use autofl_fed::policy::RandomPolicy;
+//! use autofl_fed::selection::RandomSelector;
 //! use autofl_fed::serve::ExperimentRun;
 //! use autofl_nn::zoo::Workload;
 //!
@@ -21,7 +21,7 @@
 //!     .samples_per_device(24).test_samples(48)
 //!     .max_rounds(5).target_accuracy(1.1).seed(1)
 //!     .build_config().unwrap();
-//! let run = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+//! let run = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
 //! let result = run.finish(&mut [&mut sink]).unwrap();
 //! let lines = String::from_utf8(sink.into_inner()).unwrap();
 //! assert_eq!(lines.lines().count(), result.records.len());
@@ -216,7 +216,7 @@ impl RoundObserver for Progress {
 mod tests {
     use super::*;
     use crate::engine::{SimConfig, Simulation};
-    use crate::policy::{Policy, RandomPolicy};
+    use crate::policy::Policy;
     use crate::selection::{RandomSelector, Selector};
     use crate::serve::ExperimentRun;
     use std::sync::atomic::{AtomicUsize, Ordering};
@@ -242,7 +242,7 @@ mod tests {
     #[test]
     fn csv_sink_writes_header_and_one_row_per_round() {
         let mut sink = CsvSink::new(Vec::new());
-        let result = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap();
+        let result = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), result.records.len() + 1);
@@ -253,7 +253,7 @@ mod tests {
     #[test]
     fn jsonl_sink_rows_parse_back_to_records() {
         let mut sink = JsonlSink::new(Vec::new());
-        let result = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap();
+        let result = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap();
         let text = String::from_utf8(sink.into_inner()).unwrap();
         for (line, record) in text.lines().zip(&result.records) {
             let parsed: RoundRecord = serde_json::from_str(line).expect("JSONL line parses");
@@ -268,7 +268,7 @@ mod tests {
     fn observers_do_not_perturb_the_run() {
         let plain = Simulation::new(short_config()).run(&mut RandomSelector::new());
         let mut sink = CsvSink::new(Vec::new());
-        let observed = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap();
+        let observed = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap();
         assert_eq!(plain.records.len(), observed.records.len());
         for (a, b) in plain.records.iter().zip(&observed.records) {
             assert_eq!(a.participants, b.participants);
@@ -286,12 +286,13 @@ mod tests {
             }
         }
         let mut count = Count(0);
-        let result = observed(&SimConfig::tiny_test(1), &RandomPolicy, &mut [&mut count]).unwrap();
+        let result =
+            observed(&SimConfig::tiny_test(1), &RandomSelector, &mut [&mut count]).unwrap();
         assert!(result.converged());
         assert_eq!(count.0, 1);
 
         let mut count = Count(0);
-        let _ = observed(&short_config(), &RandomPolicy, &mut [&mut count]).unwrap();
+        let _ = observed(&short_config(), &RandomSelector, &mut [&mut count]).unwrap();
         assert_eq!(count.0, 0, "unreachable target must not fire on_converged");
     }
 
@@ -323,14 +324,14 @@ mod tests {
                 ok_bytes,
                 written: 0,
             });
-            let err = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap_err();
+            let err = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         }
         let mut sink = JsonlSink::new(FailingWriter {
             ok_bytes: 0,
             written: 0,
         });
-        let err = observed(&short_config(), &RandomPolicy, &mut [&mut sink]).unwrap_err();
+        let err = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 

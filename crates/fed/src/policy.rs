@@ -48,6 +48,21 @@ impl std::fmt::Debug for dyn Policy {
     }
 }
 
+/// A selector without learned state is its own policy: every run starts
+/// from a clone of it, reports under its [`Selector::name`] and keeps the
+/// configuration's `(B, E, K)`. The baselines register this way
+/// ([`baseline_registry`]); learning selectors such as AutoFL are not
+/// `Clone` and implement [`Policy`] on a factory type instead.
+impl<S: Selector + Clone + Send + Sync + 'static> Policy for S {
+    fn name(&self) -> &str {
+        Selector::name(self)
+    }
+
+    fn make_selector(&self) -> Box<dyn Selector> {
+        Box::new(self.clone())
+    }
+}
+
 /// Runs one policy on one configuration (applying its tuning hook) and
 /// labels the result with the policy's name: an uncontrolled
 /// [`ExperimentRun`] run to the end.
@@ -189,116 +204,6 @@ impl PolicyRegistry {
     }
 }
 
-/// The FedAvg baseline: uniform random selection at CPU-max.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RandomPolicy;
-
-impl Policy for RandomPolicy {
-    fn name(&self) -> &str {
-        "FedAvg-Random"
-    }
-
-    fn make_selector(&self) -> Box<dyn Selector> {
-        Box::new(RandomSelector::new())
-    }
-}
-
-/// A fixed Table 4 composition (C1–C7) as a policy.
-#[derive(Debug, Clone)]
-pub struct ClusterPolicy {
-    cluster: CharacterizationCluster,
-    label: &'static str,
-}
-
-impl ClusterPolicy {
-    /// A policy for any fixed cluster, named after it (`"C1"`…`"C7"`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cluster` is C0 (random has no fixed composition).
-    pub fn new(cluster: CharacterizationCluster) -> Self {
-        assert!(
-            cluster.base_composition().is_some(),
-            "C0 is the random baseline; use RandomPolicy"
-        );
-        ClusterPolicy {
-            cluster,
-            label: cluster.name(),
-        }
-    }
-
-    /// The `Performance` policy (all high-end devices, C1).
-    pub fn performance() -> Self {
-        ClusterPolicy {
-            label: "Performance",
-            ..ClusterPolicy::new(CharacterizationCluster::C1)
-        }
-    }
-
-    /// The `Power` policy (all low-end devices, C7).
-    pub fn power() -> Self {
-        ClusterPolicy {
-            label: "Power",
-            ..ClusterPolicy::new(CharacterizationCluster::C7)
-        }
-    }
-
-    /// The cluster this policy realises.
-    pub fn cluster(&self) -> CharacterizationCluster {
-        self.cluster
-    }
-}
-
-impl Policy for ClusterPolicy {
-    fn name(&self) -> &str {
-        self.label
-    }
-
-    fn make_selector(&self) -> Box<dyn Selector> {
-        Box::new(match self.label {
-            "Performance" => ClusterSelector::performance(),
-            "Power" => ClusterSelector::power(),
-            _ => ClusterSelector::new(self.cluster),
-        })
-    }
-}
-
-/// The oracle baselines `O_participant` and `O_FL`.
-#[derive(Debug, Clone, Copy)]
-pub struct OraclePolicy {
-    full: bool,
-}
-
-impl OraclePolicy {
-    /// Oracle participant selection at CPU-max.
-    pub fn participant() -> Self {
-        OraclePolicy { full: false }
-    }
-
-    /// Oracle participants plus execution targets and DVFS.
-    pub fn full() -> Self {
-        OraclePolicy { full: true }
-    }
-}
-
-impl Policy for OraclePolicy {
-    fn name(&self) -> &str {
-        if self.full {
-            "O_FL"
-        } else {
-            "O_participant"
-        }
-    }
-
-    fn make_selector(&self) -> Box<dyn Selector> {
-        Box::new(if self.full {
-            OracleSelector::full()
-        } else {
-            OracleSelector::participant()
-        })
-    }
-}
-
 /// Wraps another policy with fixed `(B, E, K)` overrides via the
 /// [`Policy::tune`] hook — the declarative way to express "this baseline,
 /// but run at S1" in a registry or spec file.
@@ -352,13 +257,13 @@ impl Policy for TunedPolicy {
 pub fn baseline_registry() -> PolicyRegistry {
     let mut registry = PolicyRegistry::new();
     registry
-        .register(Box::new(RandomPolicy))
-        .register(Box::new(ClusterPolicy::power()))
-        .register(Box::new(ClusterPolicy::performance()))
-        .register(Box::new(OraclePolicy::participant()))
-        .register(Box::new(OraclePolicy::full()));
+        .register(Box::new(RandomSelector::new()))
+        .register(Box::new(ClusterSelector::power()))
+        .register(Box::new(ClusterSelector::performance()))
+        .register(Box::new(OracleSelector::participant()))
+        .register(Box::new(OracleSelector::full()));
     for cluster in CharacterizationCluster::fixed() {
-        registry.register(Box::new(ClusterPolicy::new(cluster)));
+        registry.register(Box::new(ClusterSelector::new(cluster)));
     }
     registry
 }
@@ -389,16 +294,16 @@ mod tests {
     #[test]
     fn lookup_is_case_insensitive_and_replace_works() {
         let mut reg = PolicyRegistry::new();
-        reg.register(Box::new(RandomPolicy));
+        reg.register(Box::new(RandomSelector));
         assert!(reg.get("fedavg-random").is_some());
         let before = reg.len();
-        reg.register(Box::new(RandomPolicy));
+        reg.register(Box::new(RandomSelector));
         assert_eq!(reg.len(), before, "re-registration must replace");
     }
 
     #[test]
     fn tuned_policy_overrides_global_params() {
-        let tuned = TunedPolicy::new("Random@S1", GlobalParams::s1(), Box::new(RandomPolicy));
+        let tuned = TunedPolicy::new("Random@S1", GlobalParams::s1(), Box::new(RandomSelector));
         let mut cfg = SimConfig::tiny_test(1);
         cfg.params = GlobalParams::new(8, 1, 4);
         assert_eq!(tuned.tune(&cfg), Some(GlobalParams::s1()));
@@ -410,7 +315,7 @@ mod tests {
         let tuned = TunedPolicy::new(
             "Random-K2",
             GlobalParams::new(8, 1, 2),
-            Box::new(RandomPolicy),
+            Box::new(RandomSelector),
         );
         let mut cfg = SimConfig::tiny_test(3);
         cfg.max_rounds = 3;
@@ -426,7 +331,7 @@ mod tests {
     #[test]
     fn untuned_policies_keep_config_params() {
         let cfg = SimConfig::tiny_test(2);
-        assert_eq!(RandomPolicy.tune(&cfg), None);
+        assert_eq!(RandomSelector.tune(&cfg), None);
     }
 
     #[test]
@@ -434,7 +339,11 @@ mod tests {
     fn tune_cannot_invalidate_the_config() {
         // K = 500 on a 12-device fleet: the same inconsistency every
         // other entry path rejects must not sneak in through tune().
-        let tuned = TunedPolicy::new("BadK", GlobalParams::new(8, 1, 500), Box::new(RandomPolicy));
+        let tuned = TunedPolicy::new(
+            "BadK",
+            GlobalParams::new(8, 1, 500),
+            Box::new(RandomSelector),
+        );
         let _ = run_policy(&SimConfig::tiny_test(1), &tuned);
     }
 
@@ -451,7 +360,7 @@ mod tests {
         let relabeled = TunedPolicy::new(
             "Random@S-tiny",
             GlobalParams::new(8, 1, 4),
-            Box::new(RandomPolicy),
+            Box::new(RandomSelector),
         );
         let mut capture = CaptureLabel(None);
         let result = ExperimentRun::new(&SimConfig::tiny_test(1), &relabeled, None)

@@ -26,7 +26,7 @@ use crate::selection::Selector;
 use autofl_device::fleet::DeviceId;
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 
 /// How the event scheduler aggregates.
 ///
@@ -289,6 +289,12 @@ impl Scheduler {
         );
     }
 
+    /// Cohorts dispatched and completed so far: each one emitted a
+    /// record.
+    pub(crate) fn completed_cohorts(&self) -> usize {
+        self.next_round - self.in_flight.len()
+    }
+
     /// Serializes the full scheduler state — pending events in pop
     /// order, cohorts in flight with their execution outcomes, the
     /// version and the dispatch cursor.
@@ -313,15 +319,26 @@ impl Scheduler {
     /// Rebuilds a scheduler from [`Scheduler::state_snapshot`] output for
     /// a fleet of `devices`. A checkpoint can pass its digest and still
     /// be inconsistent, so everything [`Simulation::step`] will index is
-    /// checked here: every pending event must name a cohort in flight
-    /// (and an upload a slot inside its participant list), and every
-    /// cohort must pass [`InFlight::check`].
+    /// checked here: every cohort in flight must pass [`InFlight::check`]
+    /// and be one of the `next_round` dispatched so far; every pending
+    /// event must name a cohort in flight (and an upload a slot inside
+    /// its participant list) and carry a distinct `seq` below the
+    /// restored one; and every cohort must have exactly one
+    /// `CohortDone`, ordered after each of its uploads — as
+    /// [`Scheduler::launch`] schedules them.
     pub(crate) fn restore(value: &serde::Value, devices: usize) -> Result<Self, serde::Error> {
         let version: u64 = serde::field(value, "version")?;
+        let next_round: usize = serde::field(value, "next_round")?;
         let mut in_flight = BTreeMap::new();
         for fl in serde::field::<Vec<InFlight>>(value, "in_flight")? {
             fl.check(devices, version).map_err(|e| e.at("in_flight"))?;
             let round = fl.outcome.round;
+            if round >= next_round {
+                return Err(serde::Error::custom(format!(
+                    "round {round} is in flight but only {next_round} rounds were dispatched"
+                ))
+                .at("in_flight"));
+            }
             if in_flight.insert(round, fl).is_some() {
                 return Err(
                     serde::Error::custom(format!("round {round} is in flight twice"))
@@ -329,6 +346,7 @@ impl Scheduler {
                 );
             }
         }
+        let seq: u64 = serde::field(value, "seq")?;
         let events: Vec<Event> = serde::field(value, "events")?;
         let dangling = events.iter().find(|e| match e.kind {
             EventKind::Upload { round, slot } => !in_flight
@@ -343,12 +361,43 @@ impl Scheduler {
             ))
             .at("events"));
         }
+        let mut seqs = BTreeSet::new();
+        if let Some(event) = events.iter().find(|e| e.seq >= seq || !seqs.insert(e.seq)) {
+            return Err(serde::Error::custom(format!(
+                "event seq {} repeats or is not below the next seq {seq}",
+                event.seq
+            ))
+            .at("events"));
+        }
+        for &round in in_flight.keys() {
+            let of_round = |e: &&Event| match e.kind {
+                EventKind::Upload { round: r, .. } | EventKind::CohortDone { round: r } => {
+                    r == round
+                }
+            };
+            let mut dones = events
+                .iter()
+                .filter(of_round)
+                .filter(|e| matches!(e.kind, EventKind::CohortDone { .. }));
+            let (Some(done), None) = (dones.next(), dones.next()) else {
+                return Err(serde::Error::custom(format!(
+                    "round {round} is in flight without exactly one CohortDone"
+                ))
+                .at("events"));
+            };
+            if events.iter().filter(of_round).any(|e| e > done) {
+                return Err(serde::Error::custom(format!(
+                    "an upload of round {round} fires after its CohortDone"
+                ))
+                .at("events"));
+            }
+        }
         Ok(Scheduler {
             heap: events.into_iter().map(Reverse).collect(),
-            seq: serde::field(value, "seq")?,
+            seq,
             in_flight,
             version,
-            next_round: serde::field(value, "next_round")?,
+            next_round,
             dispatching: serde::field(value, "dispatching")?,
             last_completion_s: serde::field(value, "last_completion_s")?,
         })

@@ -372,11 +372,11 @@ impl ConvergenceController {
 ///
 /// ```
 /// use autofl_fed::engine::SimConfig;
-/// use autofl_fed::policy::RandomPolicy;
+/// use autofl_fed::selection::RandomSelector;
 /// use autofl_fed::serve::ExperimentRun;
 ///
 /// let config = SimConfig::tiny_test(7);
-/// let mut run = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+/// let mut run = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
 /// while run.step().unwrap().is_some() {}
 /// assert!(!run.records().is_empty());
 /// let result = run.into_result();
@@ -557,7 +557,9 @@ impl<'p> ExperimentRun<'p> {
     }
 
     /// Restores a payload captured by [`ExperimentRun::state_snapshot`]
-    /// onto a freshly built run of the same spec.
+    /// onto a freshly built run of the same spec. Every completed cohort
+    /// emitted one record, so the record count must match the restored
+    /// scheduler's.
     fn state_restore(&mut self, payload: &serde::Value) -> Result<(), serde::Error> {
         let policy: String = serde::field(payload, "policy")?;
         if policy != self.policy.name() {
@@ -570,6 +572,14 @@ impl<'p> ExperimentRun<'p> {
             .state_restore(serde::field_or_null(payload, "sim"))
             .map_err(|e| e.at("sim"))?;
         self.records = serde::field(payload, "records")?;
+        let completed = self.sim.sched.completed_cohorts();
+        if self.records.len() != completed {
+            return Err(serde::Error::custom(format!(
+                "{} records, but {completed} cohorts have completed",
+                self.records.len()
+            ))
+            .at("records"));
+        }
         self.selector
             .state_restore(serde::field_or_null(payload, "selector"))
             .and_then(|()| self.selector.check_restored(self.sim.fleet().len()))
@@ -885,7 +895,8 @@ fn run_unit(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{baseline_registry, RandomPolicy};
+    use crate::policy::baseline_registry;
+    use crate::selection::RandomSelector;
 
     fn records_equal(a: &[RoundRecord], b: &[RoundRecord]) -> bool {
         let line = |r: &RoundRecord| serde_json::to_string(r).expect("serializes");
@@ -956,10 +967,10 @@ mod tests {
     #[test]
     fn stepped_run_matches_run_policy() {
         let config = SimConfig::tiny_test(3);
-        let mut run = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+        let mut run = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
         while run.step().unwrap().is_some() {}
         let stepped = run.into_result();
-        let straight = crate::policy::run_policy(&config, &RandomPolicy);
+        let straight = crate::policy::run_policy(&config, &RandomSelector);
         assert_eq!(stepped.policy, straight.policy);
         assert!(records_equal(&stepped.records, &straight.records));
     }
@@ -968,18 +979,18 @@ mod tests {
     fn lockstep_checkpoint_resume_is_bit_identical() {
         let config = SimConfig::tiny_test(5);
         // Uninterrupted reference.
-        let mut reference = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+        let mut reference = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
         while reference.step().unwrap().is_some() {}
         let reference = reference.into_result();
 
         // Kill after 3 records, resume from the snapshot.
-        let mut first = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+        let mut first = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
         for _ in 0..3 {
             first.step().unwrap().unwrap();
         }
         let snapshot = first.state_snapshot();
         drop(first);
-        let mut resumed = ExperimentRun::resume(&config, &RandomPolicy, None, &snapshot).unwrap();
+        let mut resumed = ExperimentRun::resume(&config, &RandomSelector, None, &snapshot).unwrap();
         while resumed.step().unwrap().is_some() {}
         let resumed = resumed.into_result();
         assert!(records_equal(&reference.records, &resumed.records));
@@ -1032,7 +1043,7 @@ mod tests {
         let control = Some(ConvergeTarget::EnergyBudget {
             joules_per_round: 0.05,
         });
-        let mut reference = ExperimentRun::new(&config, &RandomPolicy, control).unwrap();
+        let mut reference = ExperimentRun::new(&config, &RandomSelector, control).unwrap();
         while reference.step().unwrap().is_some() {}
         let final_k = reference.params().num_participants;
         assert!(
@@ -1041,13 +1052,13 @@ mod tests {
         );
         let reference = reference.into_result();
 
-        let mut first = ExperimentRun::new(&config, &RandomPolicy, control).unwrap();
+        let mut first = ExperimentRun::new(&config, &RandomSelector, control).unwrap();
         for _ in 0..5 {
             first.step().unwrap().unwrap();
         }
         let snapshot = first.state_snapshot();
         let mut resumed =
-            ExperimentRun::resume(&config, &RandomPolicy, control, &snapshot).unwrap();
+            ExperimentRun::resume(&config, &RandomSelector, control, &snapshot).unwrap();
         while resumed.step().unwrap().is_some() {}
         assert!(records_equal(
             &reference.records,
@@ -1066,7 +1077,7 @@ mod tests {
                 accuracy: f64::INFINITY,
             },
         ] {
-            let err = ExperimentRun::new(&config, &RandomPolicy, Some(target)).unwrap_err();
+            let err = ExperimentRun::new(&config, &RandomSelector, Some(target)).unwrap_err();
             assert!(
                 matches!(err, ConfigError::BadControlTarget(_)),
                 "got {err:?}"
@@ -1077,7 +1088,7 @@ mod tests {
     #[test]
     fn resume_rejects_a_mismatched_policy_or_controller() {
         let config = SimConfig::tiny_test(2);
-        let mut run = ExperimentRun::new(&config, &RandomPolicy, None).unwrap();
+        let mut run = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
         run.step().unwrap().unwrap();
         let snapshot = run.state_snapshot();
 
@@ -1087,7 +1098,7 @@ mod tests {
         assert!(err.to_string().contains("belongs to policy"), "{err}");
 
         let control = Some(ConvergeTarget::AccuracyFloor { accuracy: 0.5 });
-        let err = ExperimentRun::resume(&config, &RandomPolicy, control, &snapshot).unwrap_err();
+        let err = ExperimentRun::resume(&config, &RandomSelector, control, &snapshot).unwrap_err();
         assert!(err.to_string().contains("controller"), "{err}");
     }
 
@@ -1130,7 +1141,7 @@ mod tests {
         // The trace bytes equal a straight in-process run of the same unit.
         let mut config = spec.config.clone();
         config.seed = spec.config.seed.wrapping_add(1);
-        let result = crate::policy::run_policy(&config, &RandomPolicy);
+        let result = crate::policy::run_policy(&config, &RandomSelector);
         let expected: String = result
             .records
             .iter()

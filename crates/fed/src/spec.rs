@@ -220,7 +220,8 @@ mod tests {
     use crate::engine::Fidelity;
     use crate::fleet::{FleetDynamics, StragglerPolicy};
     use crate::global::GlobalParams;
-    use crate::policy::{baseline_registry, RandomPolicy, TunedPolicy};
+    use crate::policy::{baseline_registry, TunedPolicy};
+    use crate::selection::RandomSelector;
     use autofl_data::partition::DataDistribution;
 
     fn spec_fixture() -> ExperimentSpec {
@@ -254,6 +255,24 @@ mod tests {
             ),
             "got {err:?}"
         );
+    }
+
+    #[test]
+    fn local_epochs_whose_work_overflows_are_refused_on_spec_load() {
+        // E = 2^40 used to validate, then panic in `task_for` under
+        // overflow checks (and wrap silently in release).
+        let mut spec = spec_fixture();
+        spec.config.params.local_epochs = 1 << 40;
+        let err = ExperimentSpec::from_json(&spec.to_json()).unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::Config(ConfigError::LocalWorkOverflow {
+                local_epochs: 1 << 40,
+                samples_per_device: spec.config.samples_per_device,
+            })
+        );
+        spec.config.params.local_epochs = 1 << 20;
+        assert!(ExperimentSpec::from_json(&spec.to_json()).is_ok());
     }
 
     #[test]
@@ -310,7 +329,7 @@ mod tests {
         registry.register(Box::new(TunedPolicy::new(
             "BadK",
             GlobalParams::new(8, 1, 500),
-            Box::new(RandomPolicy),
+            Box::new(RandomSelector),
         )));
         let mut spec = spec_fixture();
         spec.policies = vec!["BadK".into()];

@@ -15,7 +15,7 @@ use autofl_fed::algorithms::{AggregationAlgorithm, ClientUpdate, KrumAggregator}
 use autofl_fed::engine::{RoundRecord, SimConfig, SimResult, Simulation};
 use autofl_fed::fabric::{LinkModel, NetworkFabric};
 use autofl_fed::fleet::FleetDynamics;
-use autofl_fed::policy::{run_policy, RandomPolicy};
+use autofl_fed::policy::run_policy;
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{read_checkpoint, write_checkpoint, ExperimentRun};
 use common::{spec_run_trace, trace_digest};
@@ -236,7 +236,7 @@ fn checkpoint_resume_with_adversaries_is_byte_identical() {
     config.adversary = Some(adv);
     config.max_rounds = 10;
     config.target_accuracy = Some(1.1);
-    let policy = &RandomPolicy;
+    let policy = &RandomSelector;
 
     let mut straight = ExperimentRun::new(&config, policy, None).expect("config validates");
     while straight.step().expect("no observers").is_some() {}

@@ -20,7 +20,7 @@ mod common;
 
 use autofl_fed::engine::{Fidelity, RoundRecord, SimConfig, Simulation};
 use autofl_fed::fleet::{survivor_weights, FleetDynamics, StragglerPolicy};
-use autofl_fed::policy::{run_policy, RandomPolicy};
+use autofl_fed::policy::run_policy;
 use autofl_fed::runtime::{staleness_weight, AsyncRuntime};
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{ConvergeTarget, ExperimentRun};
@@ -161,7 +161,7 @@ fn convergence_control_retunes_before_the_next_dispatch() {
         config.target_accuracy = Some(1.1);
         config.runtime = runtime;
         let mut run =
-            ExperimentRun::new(&config, &RandomPolicy, control).expect("config validates");
+            ExperimentRun::new(&config, &RandomSelector, control).expect("config validates");
         let mut k = run.params().num_participants;
         while let Some(record) = run.step().expect("stepping cannot fail") {
             let eligible = config.num_devices - record.ineligible;

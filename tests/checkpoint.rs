@@ -14,8 +14,9 @@ use autofl_core::{AutoFlConfig, QSharing};
 use autofl_fed::engine::{RoundRecord, SimConfig};
 use autofl_fed::fabric::{LinkModel, NetworkFabric};
 use autofl_fed::fleet::FleetDynamics;
-use autofl_fed::policy::{Policy, RandomPolicy};
+use autofl_fed::policy::Policy;
 use autofl_fed::runtime::AsyncRuntime;
+use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{
     payload_digest, read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun,
     CHECKPOINT_VERSION,
@@ -113,7 +114,7 @@ fn lockstep_resume_is_bit_identical_across_threads_and_shards() {
                 let config = full_config(11, shards);
                 for stop_after in [1, 5] {
                     let (reference, resumed) =
-                        interrupted_vs_straight(&config, &RandomPolicy, None, stop_after);
+                        interrupted_vs_straight(&config, &RandomSelector, None, stop_after);
                     assert_eq!(
                         reference, resumed,
                         "trace diverged: threads={threads} shards={shards} stop={stop_after}"
@@ -133,7 +134,7 @@ fn event_driven_buffered_resume_is_bit_identical() {
                 config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
                 for stop_after in [1, 4] {
                     let (reference, resumed) =
-                        interrupted_vs_straight(&config, &RandomPolicy, None, stop_after);
+                        interrupted_vs_straight(&config, &RandomSelector, None, stop_after);
                     assert_eq!(
                         reference, resumed,
                         "trace diverged: threads={threads} shards={shards} stop={stop_after}"
@@ -193,7 +194,7 @@ fn corrupted_resume_error(
 /// [`corrupted_resume_error`] of a FedAvg-Random run after one record,
 /// with `corrupt` editing its scheduler state.
 fn resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> String {
-    corrupted_resume_error(label, &RandomPolicy, 1, |payload| {
+    corrupted_resume_error(label, &RandomSelector, 1, |payload| {
         corrupt(entry(entry(payload, "sim"), "scheduler"))
     })
 }
@@ -229,6 +230,137 @@ fn resume_rejects_an_event_for_a_cohort_not_in_flight() {
         *entry(&mut kind[0].1, "round") = serde_json::Value::UInt(999);
     });
     assert!(err.contains("scheduler.events"), "{err}");
+}
+
+/// The events of a scheduler state, and the index of the first
+/// `CohortDone` among them.
+fn events_and_done(scheduler: &mut serde_json::Value) -> (&mut Vec<serde_json::Value>, usize) {
+    let serde_json::Value::Seq(events) = entry(scheduler, "events") else {
+        panic!("events are a sequence");
+    };
+    let done = events
+        .iter()
+        .position(|e| serde_json::to_string(e).unwrap().contains("CohortDone"))
+        .expect("a cohort is in flight");
+    (events, done)
+}
+
+#[test]
+fn resume_rejects_event_seqs_no_run_could_assign() {
+    let err = resume_error("seq-repeat", |scheduler| {
+        let (events, _) = events_and_done(scheduler);
+        let first = entry(&mut events[0], "seq").clone();
+        *entry(&mut events[1], "seq") = first;
+    });
+    assert!(err.contains("sim.scheduler.events: event seq"), "{err}");
+    assert!(
+        err.contains("repeats or is not below the next seq"),
+        "{err}"
+    );
+    let err = resume_error("seq-ahead", |scheduler| {
+        let next = entry(scheduler, "seq").clone();
+        let (events, _) = events_and_done(scheduler);
+        *entry(&mut events[0], "seq") = next;
+    });
+    assert!(
+        err.contains("repeats or is not below the next seq"),
+        "{err}"
+    );
+}
+
+#[test]
+fn resume_rejects_a_cohort_without_exactly_one_completion() {
+    let err = resume_error("done-missing", |scheduler| {
+        let (events, done) = events_and_done(scheduler);
+        events.remove(done);
+    });
+    assert!(err.contains("without exactly one CohortDone"), "{err}");
+    let err = resume_error("done-twice", |scheduler| {
+        let serde_json::Value::UInt(next) = *entry(scheduler, "seq") else {
+            panic!("seq is an integer");
+        };
+        *entry(scheduler, "seq") = serde_json::Value::UInt(next + 1);
+        let (events, done) = events_and_done(scheduler);
+        let mut copy = events[done].clone();
+        *entry(&mut copy, "seq") = serde_json::Value::UInt(next);
+        events.push(copy);
+    });
+    assert!(err.contains("without exactly one CohortDone"), "{err}");
+}
+
+#[test]
+fn resume_rejects_an_upload_that_fires_after_its_cohort_completes() {
+    // A run schedules every upload before its cohort's `CohortDone`, at
+    // a time no later than the round time; moved past it, the upload
+    // used to fire into a cohort already removed and panic.
+    let err = resume_error("late-upload", |scheduler| {
+        let (events, done) = events_and_done(scheduler);
+        let serde_json::Value::Float(end) = *entry(&mut events[done], "time") else {
+            panic!("event times are floats");
+        };
+        let upload = (0..events.len()).find(|&i| i != done).expect("an upload");
+        *entry(&mut events[upload], "time") = serde_json::Value::Float(end + 1.0);
+    });
+    assert!(err.contains("fires after its CohortDone"), "{err}");
+}
+
+#[test]
+fn resume_rejects_a_fleet_column_that_does_not_fit_its_shard() {
+    // `full_config(29, 1)`: one shard of all 12 devices.
+    for column in ["throttle", "charging", "foreground", "online", "eligible"] {
+        for len in [11, 13] {
+            let err = corrupted_resume_error(&format!("{column}-{len}"), &RandomSelector, 1, |p| {
+                let fleet = entry(entry(p, "sim"), "fleet_state");
+                let serde_json::Value::Seq(shards) = entry(fleet, "shards") else {
+                    panic!("shards are a sequence");
+                };
+                resize(entry(&mut shards[0], column), len);
+            });
+            let expected = format!(
+                "sim.fleet_state.shards[0]: column `{column}` holds {len} devices \
+                 but the shard covers 12"
+            );
+            assert!(err.contains(&expected), "{err}");
+        }
+    }
+}
+
+#[test]
+fn resume_rejects_parameters_the_config_rejects() {
+    // `tiny_test`: 12 devices. Each of these used to resume and run on.
+    for (label, field, value, expected) in [
+        ("k-zero", "num_participants", 0, "must all be positive"),
+        (
+            "k-500",
+            "num_participants",
+            500,
+            "exceeds the fleet of 12 devices",
+        ),
+        ("b-zero", "batch_size", 0, "must all be positive"),
+    ] {
+        let err = corrupted_resume_error(label, &RandomSelector, 1, |payload| {
+            *entry(entry(entry(payload, "sim"), "params"), field) = serde_json::Value::UInt(value);
+        });
+        assert!(err.contains("sim.params: "), "{err}");
+        assert!(err.contains(expected), "{err}");
+    }
+}
+
+#[test]
+fn resume_rejects_a_record_count_the_scheduler_does_not_match() {
+    // After three records the trace holds three lines; a checkpoint
+    // holding fewer used to resume and silently drop them.
+    for (label, len) in [
+        ("records-none", 0),
+        ("records-short", 2),
+        ("records-long", 4),
+    ] {
+        let err = corrupted_resume_error(label, &RandomSelector, 3, |payload| {
+            resize(entry(payload, "records"), len);
+        });
+        let expected = format!("records: {len} records, but 3 cohorts have completed");
+        assert!(err.contains(&expected), "{err}");
+    }
 }
 
 #[test]
@@ -275,6 +407,179 @@ fn resume_rejects_selector_state_that_does_not_fit_the_fleet() {
     );
 }
 
+/// One step into a payload node: a map key or a sequence index.
+#[derive(Debug, Clone)]
+enum Step {
+    Key(String),
+    Index(usize),
+}
+
+/// The node of `value` at `path`.
+fn node_mut<'v>(value: &'v mut serde_json::Value, path: &[Step]) -> &'v mut serde_json::Value {
+    path.iter().fold(value, |node, step| match (node, step) {
+        (serde_json::Value::Map(entries), Step::Key(key)) => {
+            &mut entries
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("the path was read from this payload")
+                .1
+        }
+        (serde_json::Value::Seq(items), Step::Index(i)) => &mut items[*i],
+        (other, step) => panic!("{step:?} does not lead into a {}", other.kind()),
+    })
+}
+
+/// Pushes the path of every node of `value` whose shape — its path with
+/// every index above 0 read as `[i]` — is not in `seen` yet, in
+/// pre-order, together with that shape.
+fn distinct_shapes(
+    value: &serde_json::Value,
+    path: &mut Vec<Step>,
+    shape: &str,
+    seen: &mut std::collections::HashSet<String>,
+    out: &mut Vec<(Vec<Step>, String)>,
+) {
+    if seen.insert(shape.to_string()) {
+        out.push((path.clone(), shape.to_string()));
+    }
+    let children: Vec<(Step, String, &serde_json::Value)> = match value {
+        serde_json::Value::Map(entries) => entries
+            .iter()
+            .map(|(k, v)| {
+                let dot = if shape.is_empty() { "" } else { "." };
+                (Step::Key(k.clone()), format!("{shape}{dot}{k}"), v)
+            })
+            .collect(),
+        serde_json::Value::Seq(items) => items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let index = if i == 0 { "0" } else { "i" };
+                (Step::Index(i), format!("{shape}[{index}]"), v)
+            })
+            .collect(),
+        _ => Vec::new(),
+    };
+    for (step, shape, child) in children {
+        path.push(step);
+        distinct_shapes(child, path, &shape, seen, out);
+        path.pop();
+    }
+}
+
+/// The mutations the sweep applies to one node, each as a label and the
+/// replacement node: a sequence is cut by one item and grown by a copy
+/// of its last; with `scalars`, an unsigned integer becomes 0, +1,
+/// +1000 and 2^40, a float −1, ±1e300 and 2x+1, and a bool flips.
+fn mutations(node: &serde_json::Value, scalars: bool) -> Vec<(&'static str, serde_json::Value)> {
+    use serde_json::Value as V;
+    match node {
+        V::Seq(items) if !items.is_empty() => {
+            let cut = items[..items.len() - 1].to_vec();
+            let mut grown = items.clone();
+            grown.push(items[items.len() - 1].clone());
+            vec![("cut by one", V::Seq(cut)), ("grown by one", V::Seq(grown))]
+        }
+        V::UInt(v) if scalars => vec![
+            ("= 0", V::UInt(0)),
+            ("+ 1", V::UInt(v.wrapping_add(1))),
+            ("+ 1000", V::UInt(v.wrapping_add(1000))),
+            ("= 2^40", V::UInt(1 << 40)),
+        ],
+        V::Float(x) if scalars => vec![
+            ("= -1", V::Float(-1.0)),
+            ("= 1e300", V::Float(1e300)),
+            ("= -1e300", V::Float(-1e300)),
+            ("= 2x+1", V::Float(2.0 * x + 1.0)),
+        ],
+        V::Bool(b) if scalars => vec![("flipped", V::Bool(!b))],
+        _ => Vec::new(),
+    }
+}
+
+/// Mutates the checkpoint of a pipelined buffered run of `policy` after
+/// three records at every distinct node shape ([`distinct_shapes`],
+/// [`mutations`]; `records` only as a sequence), re-envelopes each
+/// payload and resumes it. Returns the number of cases and a line for
+/// each case whose resume or resumed run panicked, or that did not step
+/// to its end within 2,000 steps.
+fn mutation_sweep(label: &str, policy: &dyn Policy) -> (usize, Vec<String>) {
+    let mut config = full_config(29, 2);
+    config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+    let mut run = ExperimentRun::new(&config, policy, None).expect("config validates");
+    for _ in 0..3 {
+        run.step().expect("no observers").expect("a record");
+    }
+    let payload = run.state_snapshot();
+    drop(run);
+    let mut nodes = Vec::new();
+    distinct_shapes(
+        &payload,
+        &mut Vec::new(),
+        "",
+        &mut Default::default(),
+        &mut nodes,
+    );
+
+    let dir = std::env::temp_dir().join(format!("autofl-sweep-{label}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unit.ckpt.json");
+    let mut cases = 0;
+    let mut failures = Vec::new();
+    for (at, shape) in &nodes {
+        let mut target = payload.clone();
+        let scalars = !shape.starts_with("records");
+        for (what, replacement) in mutations(node_mut(&mut target, at), scalars) {
+            cases += 1;
+            let mut mutated = target.clone();
+            *node_mut(&mut mutated, at) = replacement;
+            write_checkpoint(&path, mutated).expect("checkpoint writes");
+            let restored = read_checkpoint(&path).expect("the digest still matches");
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let Ok(mut resumed) = ExperimentRun::resume(&config, policy, None, &restored)
+                else {
+                    return true;
+                };
+                (0..2_000).any(|_| resumed.step().expect("no observers").is_none())
+            }));
+            match outcome {
+                Ok(true) => {}
+                Ok(false) => failures.push(format!("{shape} {what}: ran past 2,000 steps")),
+                Err(panic) => {
+                    let message = panic
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| panic.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default();
+                    failures.push(format!("{shape} {what}: panicked: {message}"));
+                }
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+    (cases, failures)
+}
+
+#[test]
+fn mutated_checkpoints_are_refused_or_run_to_the_end() {
+    // ROADMAP: a malformed checkpoint returns an error, never panics or
+    // hangs. The digest cannot catch these: each mutated payload is
+    // re-enveloped, as a hand-edited or buggy writer's file would be.
+    let registry = standard_registry();
+    let mut failures = Vec::new();
+    for name in ["FedAvg-Random", "AutoFL", "O_FL"] {
+        let (cases, failed) = mutation_sweep(name, registry.expect(name));
+        assert!(cases > 100, "{name}: only {cases} mutations");
+        failures.extend(failed.into_iter().map(|f| format!("{name}: {f}")));
+    }
+    assert!(
+        failures.is_empty(),
+        "{} mutated checkpoints failed:\n{}",
+        failures.len(),
+        failures.join("\n")
+    );
+}
+
 #[test]
 fn autofl_selector_state_survives_the_checkpoint() {
     // AutoFL carries the heaviest selector state — Q-tables, pending
@@ -293,7 +598,7 @@ fn controlled_run_resumes_on_the_same_control_trajectory() {
     let control = Some(ConvergeTarget::EnergyBudget {
         joules_per_round: 0.05,
     });
-    let (reference, resumed) = interrupted_vs_straight(&config, &RandomPolicy, control, 6);
+    let (reference, resumed) = interrupted_vs_straight(&config, &RandomSelector, control, 6);
     assert_eq!(
         reference, resumed,
         "controller EMA/scale must continue, not restart, after resume"

@@ -8,8 +8,7 @@ mod common;
 use autofl_device::network::{NetworkObservation, SignalStrength, BANDWIDTH_THRESHOLD_MBPS};
 use autofl_fed::engine::{SimConfig, SimResult, Simulation};
 use autofl_fed::fabric::{
-    top_k_count, CodecSpec, IdentityCodec, Int8Quant, LinkModel, NetworkFabric, PartitionRule,
-    PartitionSchedule, PeriodicFullSync, TopK, TopKInt8, UpdateCodec,
+    top_k_count, CodecSpec, LinkModel, NetworkFabric, PartitionRule, PartitionSchedule,
 };
 use autofl_fed::selection::RandomSelector;
 use common::{assert_pinned_barrier_trace, fabric_barrier_config, kitchen_sink_fabric};
@@ -283,7 +282,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let original = random_delta(&mut rng, len, 2.0);
         let mut coded = original.clone();
-        let codec = TopK { k_frac };
+        let codec = NetworkFabric::ideal().with_codec(CodecSpec::TopK { k_frac });
         codec.transcode(&mut coded, 0, &mut rng);
 
         let k = top_k_count(k_frac, len);
@@ -314,7 +313,8 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let original = random_delta(&mut rng, len, magnitude);
         let mut coded = original.clone();
-        Int8Quant.transcode(&mut coded, 0, &mut rng);
+        let codec = NetworkFabric::ideal().with_codec(CodecSpec::Int8Quant);
+        codec.transcode(&mut coded, 0, &mut rng);
 
         let max_abs = original.iter().fold(0.0f32, |m, v| m.max(v.abs()));
         let step = max_abs / 127.0;
@@ -325,12 +325,12 @@ proptest! {
             );
             prop_assert!(c.abs() <= max_abs * 1.0001, "reconstruction escaped the range");
         }
-        prop_assert_eq!(Int8Quant.encoded_bytes(len, 0), len as u64 + 4);
+        prop_assert_eq!(codec.encoded_bytes(len, 0), len as u64 + 4);
     }
 
     /// Byte counts are exact closed forms of `params` for every codec,
-    /// and the periodic composition switches between inner and full-size
-    /// payloads on the scripted cadence.
+    /// and a full-sync cadence switches between compressed and full-size
+    /// payloads on its rounds.
     #[test]
     fn encoded_byte_counts_are_exact(
         params in 1usize..5_000,
@@ -338,14 +338,14 @@ proptest! {
         every in 1usize..12,
     ) {
         let k = top_k_count(k_frac, params) as u64;
-        prop_assert_eq!(IdentityCodec.encoded_bytes(params, 0), 4 * params as u64);
-        prop_assert_eq!(TopK { k_frac }.encoded_bytes(params, 0), 8 * k);
-        prop_assert_eq!(Int8Quant.encoded_bytes(params, 0), params as u64 + 4);
-        prop_assert_eq!(TopKInt8 { k_frac }.encoded_bytes(params, 0), 5 * k + 4);
-        let periodic = PeriodicFullSync {
-            every,
-            inner: Box::new(TopK { k_frac }),
-        };
+        let bytes = |codec| NetworkFabric::ideal().with_codec(codec).encoded_bytes(params, 0);
+        prop_assert_eq!(bytes(CodecSpec::Identity), 4 * params as u64);
+        prop_assert_eq!(bytes(CodecSpec::TopK { k_frac }), 8 * k);
+        prop_assert_eq!(bytes(CodecSpec::Int8Quant), params as u64 + 4);
+        prop_assert_eq!(bytes(CodecSpec::TopKInt8 { k_frac }), 5 * k + 4);
+        let periodic = NetworkFabric::ideal()
+            .with_codec(CodecSpec::TopK { k_frac })
+            .with_full_sync(every);
         for round in 0..3 * every {
             let expected = if round % every == 0 { 4 * params as u64 } else { 8 * k };
             prop_assert_eq!(periodic.encoded_bytes(params, round), expected, "round {}", round);
@@ -368,7 +368,7 @@ proptest! {
     ) {
         let mut source = SmallRng::seed_from_u64(seed ^ 0xd15c);
         let original = random_delta(&mut source, len, 1.0);
-        let codec = TopKInt8 { k_frac: 0.5 };
+        let codec = NetworkFabric::ideal().with_codec(CodecSpec::TopKInt8 { k_frac: 0.5 });
         let run = |stream_seed: u64| {
             let mut delta = original.clone();
             codec.transcode(&mut delta, 3, &mut SmallRng::seed_from_u64(stream_seed));
