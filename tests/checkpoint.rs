@@ -26,8 +26,9 @@ use common::fnv1a_hex;
 /// The golden file of checkpoint-file digests, keyed by run label.
 const CHECKPOINT_DIGESTS: &str = "tests/specs/checkpoint_digests.json";
 
-/// The golden file of AutoFL run digests (trace plus learned state) for
-/// the controller configurations the other goldens leave out.
+/// The golden file of AutoFL run digests for the controller
+/// configurations the other goldens leave out: each case's trace and its
+/// learned-state snapshots under separate keys.
 const AUTOFL_DIGESTS: &str = "tests/specs/autofl_digests.json";
 
 /// Runs `f` with `AUTOFL_THREADS` pinned to `threads`, restoring the
@@ -702,13 +703,14 @@ fn readers_check_the_canonical_payload_not_the_file_bytes() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
-/// The text `AUTOFL_DIGESTS` pins of one AutoFL run: its trace, then its
-/// `state_snapshot` text after record `mid` (with cohorts in flight, so
-/// pending rounds land in it) and after the last record. Q-tables,
-/// pending rounds, agent RNG and the `reward_history` bits are all in
-/// the snapshots. Also asserts that a run resumed from the mid-run
-/// snapshot ends on the same trace and snapshot.
-fn autofl_pinned_text(config: &SimConfig, policy: &dyn Policy, mid: usize) -> String {
+/// The two texts `AUTOFL_DIGESTS` pins of one AutoFL run, each under its
+/// own key: its trace, and its `state_snapshot` texts after record `mid`
+/// (with cohorts in flight, so pending rounds land in it) and after the
+/// last record. Q-tables, pending rounds, agent RNG and the
+/// `reward_history` bits are all in the snapshots, so a checkpoint format
+/// change moves only the second. Also asserts that a run resumed from the
+/// mid-run snapshot ends on the same trace and snapshot.
+fn autofl_pinned_texts(config: &SimConfig, policy: &dyn Policy, mid: usize) -> [String; 2] {
     let snapshot_text = |run: &ExperimentRun| {
         serde_json::to_string(&run.state_snapshot()).expect("snapshot serializes")
     };
@@ -730,7 +732,18 @@ fn autofl_pinned_text(config: &SimConfig, policy: &dyn Policy, mid: usize) -> St
         trace(resumed.records()) == trace(run.records()) && snapshot_text(&resumed) == end_text,
         "resuming after record {mid} diverged"
     );
-    trace(run.records()) + &mid_text + "\n" + &end_text
+    [trace(run.records()), mid_text + "\n" + &end_text]
+}
+
+/// The `"<label> trace"` and `"<label> snapshots"` entries of one case.
+fn pinned_entries(label: &str, texts: &[String; 2]) -> [(String, serde_json::Value); 2] {
+    let pin = |part: &str, text: &String| {
+        (
+            format!("{label} {part}"),
+            serde_json::Value::Str(fnv1a_hex(text.as_bytes())),
+        )
+    };
+    [pin("trace", &texts[0]), pin("snapshots", &texts[1])]
 }
 
 #[test]
@@ -787,25 +800,18 @@ fn autofl_configurations_are_pinned() {
     let mut entries = Vec::new();
     for (seed, (label, agent)) in (61..).zip(cases) {
         let policy = AutoFlPolicy::with_config(agent);
-        let text = autofl_pinned_text(&case(48, 2, seed), &policy, 9);
-        entries.push((
-            format!("AutoFL {label}"),
-            serde_json::Value::Str(fnv1a_hex(text.as_bytes())),
-        ));
+        let texts = autofl_pinned_texts(&case(48, 2, seed), &policy, 9);
+        entries.extend(pinned_entries(&format!("AutoFL {label}"), &texts));
     }
     let policy = AutoFlPolicy::paper_default();
     let large = case(4_000, 16, 67);
-    let t1 = with_threads(1, || {
-        fnv1a_hex(autofl_pinned_text(&large, &policy, 9).as_bytes())
-    });
-    let t4 = with_threads(4, || {
-        fnv1a_hex(autofl_pinned_text(&large, &policy, 9).as_bytes())
-    });
-    assert_eq!(t1, t4, "4000-device AutoFL differs between 1 and 4 threads");
-    entries.push((
-        "AutoFL 4000 devices 16 shards".to_string(),
-        serde_json::Value::Str(t1),
-    ));
+    let t1 = with_threads(1, || autofl_pinned_texts(&large, &policy, 9));
+    let t4 = with_threads(4, || autofl_pinned_texts(&large, &policy, 9));
+    assert!(
+        t1 == t4,
+        "4000-device AutoFL differs between 1 and 4 threads"
+    );
+    entries.extend(pinned_entries("AutoFL 4000 devices 16 shards", &t1));
 
     let text = serde_json::to_string_pretty(&serde_json::Value::Map(entries))
         .expect("digests serialize")
