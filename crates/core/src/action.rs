@@ -10,13 +10,12 @@
 use autofl_device::cost::ExecutionPlan;
 use autofl_device::dvfs::{DvfsTable, ExecutionTarget};
 use autofl_device::tier::DeviceTier;
-use serde::{Deserialize, Serialize};
 
 /// Frequency fractions the agent can choose between (max / eco / deep-eco).
 pub const DVFS_LEVELS: [f64; 3] = [1.0, 0.8, 0.6];
 
 /// One device-level action.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Action {
     /// Stay idle this round.
     Idle,

@@ -11,7 +11,7 @@
 
 use crate::action::Action;
 use crate::overhead::Overhead;
-use crate::qtable::{QSharing, QTableSet, RowId};
+use crate::qtable::{QSharing, QTableColumns, QTableSet, RowId};
 use crate::reward::{reward, ParticipationOutcome, RewardConfig, RewardInputs};
 use crate::state::{GlobalState, LocalState, StateSpace};
 use autofl_device::cost::{execute, ExecutionPlan};
@@ -21,7 +21,7 @@ use autofl_fed::selection::{top_k_by, RoundContext, RoundFeedback, SelectionDeci
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// Hyper-parameters of the AutoFL agent.
@@ -83,6 +83,83 @@ struct PendingRound {
     /// for the Q-update, never serialized — empty for an exploring round
     /// and for rounds restored from a checkpoint.
     rows: Vec<Option<RowId>>,
+}
+
+/// A [`PendingRound`] as checkpoints hold it: one column entry per fleet
+/// device.
+#[derive(Debug, Serialize, Deserialize)]
+struct PendingColumns {
+    round: usize,
+    global_state: GlobalState,
+    /// Each device's local state, packed ([`LocalState::pack`]).
+    locals: Vec<u64>,
+    /// Each device's chosen action, as its [`Action::index`].
+    actions: Vec<u8>,
+}
+
+impl PendingColumns {
+    fn new(round: usize, pending: &PendingRound) -> Self {
+        PendingColumns {
+            round,
+            global_state: pending.global_state,
+            locals: pending.per_device.iter().map(|(l, _)| l.pack()).collect(),
+            actions: pending
+                .per_device
+                .iter()
+                .map(|(_, a)| a.index() as u8)
+                .collect(),
+        }
+    }
+
+    /// The round index and its pending round, refusing columns of unequal
+    /// length, a local state out of range or an action outside the
+    /// action space.
+    fn restore(self) -> Result<(usize, PendingRound), serde::Error> {
+        if self.locals.len() != self.actions.len() {
+            return Err(serde::Error::custom(format!(
+                "{} actions for {} local states",
+                self.actions.len(),
+                self.locals.len()
+            ))
+            .at("actions"));
+        }
+        let per_device = self
+            .locals
+            .iter()
+            .zip(&self.actions)
+            .enumerate()
+            .map(|(d, (&packed, &a))| {
+                let l = LocalState::unpack(packed).ok_or_else(|| {
+                    serde::Error::custom(format!("{packed} is not a packed local state"))
+                        .at(&format!("locals[{d}]"))
+                })?;
+                if usize::from(a) >= Action::COUNT {
+                    return Err(serde::Error::custom(format!(
+                        "action index {a} is outside the {} actions",
+                        Action::COUNT
+                    ))
+                    .at(&format!("actions[{d}]")));
+                }
+                Ok((l, Action::from_index(a.into())))
+            })
+            .collect::<Result<_, _>>()?;
+        let pending = PendingRound {
+            global_state: self.global_state,
+            per_device,
+            rows: Vec::new(),
+        };
+        Ok((self.round, pending))
+    }
+}
+
+/// Everything the agent has learned, as checkpoints hold it.
+#[derive(Debug, Serialize, Deserialize)]
+struct AutoFlState {
+    tables: Option<QTableColumns>,
+    pending: Vec<PendingColumns>,
+    rng: Vec<u64>,
+    reward_history: Vec<f64>,
+    resolved_reward: Option<RewardConfig>,
 }
 
 /// The AutoFL selector (the paper's contribution).
@@ -484,90 +561,41 @@ impl Selector for AutoFl {
     // The wall-clock overhead counters are profiling, not simulation
     // state, and restart from zero on resume.
     fn state_snapshot(&self) -> Option<serde::Value> {
-        let pending = serde::Value::Seq(
-            self.pending
+        let state = AutoFlState {
+            tables: self.tables.as_ref().map(QTableSet::columns),
+            pending: self
+                .pending
                 .iter()
-                .map(|(round, p)| {
-                    serde::Value::Map(vec![
-                        ("round".to_string(), round.to_value()),
-                        ("global_state".to_string(), p.global_state.to_value()),
-                        (
-                            "per_device".to_string(),
-                            serde::Value::Seq(
-                                p.per_device
-                                    .iter()
-                                    .map(|(l, a)| {
-                                        serde::Value::Map(vec![
-                                            ("l".to_string(), l.to_value()),
-                                            ("a".to_string(), a.to_value()),
-                                        ])
-                                    })
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
+                .map(|(round, p)| PendingColumns::new(*round, p))
                 .collect(),
-        );
-        Some(serde::Value::Map(vec![
-            ("tables".to_string(), self.tables.to_value()),
-            ("pending".to_string(), pending),
-            ("rng".to_string(), self.rng.state().to_vec().to_value()),
-            ("reward_history".to_string(), self.reward_history.to_value()),
-            (
-                "resolved_reward".to_string(),
-                self.resolved_reward.to_value(),
-            ),
-        ]))
+            rng: self.rng.state().to_vec(),
+            reward_history: self.reward_history.clone(),
+            resolved_reward: self.resolved_reward,
+        };
+        Some(state.to_value())
     }
 
     fn state_restore(&mut self, state: &serde::Value) -> Result<(), serde::Error> {
-        let tables: Option<QTableSet> = serde::field(state, "tables")?;
-        let pending_rows = match serde::field_or_null(state, "pending") {
-            serde::Value::Seq(items) => items,
-            other => return Err(serde::Error::invalid_type("sequence", other).at("pending")),
-        };
-        let mut pending = Vec::with_capacity(pending_rows.len());
-        for (i, entry) in pending_rows.iter().enumerate() {
-            let in_entry = |e: serde::Error| e.at(&format!("pending[{i}]"));
-            let round: usize = serde::field(entry, "round").map_err(in_entry)?;
-            let global_state: GlobalState =
-                serde::field(entry, "global_state").map_err(in_entry)?;
-            let device_rows = match serde::field_or_null(entry, "per_device") {
-                serde::Value::Seq(items) => items,
-                other => {
-                    return Err(in_entry(
-                        serde::Error::invalid_type("sequence", other).at("per_device"),
-                    ))
-                }
-            };
-            let mut per_device = Vec::with_capacity(device_rows.len());
-            for (j, d) in device_rows.iter().enumerate() {
-                let in_device = |e: serde::Error| in_entry(e.at(&format!("per_device[{j}]")));
-                let l: LocalState = serde::field(d, "l").map_err(in_device)?;
-                let a: Action = serde::field(d, "a").map_err(in_device)?;
-                per_device.push((l, a));
-            }
-            pending.push((
-                round,
-                PendingRound {
-                    global_state,
-                    per_device,
-                    rows: Vec::new(),
-                },
-            ));
-        }
-        let words: Vec<u64> = serde::field(state, "rng")?;
-        let rng_state: [u64; 4] = words.try_into().map_err(|w: Vec<u64>| {
+        let state = AutoFlState::from_value(state)?;
+        let tables = state
+            .tables
+            .map(QTableSet::try_from)
+            .transpose()
+            .map_err(|e| e.at("tables"))?;
+        let pending = state
+            .pending
+            .into_iter()
+            .enumerate()
+            .map(|(i, p)| p.restore().map_err(|e| e.at(&format!("pending[{i}]"))))
+            .collect::<Result<_, _>>()?;
+        let rng_state: [u64; 4] = state.rng.try_into().map_err(|w: Vec<u64>| {
             serde::Error::custom(format!("rng state needs 4 words, found {}", w.len())).at("rng")
         })?;
-        let reward_history: Vec<f64> = serde::field(state, "reward_history")?;
-        let resolved_reward: Option<RewardConfig> = serde::field(state, "resolved_reward")?;
         self.tables = tables;
         self.pending = pending;
         self.rng = SmallRng::from_state(rng_state);
-        self.reward_history = reward_history;
-        self.resolved_reward = resolved_reward;
+        self.reward_history = state.reward_history;
+        self.resolved_reward = state.resolved_reward;
         Ok(())
     }
 
@@ -590,7 +618,7 @@ impl Selector for AutoFl {
         for (i, (_, p)) in self.pending.iter().enumerate() {
             if p.per_device.len() != devices {
                 return Err(wrong("the pending round", p.per_device.len())
-                    .at("per_device")
+                    .at("locals")
                     .at(&format!("pending[{i}]")));
             }
         }

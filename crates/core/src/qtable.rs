@@ -18,6 +18,9 @@
 //! - each table's own RNG, which draws the random initial values of the
 //!   rows created in it, and the device → table index.
 //!
+//! Checkpoints hold the same arena as a few flat columns,
+//! [`QTableColumns`], with the rows sorted by packed key.
+//!
 //! A row's initial values depend only on its table's RNG position when
 //! the row is created, so callers fix every initial Q-value by the order
 //! in which they first touch rows. Under [`QSharing::SharedPerTier`]
@@ -57,32 +60,13 @@ type Row = [f64; Action::COUNT];
 /// like `(table, global state bytes, local state bytes)`: the order in
 /// which checkpoints list rows.
 fn pack(table: u32, g: GlobalState, l: LocalState) -> u128 {
-    [
-        g.conv, g.fc, g.rc, g.batch, g.epochs, g.k, l.co_cpu, l.co_mem, l.network, l.data, l.avail,
-    ]
-    .iter()
-    .fold(u128::from(table), |key, &byte| key << 8 | u128::from(byte))
+    key(table, g.pack(), l.pack())
 }
 
-/// Inverts [`pack`].
-fn unpack(key: u128) -> (u32, GlobalState, LocalState) {
-    let byte = |i: u32| (key >> (8 * (10 - i))) as u8;
-    let g = GlobalState {
-        conv: byte(0),
-        fc: byte(1),
-        rc: byte(2),
-        batch: byte(3),
-        epochs: byte(4),
-        k: byte(5),
-    };
-    let l = LocalState {
-        co_cpu: byte(6),
-        co_mem: byte(7),
-        network: byte(8),
-        data: byte(9),
-        avail: byte(10),
-    };
-    ((key >> 88) as u32, g, l)
+/// The key of a table and two packed states ([`GlobalState::pack`],
+/// [`LocalState::pack`]).
+fn key(table: u32, g: u64, l: u64) -> u128 {
+    u128::from(table) << 88 | u128::from(g) << 40 | u128::from(l)
 }
 
 /// splitmix64's finaliser: a multiply-xorshift mix whose every output
@@ -270,106 +254,146 @@ impl QTableSet {
     }
 }
 
-impl Serialize for QTableSet {
-    fn to_value(&self) -> serde::Value {
-        // The map's iteration order is an artefact of hashing and the row
-        // order one of creation, so checkpoints list each table's rows by
-        // state bytes: equal tables always serialize to equal bytes,
-        // which the checkpoint digest relies on. Sorting row ids by
-        // packed key yields exactly that order, grouped by table.
+/// A [`QTableSet`] as checkpoints hold it: a few flat columns, with every
+/// row listed once, sorted by packed key, that is by table and then by
+/// state bytes. Row creation order is an artefact of the run and the key
+/// map's order one of hashing, so sorting makes equal sets serialize to
+/// equal bytes, which the checkpoint digests rely on.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct QTableColumns {
+    /// The sharing mode.
+    pub sharing: QSharing,
+    /// Each table's row count; table `t`'s rows follow table `t − 1`'s.
+    pub rows: Vec<usize>,
+    /// Each row's packed global state ([`GlobalState::pack`]).
+    pub g: Vec<u64>,
+    /// Each row's packed local state ([`LocalState::pack`]).
+    pub l: Vec<u64>,
+    /// Each row's Q-values, [`Action::COUNT`] per row, in row order.
+    pub q: Vec<f64>,
+    /// Each table's RNG state: four words per table.
+    pub rng: Vec<u64>,
+    /// Device id → table.
+    pub index: Vec<u32>,
+}
+
+impl QTableSet {
+    /// The set as checkpoint columns.
+    pub fn columns(&self) -> QTableColumns {
         let mut order: Vec<usize> = (0..self.rows.len()).collect();
         order.sort_unstable_by_key(|&r| self.keys[r]);
-        let mut sorted = order
-            .into_iter()
-            .map(|r| (unpack(self.keys[r]), &self.rows[r]))
-            .peekable();
-        let tables = self
-            .rngs
-            .iter()
-            .enumerate()
-            .map(|(t, rng)| {
-                let mut rows = Vec::new();
-                while let Some(((_, g, l), q)) =
-                    sorted.next_if(|((table, ..), _)| *table as usize == t)
-                {
-                    rows.push(serde::Value::Map(vec![
-                        ("g".to_string(), g.to_value()),
-                        ("l".to_string(), l.to_value()),
-                        ("q".to_string(), q.as_slice().to_value()),
-                    ]));
-                }
-                serde::Value::Map(vec![
-                    ("rows".to_string(), serde::Value::Seq(rows)),
-                    ("rng".to_string(), rng.state().to_vec().to_value()),
-                ])
-            })
-            .collect();
-        serde::Value::Map(vec![
-            ("sharing".to_string(), self.sharing.to_value()),
-            ("tables".to_string(), serde::Value::Seq(tables)),
-            ("index".to_string(), self.index.to_value()),
-        ])
+        let mut rows = vec![0; self.rngs.len()];
+        let mut g = Vec::with_capacity(order.len());
+        let mut l = Vec::with_capacity(order.len());
+        let mut q = Vec::with_capacity(order.len() * Action::COUNT);
+        for r in order {
+            let key = self.keys[r];
+            rows[(key >> 88) as usize] += 1;
+            g.push((key >> 40) as u64 & ((1 << 48) - 1));
+            l.push(key as u64 & ((1 << 40) - 1));
+            q.extend_from_slice(&self.rows[r]);
+        }
+        QTableColumns {
+            sharing: self.sharing,
+            rows,
+            g,
+            l,
+            q,
+            rng: self.rngs.iter().flat_map(|rng| rng.state()).collect(),
+            index: self.index.clone(),
+        }
     }
 }
 
-impl Deserialize for QTableSet {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        fn sequence(value: &serde::Value) -> Result<&[serde::Value], serde::Error> {
-            match value {
-                serde::Value::Seq(items) => Ok(items),
-                other => Err(serde::Error::invalid_type("sequence", other)),
-            }
+/// Restores a set from its columns, refusing columns no set could have
+/// written: lengths that disagree, a packed state out of range, a state
+/// listed twice in one table, or a device mapped to a missing table.
+impl TryFrom<QTableColumns> for QTableSet {
+    type Error = serde::Error;
+
+    fn try_from(columns: QTableColumns) -> Result<Self, serde::Error> {
+        let QTableColumns {
+            sharing,
+            rows,
+            g,
+            l,
+            q,
+            rng,
+            index,
+        } = columns;
+        let wrong = |column: &str, msg: String| Err(serde::Error::custom(msg).at(column));
+        let tables = rows.len();
+        let total = rows.iter().try_fold(0usize, |sum, &n| sum.checked_add(n));
+        let Some(total) = total.filter(|&total| total == g.len()) else {
+            return wrong(
+                "rows",
+                format!("the row counts do not sum to the {} rows", g.len()),
+            );
+        };
+        if l.len() != total {
+            return wrong("l", format!("{} local states for {total} rows", l.len()));
         }
-        let sharing: QSharing = serde::field(value, "sharing")?;
-        let tables = sequence(serde::field_or_null(value, "tables")).map_err(|e| e.at("tables"))?;
+        if q.len() != total * Action::COUNT {
+            return wrong(
+                "q",
+                format!(
+                    "{} Q-values for {total} rows of {} actions",
+                    q.len(),
+                    Action::COUNT
+                ),
+            );
+        }
+        if rng.len() != 4 * tables {
+            return wrong(
+                "rng",
+                format!("{} words for {tables} tables of 4", rng.len()),
+            );
+        }
+        if let Some(bad) = index.iter().find(|&&t| t as usize >= tables) {
+            return wrong(
+                "index",
+                format!("device maps to table {bad} but only {tables} tables exist"),
+            );
+        }
         let mut set = QTableSet {
             sharing,
-            rows: Vec::new(),
-            keys: Vec::new(),
-            map: HashMap::default(),
-            rngs: Vec::with_capacity(tables.len()),
-            index: serde::field(value, "index")?,
+            rows: q
+                .chunks_exact(Action::COUNT)
+                .map(|row| row.try_into().expect("chunks of one row"))
+                .collect(),
+            keys: Vec::with_capacity(total),
+            map: HashMap::with_capacity_and_hasher(total, Default::default()),
+            rngs: rng
+                .chunks_exact(4)
+                .map(|w| SmallRng::from_state([w[0], w[1], w[2], w[3]]))
+                .collect(),
+            index,
         };
-        for (t, table) in tables.iter().enumerate() {
-            let in_table = |e: serde::Error| e.at(&format!("tables[{t}]"));
-            let rows = sequence(serde::field_or_null(table, "rows"))
-                .map_err(|e| in_table(e.at("rows")))?;
-            for (i, row) in rows.iter().enumerate() {
-                let in_row = |e: serde::Error| in_table(e.at(&format!("rows[{i}]")));
-                let g: GlobalState = serde::field(row, "g").map_err(in_row)?;
-                let l: LocalState = serde::field(row, "l").map_err(in_row)?;
-                let q: Vec<f64> = serde::field(row, "q").map_err(in_row)?;
-                let q: Row = q.try_into().map_err(|q: Vec<f64>| {
-                    in_row(serde::Error::custom(format!(
-                        "Q row holds {} values but the action space has {}",
-                        q.len(),
-                        Action::COUNT
-                    )))
-                })?;
-                let key = pack(t as u32, g, l);
-                if set.map.insert(key, set.next_row()).is_some() {
-                    return Err(in_row(serde::Error::custom(format!(
-                        "the table lists state {g:?} {l:?} twice"
-                    ))));
-                }
-                set.rows.push(q);
-                set.keys.push(key);
+        let table_of_row = (0u32..)
+            .zip(&rows)
+            .flat_map(|(t, &n)| std::iter::repeat(t).take(n));
+        for (r, (table, (&g, &l))) in table_of_row.zip(g.iter().zip(&l)).enumerate() {
+            if g >> 48 != 0 {
+                return wrong(
+                    &format!("g[{r}]"),
+                    format!("{g} is not a packed global state"),
+                );
             }
-            let words: Vec<u64> = serde::field(table, "rng").map_err(in_table)?;
-            let state: [u64; 4] = words.try_into().map_err(|w: Vec<u64>| {
-                in_table(
-                    serde::Error::custom(format!("rng state needs 4 words, found {}", w.len()))
-                        .at("rng"),
-                )
-            })?;
-            set.rngs.push(SmallRng::from_state(state));
-        }
-        if let Some(bad) = set.index.iter().find(|&&t| t as usize >= tables.len()) {
-            return Err(serde::Error::custom(format!(
-                "device maps to table {bad} but only {} tables exist",
-                tables.len()
-            ))
-            .at("index"));
+            if l >> 40 != 0 {
+                return wrong(
+                    &format!("l[{r}]"),
+                    format!("{l} is not a packed local state"),
+                );
+            }
+            let key = key(table, g, l);
+            let row = RowId(u32::try_from(r).expect("fewer than 2^32 rows"));
+            if set.map.insert(key, row).is_some() {
+                return wrong(
+                    &format!("l[{r}]"),
+                    format!("table {table} lists state ({g:#x}, {l:#x}) twice"),
+                );
+            }
+            set.keys.push(key);
         }
         Ok(set)
     }
@@ -440,33 +464,6 @@ mod tests {
             }
             (best, best_q)
         }
-
-        fn to_value(&self) -> serde::Value {
-            let mut rows: Vec<_> = self.entries.iter().collect();
-            rows.sort_by_key(|((g, l), _)| {
-                (
-                    [g.conv, g.fc, g.rc, g.batch, g.epochs, g.k],
-                    [l.co_cpu, l.co_mem, l.network, l.data, l.avail],
-                )
-            });
-            serde::Value::Map(vec![
-                (
-                    "rows".to_string(),
-                    serde::Value::Seq(
-                        rows.into_iter()
-                            .map(|((g, l), q)| {
-                                serde::Value::Map(vec![
-                                    ("g".to_string(), g.to_value()),
-                                    ("l".to_string(), l.to_value()),
-                                    ("q".to_string(), q.to_value()),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-                ("rng".to_string(), self.rng.state().to_vec().to_value()),
-            ])
-        }
     }
 
     /// The reference model of a whole [`QTableSet`]: one [`QTable`] per
@@ -493,15 +490,42 @@ mod tests {
             &mut self.tables[self.index[device.0]]
         }
 
-        fn to_value(&self) -> serde::Value {
-            serde::Value::Map(vec![
-                ("sharing".to_string(), self.sharing.to_value()),
-                (
-                    "tables".to_string(),
-                    serde::Value::Seq(self.tables.iter().map(QTable::to_value).collect()),
-                ),
-                ("index".to_string(), self.index.to_value()),
-            ])
+        /// The checkpoint columns of the reference tables, rendered from
+        /// their maps without the arena: each table's rows sorted by state
+        /// bytes, each state packed most significant byte first.
+        fn columns(&self) -> QTableColumns {
+            let pack = |bytes: &[u8]| bytes.iter().fold(0u64, |p, &b| p << 8 | u64::from(b));
+            let mut columns = QTableColumns {
+                sharing: self.sharing,
+                rows: Vec::new(),
+                g: Vec::new(),
+                l: Vec::new(),
+                q: Vec::new(),
+                rng: Vec::new(),
+                index: self.index.iter().map(|&t| t as u32).collect(),
+            };
+            for table in &self.tables {
+                let mut rows: Vec<(u64, u64, &Vec<f64>)> = table
+                    .entries
+                    .iter()
+                    .map(|((g, l), q)| {
+                        (
+                            pack(&[g.conv, g.fc, g.rc, g.batch, g.epochs, g.k]),
+                            pack(&[l.co_cpu, l.co_mem, l.network, l.data, l.avail]),
+                            q,
+                        )
+                    })
+                    .collect();
+                rows.sort_by_key(|&(g, l, _)| (g, l));
+                columns.rows.push(rows.len());
+                for (g, l, q) in rows {
+                    columns.g.push(g);
+                    columns.l.push(l);
+                    columns.q.extend(q);
+                }
+                columns.rng.extend(table.rng.state());
+            }
+            columns
         }
     }
 
@@ -615,36 +639,26 @@ mod tests {
         assert_eq!(set.num_rows(), 1);
     }
 
-    /// Entry `i` of `value`, a map or a sequence.
-    fn nth(value: &mut serde::Value, i: usize) -> &mut serde::Value {
-        match value {
-            serde::Value::Map(entries) => &mut entries[i].1,
-            serde::Value::Seq(items) => &mut items[i],
-            other => panic!("expected a map or a sequence, found {}", other.kind()),
-        }
-    }
-
     #[test]
     fn reader_refuses_a_state_listed_twice_or_a_short_row() {
         let (mut set, _) = one_row(3);
         let _ = set.row(DeviceId(0), g(), LocalState { avail: 1, ..l() });
-        let tree = set.to_value();
-        // Row `i` of table 0 in a serialized set: `tables[0].rows[i]`.
-        fn row(tree: &mut serde::Value, i: usize) -> &mut serde::Value {
-            nth(nth(nth(nth(tree, 1), 0), 0), i)
-        }
-        let mut twice = tree.clone();
-        *row(&mut twice, 1) = row(&mut twice, 0).clone();
-        let mut short = tree.clone();
-        *nth(row(&mut short, 1), 2) = vec![0.0; Action::COUNT - 1].to_value();
-        for (bad, expect) in [(twice, "twice"), (short, "holds 6 values")] {
-            let err = QTableSet::from_value(&bad)
+        let columns = set.columns();
+        assert_eq!(columns.rows[0], 2, "both rows are in device 0's table");
+        let mut twice = columns.clone();
+        twice.l[1] = twice.l[0];
+        let mut short = columns.clone();
+        short.q.pop();
+        for (bad, expect) in [
+            (twice, "l[1]: table 0 lists state"),
+            (short, "q: 13 Q-values for 2 rows of 7 actions"),
+        ] {
+            let err = QTableSet::try_from(bad)
                 .expect_err("an inconsistent table must not restore")
                 .to_string();
-            assert!(err.contains("tables[0].rows[1]"), "{err}");
             assert!(err.contains(expect), "{err}");
         }
-        assert!(QTableSet::from_value(&tree).is_ok());
+        assert!(QTableSet::try_from(columns).is_ok());
     }
 
     proptest! {
@@ -652,8 +666,8 @@ mod tests {
 
         /// Random find-or-create, `best_action` and `update` sequences
         /// leave the arena and the reference tables with the same Q bits
-        /// after every step and the same checkpoint tree at the end, and
-        /// that tree round-trips. States draw mostly from a few values,
+        /// after every step and the same checkpoint columns at the end,
+        /// and those columns round-trip through their tree. States draw mostly from a few values,
         /// so devices of a shared tier collide on rows, and sometimes
         /// from any byte a checkpoint may carry.
         #[test]
@@ -729,13 +743,15 @@ mod tests {
                 if step == steps / 2 {
                     // Restoring renumbers the rows; the set must carry on
                     // exactly as before.
-                    set = QTableSet::from_value(&set.to_value()).expect("the set round-trips");
+                    set = QTableSet::try_from(set.columns()).expect("the set round-trips");
                 }
             }
-            let tree = set.to_value();
-            prop_assert!(tree == reference.to_value(), "checkpoint trees differ");
-            let restored = QTableSet::from_value(&tree).expect("the set round-trips");
-            prop_assert!(restored.to_value() == tree, "round trip changed the tree");
+            let columns = set.columns();
+            prop_assert!(columns == reference.columns(), "checkpoint columns differ");
+            let tree = columns.to_value();
+            let read = QTableColumns::from_value(&tree).expect("the columns read back");
+            let restored = QTableSet::try_from(read).expect("the set round-trips");
+            prop_assert!(restored.columns().to_value() == tree, "round trip changed the tree");
             prop_assert_eq!(restored.num_rows(), set.num_rows());
         }
     }

@@ -33,9 +33,17 @@ pub struct GlobalState {
     pub k: u8,
 }
 
+impl GlobalState {
+    /// The six bytes packed most significant first, in declaration order
+    /// (below 2^48): how Q-table keys and checkpoints hold a global state.
+    pub fn pack(&self) -> u64 {
+        pack_bytes(&[self.conv, self.fc, self.rc, self.batch, self.epochs, self.k])
+    }
+}
+
 /// The discretised per-device state `S_local`: the "Runtime Variance" and
 /// "Data Classes" groups of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LocalState {
     /// `S_Co_CPU` bin: co-running CPU utilisation
     /// (none / small / medium / large).
@@ -52,6 +60,43 @@ pub struct LocalState {
     /// thermally throttled, 2 = ineligible). Always 0 with a static
     /// fleet, so the state space is unchanged when dynamics are off.
     pub avail: u8,
+}
+
+impl LocalState {
+    /// The five bytes packed most significant first, in declaration order
+    /// (below 2^40): how Q-table keys and checkpoints hold a local state.
+    pub fn pack(&self) -> u64 {
+        pack_bytes(&[
+            self.co_cpu,
+            self.co_mem,
+            self.network,
+            self.data,
+            self.avail,
+        ])
+    }
+
+    /// Inverts [`LocalState::pack`]; `None` for a value at or above 2^40.
+    pub fn unpack(packed: u64) -> Option<LocalState> {
+        if packed >> 40 != 0 {
+            return None;
+        }
+        let [co_cpu, co_mem, network, data, avail] =
+            std::array::from_fn(|i| (packed >> (8 * (4 - i))) as u8);
+        Some(LocalState {
+            co_cpu,
+            co_mem,
+            network,
+            data,
+            avail,
+        })
+    }
+}
+
+/// `bytes` as one big-endian integer.
+fn pack_bytes(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0, |packed, &byte| packed << 8 | u64::from(byte))
 }
 
 /// Bin boundaries for every state feature.
@@ -375,5 +420,32 @@ mod tests {
             )
             .co_cpu;
         assert_ne!(lo, hi);
+    }
+
+    #[test]
+    fn states_pack_most_significant_byte_first() {
+        let g = GlobalState {
+            conv: 1,
+            fc: 2,
+            rc: 3,
+            batch: 4,
+            epochs: 5,
+            k: 255,
+        };
+        assert_eq!(g.pack(), 0x01_02_03_04_05_ff);
+        let l = LocalState {
+            co_cpu: 255,
+            co_mem: 7,
+            network: 1,
+            data: 2,
+            avail: 0,
+        };
+        assert_eq!(l.pack(), 0xff_07_01_02_00);
+        assert_eq!(LocalState::unpack(l.pack()), Some(l));
+        assert_eq!(
+            LocalState::unpack((1 << 40) - 1).map(|l| l.avail),
+            Some(255)
+        );
+        assert_eq!(LocalState::unpack(1 << 40), None);
     }
 }

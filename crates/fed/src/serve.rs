@@ -109,9 +109,10 @@ impl ServeError {
 // ---------------------------------------------------------------------------
 
 /// Version of the checkpoint envelope this build writes and reads.
-/// Version 2 keeps the event scheduler inside the simulation state; the
-/// version 1 payload's separate lockstep/event driver is refused.
-pub const CHECKPOINT_VERSION: u64 = 2;
+/// Version 3 holds AutoFL's Q-tables and pending rounds as flat columns;
+/// version 2's one map per Q row and per pending device is refused, as is
+/// version 1's separate lockstep/event driver.
+pub const CHECKPOINT_VERSION: u64 = 3;
 
 /// FNV-1a 64-bit digest of the canonical payload JSON, as fixed-width
 /// hex. Not cryptographic — it guards against torn writes and hand
@@ -944,9 +945,9 @@ mod tests {
         let err = read_checkpoint(&path).unwrap_err();
         assert!(err.to_string().contains("digest mismatch"), "{err}");
 
-        // Another version — newer, or the older driver-shaped payload:
-        // refused, not misread.
-        for other in [1, 999] {
+        // Another version — newer, or an older payload layout: refused,
+        // not misread.
+        for other in [1, 2, 999] {
             write_checkpoint(&path, payload.clone()).unwrap();
             let text = std::fs::read_to_string(&path).unwrap();
             let current = format!("\"version\":{CHECKPOINT_VERSION}");

@@ -394,18 +394,128 @@ fn resume_rejects_selector_state_that_does_not_fit_the_fleet() {
         assert!(err.contains(&expected), "{err}");
     }
     let err = selector_resume_error("pending-short", |selector| {
-        let serde_json::Value::Seq(pending) = entry(selector, "pending") else {
-            panic!("pending is a sequence");
-        };
-        assert!(!pending.is_empty(), "a cohort is in flight");
-        resize(entry(&mut pending[0], "per_device"), 2);
+        let pending = first_pending(selector);
+        resize(entry(pending, "locals"), 2);
+        resize(entry(pending, "actions"), 2);
     });
     assert!(
         err.contains(
-            "selector.pending[0].per_device: the pending round covers 2 devices but the fleet has 12"
+            "selector.pending[0].locals: the pending round covers 2 devices but the fleet has 12"
         ),
         "{err}"
     );
+}
+
+/// The items of the sequence `value`.
+fn items(value: &mut serde_json::Value) -> &mut Vec<serde_json::Value> {
+    match value {
+        serde_json::Value::Seq(items) => items,
+        other => panic!("expected a sequence, found {}", other.kind()),
+    }
+}
+
+/// The first pending round of an AutoFL selector state.
+fn first_pending(selector: &mut serde_json::Value) -> &mut serde_json::Value {
+    let pending = items(entry(selector, "pending"));
+    assert!(!pending.is_empty(), "a cohort is in flight");
+    &mut pending[0]
+}
+
+#[test]
+fn resume_rejects_a_pending_action_outside_the_action_space() {
+    // An action index past the last action used to resume as a `Train`
+    // action the Q-row has no slot for, and the next step panicked.
+    let err = selector_resume_error("action-7", |selector| {
+        items(entry(first_pending(selector), "actions"))[0] = serde_json::Value::UInt(7);
+    });
+    assert!(
+        err.contains("selector.pending[0].actions[0]: action index 7 is outside the 7 actions"),
+        "{err}"
+    );
+}
+
+#[test]
+fn resume_rejects_selector_columns_of_unequal_length() {
+    for (label, expected) in [
+        ("q", "selector.tables.q: "),
+        ("rng", "selector.tables.rng: "),
+        ("g", "selector.tables.rows: the row counts do not sum"),
+        (
+            "actions",
+            "selector.pending[0].actions: 11 actions for 12 local states",
+        ),
+    ] {
+        let err = selector_resume_error(&format!("short-{label}"), |selector| {
+            let column = if label == "actions" {
+                entry(first_pending(selector), label)
+            } else {
+                entry(entry(selector, "tables"), label)
+            };
+            let len = items(column).len();
+            resize(column, len - 1);
+        });
+        assert!(err.contains(expected), "{label}: {err}");
+    }
+}
+
+#[test]
+fn resume_rejects_selector_keys_out_of_range() {
+    use serde_json::Value::UInt;
+    let err = selector_resume_error("g-range", |selector| {
+        items(entry(entry(selector, "tables"), "g"))[0] = UInt(1 << 48);
+    });
+    assert!(
+        err.contains("selector.tables.g[0]: 281474976710656 is not a packed global state"),
+        "{err}"
+    );
+    let err = selector_resume_error("l-range", |selector| {
+        items(entry(entry(selector, "tables"), "l"))[0] = UInt(1 << 40);
+    });
+    assert!(
+        err.contains("selector.tables.l[0]: 1099511627776 is not a packed local state"),
+        "{err}"
+    );
+    let err = selector_resume_error("local-range", |selector| {
+        items(entry(first_pending(selector), "locals"))[0] = UInt(1 << 40);
+    });
+    assert!(
+        err.contains("selector.pending[0].locals[0]: 1099511627776 is not a packed local state"),
+        "{err}"
+    );
+    let err = selector_resume_error("index-range", |selector| {
+        items(entry(entry(selector, "tables"), "index"))[0] = UInt(12);
+    });
+    assert!(
+        err.contains("selector.tables.index: device maps to table 12 but only 12 tables exist"),
+        "{err}"
+    );
+}
+
+#[test]
+fn resume_rejects_a_q_table_state_listed_twice() {
+    let err = selector_resume_error("twice", |selector| {
+        let tables = entry(selector, "tables");
+        let rows: Vec<u64> = items(entry(tables, "rows"))
+            .iter()
+            .map(|n| match n {
+                serde_json::Value::UInt(n) => *n,
+                other => panic!("row counts are integers, found {}", other.kind()),
+            })
+            .collect();
+        // The first table holding two rows: its first row's state, listed
+        // again as its second.
+        let table = rows
+            .iter()
+            .position(|&n| n >= 2)
+            .expect("a table holds two rows");
+        let first = rows[..table].iter().sum::<u64>() as usize;
+        for column in ["g", "l"] {
+            let column = items(entry(tables, column));
+            column[first + 1] = column[first].clone();
+        }
+    });
+    assert!(err.contains("selector.tables.l["), "{err}");
+    assert!(err.contains("twice"), "{err}");
 }
 
 /// One step into a payload node: a map key or a sequence index.
