@@ -280,14 +280,14 @@ pub struct QTableColumns {
 impl QTableSet {
     /// The set as checkpoint columns.
     pub fn columns(&self) -> QTableColumns {
-        let mut order: Vec<usize> = (0..self.rows.len()).collect();
-        order.sort_unstable_by_key(|&r| self.keys[r]);
+        // Keys are unique, so sorting `(key, row)` pairs sorts by key.
+        let mut order: Vec<(u128, usize)> = self.keys.iter().copied().zip(0..).collect();
+        order.sort_unstable();
         let mut rows = vec![0; self.rngs.len()];
         let mut g = Vec::with_capacity(order.len());
         let mut l = Vec::with_capacity(order.len());
         let mut q = Vec::with_capacity(order.len() * Action::COUNT);
-        for r in order {
-            let key = self.keys[r];
+        for (key, r) in order {
             rows[(key >> 88) as usize] += 1;
             g.push((key >> 40) as u64 & ((1 << 48) - 1));
             l.push(key as u64 & ((1 << 40) - 1));
