@@ -30,6 +30,7 @@
 //! root/active/<job>/spec.json                # the job being run
 //! root/active/<job>/traces/<policy>-r<i>.jsonl
 //! root/active/<job>/state/<policy>-r<i>.ckpt.json
+//! root/active/<job>/state/<policy>-r<i>.summary.json  # unit finished
 //! root/done/<job>/…                          # finished jobs (+ summary.json)
 //! ```
 //!
@@ -807,7 +808,9 @@ fn run_job(
 
 /// Runs one `(policy, repeat)` unit to completion, resuming from its
 /// checkpoint if one exists, streaming its trace and checkpointing every
-/// [`ServeOptions::checkpoint_every`] records.
+/// [`ServeOptions::checkpoint_every`] records. A finished unit leaves its
+/// summary under `state/` as a completion marker; a unit that has one is
+/// not run again.
 fn run_unit(
     spec: &ExperimentSpec,
     policy: &dyn Policy,
@@ -821,7 +824,13 @@ fn run_unit(
     let unit = format!("{}-r{repeat}", policy.name());
     let trace_path = job_dir.join("traces").join(format!("{unit}.jsonl"));
     let ckpt_path = job_dir.join("state").join(format!("{unit}.ckpt.json"));
+    let marker_path = job_dir.join("state").join(format!("{unit}.summary.json"));
 
+    // A finished unit left its summary behind; its trace is complete, so
+    // a restart returns the summary and leaves the trace alone.
+    if marker_path.is_file() {
+        return read_marker(&marker_path, policy.name(), repeat, config.seed);
+    }
     let mut run = if ckpt_path.is_file() {
         let payload = read_checkpoint(&ckpt_path)?;
         ExperimentRun::resume(&config, policy, spec.control, &payload).map_err(|e| match e {
@@ -876,8 +885,7 @@ fn run_unit(
     }
     let final_k = run.params().num_participants;
     let result = run.into_result();
-    let _ = std::fs::remove_file(&ckpt_path);
-    Ok(UnitSummary {
+    let summary = UnitSummary {
         policy: result.policy.clone(),
         repeat,
         seed: config.seed,
@@ -890,7 +898,40 @@ fn run_unit(
             .map(|r| r.total_energy_j())
             .sum::<f64>(),
         final_k,
-    })
+    };
+    // The marker lands (tmp file + rename) before the checkpoint goes, so
+    // a crash between the two leaves both, and the marker wins.
+    let text = serde_json::to_string_pretty(&summary).expect("a summary serializes");
+    let tmp = marker_path.with_extension("tmp");
+    std::fs::write(&tmp, text)
+        .and_then(|()| std::fs::rename(&tmp, &marker_path))
+        .map_err(ServeError::io(format!("writing {}", marker_path.display())))?;
+    let _ = std::fs::remove_file(&ckpt_path);
+    Ok(summary)
+}
+
+/// The summary a finished unit left at `path`, refused unless it names
+/// the unit's own policy, repeat and seed.
+fn read_marker(
+    path: &Path,
+    policy: &str,
+    repeat: usize,
+    seed: u64,
+) -> Result<UnitSummary, ServeError> {
+    let bad = |reason: String| ServeError::Checkpoint {
+        path: path.to_path_buf(),
+        reason,
+    };
+    let text = std::fs::read_to_string(path).map_err(|e| bad(format!("cannot read: {e}")))?;
+    let summary: UnitSummary =
+        serde_json::from_str(&text).map_err(|e| bad(format!("not a unit summary: {e}")))?;
+    if (summary.policy.as_str(), summary.repeat, summary.seed) != (policy, repeat, seed) {
+        return Err(bad(format!(
+            "the summary of {}-r{} at seed {} marks the unit {policy}-r{repeat} at seed {seed}",
+            summary.policy, summary.repeat, summary.seed
+        )));
+    }
+    Ok(summary)
 }
 
 #[cfg(test)]
@@ -1150,6 +1191,77 @@ mod tests {
             .collect();
         let trace = done.join("traces/FedAvg-Random-r1.jsonl");
         assert_eq!(std::fs::read_to_string(trace).unwrap(), expected);
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_restart_keeps_the_units_a_job_already_finished() {
+        let root = std::env::temp_dir().join(format!("autofl-serve-marker-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut config = SimConfig::tiny_test(6);
+        config.max_rounds = 4;
+        config.target_accuracy = Some(1.1);
+        let spec = ExperimentSpec::new("marker", config, ["FedAvg-Random", "Performance"], 1);
+        let registry = baseline_registry();
+        let read = |path: PathBuf| std::fs::read_to_string(path).unwrap();
+        let once = |root: PathBuf| ServeOptions {
+            once: true,
+            ..ServeOptions::new(root)
+        };
+        // A job whose first unit finished before the daemon died, at `root`.
+        let active_job = |root: &Path| {
+            let job = root.join("active/marker");
+            std::fs::create_dir_all(job.join("traces")).unwrap();
+            std::fs::create_dir_all(job.join("state")).unwrap();
+            std::fs::write(job.join("spec.json"), spec.to_json()).unwrap();
+            job
+        };
+
+        let straight = root.join("straight");
+        std::fs::create_dir_all(straight.join("queue")).unwrap();
+        std::fs::write(straight.join("queue/marker.json"), spec.to_json()).unwrap();
+        serve(&registry, &once(straight.clone())).unwrap();
+
+        let restarted = root.join("restarted");
+        let job = active_job(&restarted);
+        let policies = spec.resolve(&registry).unwrap();
+        let opts = once(restarted.clone());
+        run_unit(&spec, policies[0], 0, &job, &opts, &AtomicUsize::new(0)).unwrap();
+        assert!(job.join("state/FedAvg-Random-r0.summary.json").is_file());
+        assert!(!job.join("state/FedAvg-Random-r0.ckpt.json").exists());
+        std::fs::write(job.join("traces/FedAvg-Random-r0.jsonl"), "sentinel\n").unwrap();
+        let report = serve(&registry, &opts).unwrap();
+        assert_eq!(report, ServeReport { jobs: 1, units: 2 });
+        let (done, reference) = (restarted.join("done/marker"), straight.join("done/marker"));
+        assert_eq!(
+            read(done.join("traces/FedAvg-Random-r0.jsonl")),
+            "sentinel\n"
+        );
+        for file in ["summary.json", "traces/Performance-r0.jsonl"] {
+            assert_eq!(read(done.join(file)), read(reference.join(file)), "{file}");
+        }
+
+        // A marker that names another unit is refused, not trusted.
+        let mismatched = root.join("mismatched");
+        let job = active_job(&mismatched);
+        let rows: Vec<UnitSummary> =
+            serde_json::from_str(&read(reference.join("summary.json"))).unwrap();
+        let summary = UnitSummary {
+            seed: 7,
+            ..rows[0].clone()
+        };
+        std::fs::write(
+            job.join("state/FedAvg-Random-r0.summary.json"),
+            serde_json::to_string_pretty(&summary).unwrap(),
+        )
+        .unwrap();
+        let err = serve(&registry, &once(mismatched)).unwrap_err();
+        assert!(matches!(err, ServeError::Checkpoint { .. }), "{err}");
+        assert!(
+            err.to_string()
+                .contains("at seed 7 marks the unit FedAvg-Random-r0 at seed 6"),
+            "{err}"
+        );
         std::fs::remove_dir_all(&root).unwrap();
     }
 }
