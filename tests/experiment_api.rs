@@ -9,7 +9,10 @@
 mod common;
 
 use autofl::fed::engine::{SimConfig, Simulation};
+use autofl::fed::fabric::{CodecSpec, LinkModel, NetworkFabric};
+use autofl::fed::fleet::FleetDynamics;
 use autofl::fed::policy::{run_policy, Policy};
+use autofl::fed::runtime::AsyncRuntime;
 use autofl::fed::serve::{serve, ConvergeTarget, ServeOptions, UnitSummary};
 use autofl::fed::spec::ExperimentSpec;
 use autofl::{standard_registry, PAPER_POLICIES};
@@ -155,12 +158,37 @@ fn control_smoke_spec() -> ExperimentSpec {
     )
 }
 
+/// The CI spec whose serve kill lands with cohorts in flight: two
+/// pipelined buffered cohorts under realistic fleet dynamics and calm
+/// links with top-k, so its checkpoints hold in-flight cohorts, pending
+/// AutoFL rounds and the fleet's lifecycle columns.
+fn serve_async_smoke_spec() -> ExperimentSpec {
+    let mut config = SimConfig::smoke(42);
+    config.num_devices = 60;
+    config.max_rounds = 40;
+    config.target_accuracy = Some(1.1);
+    config.fleet = Some(FleetDynamics::realistic());
+    config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+    config.network =
+        Some(NetworkFabric::new(LinkModel::calm()).with_codec(CodecSpec::TopK { k_frac: 0.1 }));
+    ExperimentSpec::new(
+        "ci-serve-async-smoke",
+        config,
+        ["FedAvg-Random", "AutoFL"],
+        1,
+    )
+}
+
 #[test]
 fn checked_in_spec_files_match_their_generators() {
     let specs = [
         ("tests/specs/smoke.json", smoke_spec()),
         ("tests/specs/fig04_s3_cnn.json", fig04_spec()),
         ("tests/specs/control_smoke.json", control_smoke_spec()),
+        (
+            "tests/specs/serve_async_smoke.json",
+            serve_async_smoke_spec(),
+        ),
     ];
     for (path, spec) in specs {
         if std::env::var("AUTOFL_REGEN_SPECS").is_ok() {
