@@ -46,7 +46,7 @@ pub use action::Action;
 pub use controller::{AutoFl, AutoFlConfig};
 pub use overhead::Overhead;
 pub use policy::{standard_registry, AutoFlPolicy, PAPER_POLICIES};
-pub use qtable::{QSharing, QTableColumns, QTableSet, RowId};
+pub use qtable::{QSharing, QTableSet, RowId};
 pub use reward::{reward, ParticipationOutcome, RewardConfig, RewardInputs};
 pub use state::{GlobalState, LocalState, StateSpace};
 

@@ -18,8 +18,8 @@
 //! - each table's own RNG, which draws the random initial values of the
 //!   rows created in it, and the device → table index.
 //!
-//! Checkpoints hold the same arena as a few flat columns,
-//! [`QTableColumns`], with the rows sorted by packed key.
+//! Checkpoints hold the same arena as a few flat columns, with the rows
+//! sorted by packed key.
 //!
 //! A row's initial values depend only on its table's RNG position when
 //! the row is created, so callers fix every initial Q-value by the order
@@ -260,26 +260,26 @@ impl QTableSet {
 /// map's order one of hashing, so sorting makes equal sets serialize to
 /// equal bytes, which the checkpoint digests rely on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QTableColumns {
+pub(crate) struct QTableColumns {
     /// The sharing mode.
-    pub sharing: QSharing,
+    sharing: QSharing,
     /// Each table's row count; table `t`'s rows follow table `t − 1`'s.
-    pub rows: Vec<usize>,
+    rows: Vec<usize>,
     /// Each row's packed global state ([`GlobalState::pack`]).
-    pub g: Vec<u64>,
+    g: Vec<u64>,
     /// Each row's packed local state ([`LocalState::pack`]).
-    pub l: Vec<u64>,
+    l: Vec<u64>,
     /// Each row's Q-values, [`Action::COUNT`] per row, in row order.
-    pub q: Vec<f64>,
+    q: Vec<f64>,
     /// Each table's RNG state: four words per table.
-    pub rng: Vec<u64>,
+    rng: Vec<u64>,
     /// Device id → table.
-    pub index: Vec<u32>,
+    index: Vec<u32>,
 }
 
 impl QTableSet {
     /// The set as checkpoint columns.
-    pub fn columns(&self) -> QTableColumns {
+    pub(crate) fn columns(&self) -> QTableColumns {
         // Keys are unique, so sorting `(key, row)` pairs sorts by key.
         let mut order: Vec<(u128, usize)> = self.keys.iter().copied().zip(0..).collect();
         order.sort_unstable();

@@ -36,7 +36,7 @@ pub struct GlobalState {
 impl GlobalState {
     /// The six bytes packed most significant first, in declaration order
     /// (below 2^48): how Q-table keys and checkpoints hold a global state.
-    pub fn pack(&self) -> u64 {
+    pub(crate) fn pack(&self) -> u64 {
         pack_bytes(&[self.conv, self.fc, self.rc, self.batch, self.epochs, self.k])
     }
 }
@@ -65,7 +65,7 @@ pub struct LocalState {
 impl LocalState {
     /// The five bytes packed most significant first, in declaration order
     /// (below 2^40): how Q-table keys and checkpoints hold a local state.
-    pub fn pack(&self) -> u64 {
+    pub(crate) fn pack(&self) -> u64 {
         pack_bytes(&[
             self.co_cpu,
             self.co_mem,
@@ -76,7 +76,7 @@ impl LocalState {
     }
 
     /// Inverts [`LocalState::pack`]; `None` for a value at or above 2^40.
-    pub fn unpack(packed: u64) -> Option<LocalState> {
+    pub(crate) fn unpack(packed: u64) -> Option<LocalState> {
         if packed >> 40 != 0 {
             return None;
         }

@@ -1208,7 +1208,7 @@ mod tests {
             once: true,
             ..ServeOptions::new(root)
         };
-        // A job whose first unit finished before the daemon died, at `root`.
+        // The job as a daemon under `root` left it in `active/`.
         let active_job = |root: &Path| {
             let job = root.join("active/marker");
             std::fs::create_dir_all(job.join("traces")).unwrap();
