@@ -135,15 +135,6 @@ impl Dataset {
             .map(|chunk| self.batch(chunk))
             .collect()
     }
-
-    /// Histogram of labels over a subset of samples.
-    pub fn class_histogram(&self, indices: &[usize]) -> Vec<usize> {
-        let mut h = vec![0usize; self.num_classes];
-        for &i in indices {
-            h[self.labels[i]] += 1;
-        }
-        h
-    }
 }
 
 #[cfg(test)]
@@ -178,13 +169,6 @@ mod tests {
         assert_eq!(batches.len(), 2);
         let total: usize = batches.iter().map(|(_, y)| y.len()).sum();
         assert_eq!(total, 4);
-    }
-
-    #[test]
-    fn class_histogram_counts() {
-        let d = toy();
-        assert_eq!(d.class_histogram(&[0, 1, 2, 3]), vec![2, 1, 1]);
-        assert_eq!(d.class_histogram(&[1]), vec![0, 1, 0]);
     }
 
     #[test]

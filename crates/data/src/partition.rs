@@ -77,8 +77,8 @@ impl Partition {
     ///
     /// # Panics
     ///
-    /// Panics if `num_devices == 0` or the non-IID fraction is outside
-    /// `[0, 1]`.
+    /// Panics if `num_devices == 0`, the non-IID fraction is outside
+    /// `[0, 1]`, or the dataset or the fleet is larger than `u32::MAX`.
     pub fn new(
         dataset: &Dataset,
         num_devices: usize,
@@ -86,16 +86,35 @@ impl Partition {
         seed: u64,
     ) -> Self {
         assert!(num_devices > 0, "need at least one device");
+        let labels = dataset.labels();
+        let total = labels.len();
+        let samples = u32::try_from(total).expect("a partition holds at most u32::MAX samples");
+        let devices =
+            u32::try_from(num_devices).expect("a partition holds at most u32::MAX devices");
         let mut rng = SmallRng::seed_from_u64(seed);
         let classes = dataset.num_classes();
 
-        // Group sample indices by class, shuffled.
-        let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); classes];
-        for (i, &label) in dataset.labels().iter().enumerate() {
-            by_class[label].push(i);
+        // Group sample indices by class into one pool, class `c` owning
+        // `pool[next[c]..end[c]]` in sample order, then shuffle each class
+        // in class order.
+        let mut end = vec![0usize; classes];
+        for &label in labels {
+            end[label] += 1;
         }
-        for c in by_class.iter_mut() {
-            c.shuffle(&mut rng);
+        let mut filled = 0;
+        for e in end.iter_mut() {
+            filled += *e;
+            *e = filled;
+        }
+        // Filled back to front, so each cursor stops on its class's start.
+        let mut next = end.clone();
+        let mut pool = vec![0u32; total];
+        for (i, &label) in (0..samples).zip(labels).rev() {
+            next[label] -= 1;
+            pool[next[label]] = i;
+        }
+        for c in 0..classes {
+            pool[next[c]..end[c]].shuffle(&mut rng);
         }
 
         // Decide which devices are non-IID.
@@ -113,47 +132,54 @@ impl Partition {
             }
         };
         let n_non_iid = (num_devices as f64 * fraction).round() as usize;
-        let mut order: Vec<usize> = (0..num_devices).collect();
+        let mut order: Vec<u32> = (0..devices).collect();
         order.shuffle(&mut rng);
         let mut non_iid_devices = vec![false; num_devices];
         for &d in order.iter().take(n_non_iid) {
-            non_iid_devices[d] = true;
+            non_iid_devices[d as usize] = true;
         }
-        let iid_devices: Vec<usize> = (0..num_devices).filter(|&d| !non_iid_devices[d]).collect();
-        let noniid_devices: Vec<usize> = (0..num_devices).filter(|&d| non_iid_devices[d]).collect();
+        drop(order);
 
-        // Every device receives the same number of samples; what differs is
-        // the *label mix*. IID devices draw their quota stratified across
-        // classes; each non-IID device draws its quota according to its own
-        // Dirichlet(α) class distribution (the paper's "a proportion of the
-        // samples of each data class is distributed following Dirichlet
-        // distribution").
-        let total = dataset.len();
+        // Every device receives the same number of samples, plus one of
+        // the `rest` left over by the integer division for the first
+        // `rest` devices; what differs is the *label mix*. IID devices
+        // draw their quota stratified across classes; each non-IID device
+        // draws its quota according to its own Dirichlet(α) class
+        // distribution (the paper's "a proportion of the samples of each
+        // data class is distributed following Dirichlet distribution").
+        // Both phases write each pick straight into the device's slice
+        // and count its class. They take `num_devices × quota <= total`
+        // samples in all, so some pool always holds the next one.
         let quota = total / num_devices;
-        let mut per_device: Vec<Vec<usize>> = vec![Vec::new(); num_devices];
-        let mut cursors = vec![0usize; classes];
+        let rest = total - num_devices * quota;
+        let offsets: Vec<usize> = (0..=num_devices).map(|d| d * quota + d.min(rest)).collect();
+        let mut indices = vec![0usize; total];
+        let mut counts = vec![0usize; num_devices * classes];
+        let mut take = |device: usize, k: usize, class: usize, next: &mut [usize]| {
+            indices[offsets[device] + k] = pool[next[class]] as usize;
+            next[class] += 1;
+            counts[device * classes + class] += 1;
+        };
 
         // IID devices first: round-robin over classes.
-        for &device in &iid_devices {
+        for device in (0..num_devices).filter(|&d| !non_iid_devices[d]) {
             let mut class = device % classes.max(1);
-            while per_device[device].len() < quota {
+            for k in 0..quota {
                 let mut scanned = 0;
-                while cursors[class] >= by_class[class].len() && scanned < classes {
+                while next[class] >= end[class] {
+                    debug_assert!(scanned < classes, "fewer than n × quota samples");
                     class = (class + 1) % classes;
                     scanned += 1;
                 }
-                if cursors[class] >= by_class[class].len() {
-                    break; // everything exhausted
-                }
-                per_device[device].push(by_class[class][cursors[class]]);
-                cursors[class] += 1;
+                take(device, k, class, &mut next);
                 class = (class + 1) % classes;
             }
         }
         // Non-IID devices: per-device Dirichlet class mix over what's left.
-        for &device in &noniid_devices {
-            let props = dirichlet(classes, alpha, &mut rng);
-            while per_device[device].len() < quota {
+        let mut props = vec![0.0; classes];
+        for device in (0..num_devices).filter(|&d| non_iid_devices[d]) {
+            dirichlet(alpha, &mut rng, &mut props);
+            for k in 0..quota {
                 // Sample a class, falling back to the fullest remaining
                 // pool when the drawn class is exhausted.
                 let draw: f64 = rng.gen();
@@ -166,39 +192,25 @@ impl Partition {
                         break;
                     }
                 }
-                if cursors[class] >= by_class[class].len() {
-                    match (0..classes)
-                        .filter(|&c| cursors[c] < by_class[c].len())
-                        .max_by_key(|&c| by_class[c].len() - cursors[c])
-                    {
-                        Some(c) => class = c,
-                        None => break,
-                    }
+                if next[class] >= end[class] {
+                    class = (0..classes)
+                        .filter(|&c| next[c] < end[c])
+                        .max_by_key(|&c| end[c] - next[c])
+                        .expect("fewer than n × quota samples are taken");
                 }
-                per_device[device].push(by_class[class][cursors[class]]);
-                cursors[class] += 1;
+                take(device, k, class, &mut next);
             }
         }
-        // Distribute any remainder (from integer division) round-robin.
-        let mut leftovers: Vec<usize> = Vec::new();
-        for (c, pool) in by_class.iter().enumerate() {
-            leftovers.extend_from_slice(&pool[cursors[c]..]);
+        // The `rest` samples left over go one each to devices 0, 1, …,
+        // in class order.
+        let mut device = 0;
+        for class in 0..classes {
+            while next[class] < end[class] {
+                take(device, quota, class, &mut next);
+                device += 1;
+            }
         }
-        for (j, sample) in leftovers.into_iter().enumerate() {
-            per_device[j % num_devices].push(sample);
-        }
-
-        // Flatten into the CSR layout: one offsets array, one index
-        // array, one row-major histogram matrix.
-        let mut offsets = Vec::with_capacity(num_devices + 1);
-        let mut indices = Vec::with_capacity(total);
-        let mut counts = Vec::with_capacity(num_devices * classes);
-        offsets.push(0);
-        for idx in &per_device {
-            indices.extend_from_slice(idx);
-            offsets.push(indices.len());
-            counts.extend_from_slice(&dataset.class_histogram(idx));
-        }
+        debug_assert_eq!(device, rest);
         Partition {
             offsets,
             indices,
@@ -307,17 +319,18 @@ impl Partition {
     }
 }
 
-/// Samples a Dirichlet(alpha, ..., alpha) vector of length `n` via
-/// normalised Gamma draws (the textbook construction), which is numerically
-/// robust for the tiny α = 0.1 the paper uses.
-fn dirichlet(n: usize, alpha: f64, rng: &mut impl Rng) -> Vec<f64> {
+/// Samples a Dirichlet(alpha, ..., alpha) vector into `out` via
+/// normalised Gamma draws (the textbook construction), which is
+/// numerically robust for the tiny α = 0.1 the paper uses.
+fn dirichlet(alpha: f64, rng: &mut impl Rng, out: &mut [f64]) {
     let gamma = Gamma::new(alpha, 1.0).expect("alpha must be positive");
-    let mut draws: Vec<f64> = (0..n).map(|_| gamma.sample(rng).max(1e-300)).collect();
-    let z: f64 = draws.iter().sum();
-    for d in draws.iter_mut() {
+    for d in out.iter_mut() {
+        *d = gamma.sample(rng).max(1e-300);
+    }
+    let z: f64 = out.iter().sum();
+    for d in out.iter_mut() {
         *d /= z;
     }
-    draws
 }
 
 #[cfg(test)]
@@ -325,9 +338,183 @@ mod tests {
     use super::*;
     use crate::synth;
     use autofl_nn::zoo::Workload;
+    use proptest::prelude::*;
 
     fn dataset(n: usize) -> Dataset {
         synth::generate(Workload::TinyTest, n, 11)
+    }
+
+    /// The nested-`Vec` construction `Partition::new` replaced, kept as
+    /// the model it must equal: every device's samples in a `Vec` of its
+    /// own, flattened and histogrammed at the end. Returns the offsets,
+    /// indices, counts and non-IID flags.
+    fn reference(
+        dataset: &Dataset,
+        num_devices: usize,
+        distribution: DataDistribution,
+        seed: u64,
+    ) -> (Vec<usize>, Vec<usize>, Vec<usize>, Vec<bool>) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let classes = dataset.num_classes();
+        let mut by_class: Vec<Vec<usize>> = vec![Vec::new(); classes];
+        for (i, &label) in dataset.labels().iter().enumerate() {
+            by_class[label].push(i);
+        }
+        for c in by_class.iter_mut() {
+            c.shuffle(&mut rng);
+        }
+        let (fraction, alpha) = match distribution {
+            DataDistribution::IidIdeal => (0.0, PAPER_DIRICHLET_ALPHA),
+            DataDistribution::NonIid {
+                fraction_non_iid,
+                alpha,
+            } => (fraction_non_iid, alpha),
+        };
+        let n_non_iid = (num_devices as f64 * fraction).round() as usize;
+        let mut order: Vec<usize> = (0..num_devices).collect();
+        order.shuffle(&mut rng);
+        let mut non_iid_devices = vec![false; num_devices];
+        for &d in order.iter().take(n_non_iid) {
+            non_iid_devices[d] = true;
+        }
+        let iid_devices: Vec<usize> = (0..num_devices).filter(|&d| !non_iid_devices[d]).collect();
+        let noniid_devices: Vec<usize> = (0..num_devices).filter(|&d| non_iid_devices[d]).collect();
+
+        let total = dataset.len();
+        let quota = total / num_devices;
+        let mut per_device: Vec<Vec<usize>> = vec![Vec::new(); num_devices];
+        let mut cursors = vec![0usize; classes];
+        for &device in &iid_devices {
+            let mut class = device % classes.max(1);
+            while per_device[device].len() < quota {
+                let mut scanned = 0;
+                while cursors[class] >= by_class[class].len() && scanned < classes {
+                    class = (class + 1) % classes;
+                    scanned += 1;
+                }
+                if cursors[class] >= by_class[class].len() {
+                    break;
+                }
+                per_device[device].push(by_class[class][cursors[class]]);
+                cursors[class] += 1;
+                class = (class + 1) % classes;
+            }
+        }
+        for &device in &noniid_devices {
+            let gamma = Gamma::new(alpha, 1.0).expect("alpha must be positive");
+            let mut props: Vec<f64> = (0..classes)
+                .map(|_| gamma.sample(&mut rng).max(1e-300))
+                .collect();
+            let z: f64 = props.iter().sum();
+            for p in props.iter_mut() {
+                *p /= z;
+            }
+            while per_device[device].len() < quota {
+                let draw: f64 = rng.gen();
+                let mut acc = 0.0;
+                let mut class = classes - 1;
+                for (c, &p) in props.iter().enumerate() {
+                    acc += p;
+                    if draw <= acc {
+                        class = c;
+                        break;
+                    }
+                }
+                if cursors[class] >= by_class[class].len() {
+                    match (0..classes)
+                        .filter(|&c| cursors[c] < by_class[c].len())
+                        .max_by_key(|&c| by_class[c].len() - cursors[c])
+                    {
+                        Some(c) => class = c,
+                        None => break,
+                    }
+                }
+                per_device[device].push(by_class[class][cursors[class]]);
+                cursors[class] += 1;
+            }
+        }
+        let mut leftovers: Vec<usize> = Vec::new();
+        for (c, pool) in by_class.iter().enumerate() {
+            leftovers.extend_from_slice(&pool[cursors[c]..]);
+        }
+        for (j, sample) in leftovers.into_iter().enumerate() {
+            per_device[j % num_devices].push(sample);
+        }
+
+        let mut offsets = vec![0];
+        let mut indices = Vec::new();
+        let mut counts = Vec::new();
+        for idx in &per_device {
+            indices.extend_from_slice(idx);
+            offsets.push(indices.len());
+            let mut histogram = vec![0usize; classes];
+            for &i in idx {
+                histogram[dataset.labels()[i]] += 1;
+            }
+            counts.extend_from_slice(&histogram);
+        }
+        (offsets, indices, counts, non_iid_devices)
+    }
+
+    /// Asserts that `Partition::new` builds exactly the reference's arrays.
+    fn assert_matches_reference(
+        dataset: &Dataset,
+        num_devices: usize,
+        distribution: DataDistribution,
+        seed: u64,
+    ) {
+        let p = Partition::new(dataset, num_devices, distribution, seed);
+        let (offsets, indices, counts, flags) = reference(dataset, num_devices, distribution, seed);
+        assert_eq!(p.offsets, offsets, "offsets");
+        assert_eq!(p.indices, indices, "indices");
+        assert_eq!(p.counts, counts, "counts");
+        assert_eq!(p.non_iid_devices, flags, "non-IID flags");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Fleets of every shape, with and without a remainder, on
+        /// balanced labels (TinyTest, CNN) and on LSTM's skewed ones,
+        /// which exhaust pools and reach the non-IID fallback.
+        #[test]
+        fn partition_matches_the_nested_reference(
+            devices in 1usize..=300,
+            per_device in 1usize..=40,
+            remainder in 0usize..300,
+            workload in 0usize..3,
+            non_iid in proptest::bool::ANY,
+            fraction in 0.0f64..=1.0,
+            alpha in 0usize..3,
+            seed in 0u64..u64::MAX,
+        ) {
+            let workload = [Workload::TinyTest, Workload::CnnMnist, Workload::LstmShakespeare]
+                [workload];
+            let total = devices * per_device + remainder % devices;
+            let labels = synth::generate_labels(workload, total, seed);
+            let distribution = if non_iid {
+                DataDistribution::NonIid {
+                    fraction_non_iid: fraction,
+                    alpha: [0.1, 1.0, 10.0][alpha],
+                }
+            } else {
+                DataDistribution::IidIdeal
+            };
+            assert_matches_reference(&labels, devices, distribution, seed);
+        }
+    }
+
+    #[test]
+    fn more_devices_than_samples_leaves_a_zero_quota() {
+        let labels = synth::generate_labels(Workload::CnnMnist, 30, 12);
+        for distribution in [
+            DataDistribution::IidIdeal,
+            DataDistribution::non_iid_percent(50),
+        ] {
+            assert_matches_reference(&labels, 50, distribution, 13);
+            let p = Partition::new(&labels, 50, distribution, 13);
+            assert!((0..50).all(|d| p.device_sample_count(d) == usize::from(d < 30)));
+        }
     }
 
     #[test]
