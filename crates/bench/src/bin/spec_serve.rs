@@ -6,7 +6,9 @@
 //! cp tests/specs/smoke.json runs/queue/   # then: watch runs/done/
 //! ```
 //!
-//! Jobs move `queue/<job>.json` → `active/<job>/` → `done/<job>/`; each
+//! Jobs move `queue/<job>.json` → `active/<job>/` → `done/<job>/`, or
+//! to `failed/<job>/` with an `error.txt` when their spec or a
+//! checkpoint is refused (`--once` then exits non-zero). Each
 //! `(policy, repeat)` unit streams `traces/<policy>-r<i>.jsonl` and
 //! checkpoints `state/<policy>-r<i>.ckpt.json` every `--checkpoint-every`
 //! rounds. Killing the daemon at any point is safe: restarting it resumes
@@ -65,11 +67,16 @@ fn main() -> ExitCode {
     match serve(&standard_registry(), &opts) {
         Ok(report) => {
             println!(
-                "spec_serve: drained {} job(s), {} unit(s), under {}",
+                "spec_serve: drained {} job(s), {} unit(s), {} failed, under {}",
                 report.jobs,
                 report.units,
+                report.failed,
                 opts.root.display()
             );
+            if report.failed > 0 {
+                eprintln!("spec_serve: see failed/<job>/error.txt");
+                return ExitCode::FAILURE;
+            }
             ExitCode::SUCCESS
         }
         Err(e) => {

@@ -102,10 +102,8 @@ impl Action {
             Action::Idle => panic!("idle action has no execution plan"),
             Action::Train { target, dvfs_level } => {
                 let table = DvfsTable::for_tier(tier, *target);
-                ExecutionPlan {
-                    target: *target,
-                    freq_step: table.step_at_fraction(DVFS_LEVELS[*dvfs_level as usize]),
-                }
+                let fraction = DVFS_LEVELS[*dvfs_level as usize];
+                ExecutionPlan::at_step(*target, table.step_at_fraction(fraction))
             }
         }
     }

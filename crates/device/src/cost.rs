@@ -28,16 +28,27 @@ pub struct ExecutionPlan {
     /// Which silicon trains.
     pub target: ExecutionTarget,
     /// 1-based V-F step within the target's [`DvfsTable`].
-    pub freq_step: usize,
+    pub freq_step: u8,
 }
 
 impl ExecutionPlan {
+    /// Training on `target` at 1-based `step` of its [`DvfsTable`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `step` does not fit the `u8` a plan holds (the largest
+    /// table has 23 steps).
+    pub fn at_step(target: ExecutionTarget, step: usize) -> Self {
+        ExecutionPlan {
+            target,
+            freq_step: u8::try_from(step).expect("a DVFS step fits in a u8"),
+        }
+    }
+
     /// CPU at maximum frequency — the conventional default.
     pub fn cpu_max(tier: DeviceTier) -> Self {
-        ExecutionPlan {
-            target: ExecutionTarget::Cpu,
-            freq_step: DvfsTable::for_tier(tier, ExecutionTarget::Cpu).num_steps(),
-        }
+        let table = DvfsTable::for_tier(tier, ExecutionTarget::Cpu);
+        ExecutionPlan::at_step(ExecutionTarget::Cpu, table.num_steps())
     }
 }
 
@@ -98,11 +109,11 @@ pub fn execute(
         ExecutionTarget::Cpu => conditions.interference.cpu_throughput_factor(),
         ExecutionTarget::Gpu => conditions.interference.gpu_throughput_factor(),
     };
-    let gflops = table.gflops(plan.freq_step) * factor * throttle_speed_factor(conditions.throttle);
+    let step = usize::from(plan.freq_step);
+    let gflops = table.gflops(step) * factor * throttle_speed_factor(conditions.throttle);
     let compute_time_s = task.flops as f64 / (gflops * 1e9);
-    let compute_energy_j = table.busy_power_w(plan.freq_step)
-        * throttle_power_factor(conditions.throttle)
-        * compute_time_s;
+    let compute_energy_j =
+        table.busy_power_w(step) * throttle_power_factor(conditions.throttle) * compute_time_s;
     let comm_time_s = conditions.network.comm_time_s(task.upload_bytes);
     let comm_energy_j = conditions.network.comm_energy_j(task.upload_bytes);
     RoundCost {
@@ -203,19 +214,13 @@ mod tests {
         let table = DvfsTable::for_tier(DeviceTier::High, ExecutionTarget::Cpu);
         let fast = execute(
             DeviceTier::High,
-            ExecutionPlan {
-                target: ExecutionTarget::Cpu,
-                freq_step: table.num_steps(),
-            },
+            ExecutionPlan::at_step(ExecutionTarget::Cpu, table.num_steps()),
             task(),
             &c,
         );
         let slow = execute(
             DeviceTier::High,
-            ExecutionPlan {
-                target: ExecutionTarget::Cpu,
-                freq_step: table.num_steps() / 2,
-            },
+            ExecutionPlan::at_step(ExecutionTarget::Cpu, table.num_steps() / 2),
             task(),
             &c,
         );

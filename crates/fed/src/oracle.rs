@@ -120,10 +120,7 @@ impl OracleSelector {
         for target in ExecutionTarget::all() {
             let table = DvfsTable::for_tier(tier, target);
             for step in 1..=table.num_steps() {
-                let plan = ExecutionPlan {
-                    target,
-                    freq_step: step,
-                };
+                let plan = ExecutionPlan::at_step(target, step);
                 let cost = execute(tier, plan, task, conditions);
                 if cost.total_time_s() <= deadline_s && cost.total_energy_j() < best_energy {
                     best_energy = cost.total_energy_j();
@@ -136,10 +133,7 @@ impl OracleSelector {
             // least-bad target.
             let cpu = execute(tier, ExecutionPlan::cpu_max(tier), task, conditions);
             let gpu_table = DvfsTable::for_tier(tier, ExecutionTarget::Gpu);
-            let gpu_plan = ExecutionPlan {
-                target: ExecutionTarget::Gpu,
-                freq_step: gpu_table.num_steps(),
-            };
+            let gpu_plan = ExecutionPlan::at_step(ExecutionTarget::Gpu, gpu_table.num_steps());
             let gpu = execute(tier, gpu_plan, task, conditions);
             if gpu.total_time_s() < cpu.total_time_s() {
                 return gpu_plan;
@@ -327,7 +321,9 @@ mod tests {
             for (id, plan) in rec.participants.iter().zip(&rec.plans) {
                 let tier = sim.fleet().device(*id).tier();
                 let table = DvfsTable::for_tier(tier, plan.target);
-                if plan.freq_step < table.num_steps() || plan.target == ExecutionTarget::Gpu {
+                if usize::from(plan.freq_step) < table.num_steps()
+                    || plan.target == ExecutionTarget::Gpu
+                {
                     saw_non_max = true;
                 }
             }

@@ -32,6 +32,7 @@
 //! root/active/<job>/state/<policy>-r<i>.ckpt.json
 //! root/active/<job>/state/<policy>-r<i>.summary.json  # unit finished
 //! root/done/<job>/…                          # finished jobs (+ summary.json)
+//! root/failed/<job>/…                        # refused jobs (+ error.txt)
 //! ```
 //!
 //! See `docs/serving.md` for the checkpoint envelope, the resume
@@ -159,15 +160,22 @@ pub fn write_checkpoint(path: &Path, payload: serde::Value) -> std::io::Result<(
 /// Reads a checkpoint envelope back, verifying the version and the
 /// payload digest, and returns the payload.
 ///
-/// The digest is checked against the canonical re-serialization of the
-/// parsed payload, not against the file's bytes, so a checkpoint that
-/// was re-indented or otherwise reformatted still loads.
+/// A file laid out exactly as [`write_checkpoint`] writes it is hashed in
+/// place: its payload text is the text the digest was taken of. Any other
+/// file is checked against the canonical re-serialization of its parsed
+/// payload, not against its bytes, so a checkpoint that was re-indented
+/// or otherwise reformatted still loads.
 pub fn read_checkpoint(path: &Path) -> Result<serde::Value, ServeError> {
     let bad = |reason: String| ServeError::Checkpoint {
         path: path.to_path_buf(),
         reason,
     };
     let text = std::fs::read_to_string(path).map_err(|e| bad(format!("cannot read: {e}")))?;
+    if let Some((digest, payload)) = canonical_parts(&text) {
+        if fnv1a_hex(payload.as_bytes()) == digest {
+            return serde_json::parse(payload).map_err(|e| bad(format!("not valid JSON: {e}")));
+        }
+    }
     let envelope = serde_json::parse(&text).map_err(|e| bad(format!("not valid JSON: {e}")))?;
     // Freed before the digest check allocates the canonical text, so a
     // read holds at most one payload text beside the tree.
@@ -198,6 +206,18 @@ pub fn read_checkpoint(path: &Path) -> Result<serde::Value, ServeError> {
         )));
     }
     Ok(payload)
+}
+
+/// The digest and the payload text of a file laid out exactly as
+/// [`write_checkpoint`] writes it at [`CHECKPOINT_VERSION`], or `None`.
+fn canonical_parts(text: &str) -> Option<(&str, &str)> {
+    let head = format!("{{\"version\":{CHECKPOINT_VERSION},\"digest\":\"");
+    let rest = text.strip_prefix(head.as_str())?;
+    let digest = rest.get(..16)?;
+    let payload = rest[16..]
+        .strip_prefix("\",\"payload\":")?
+        .strip_suffix('}')?;
+    Some((digest, payload))
 }
 
 // ---------------------------------------------------------------------------
@@ -524,9 +544,11 @@ impl<'p> ExperimentRun<'p> {
     /// Wraps the records emitted so far, sorted by round, in a
     /// [`SimResult`] labelled with the policy name. Concurrent cohorts
     /// can complete out of dispatch order; `logical_time_s` keeps the
-    /// completion order.
+    /// completion order. The records give back the spare capacity they
+    /// grew while the run pushed them, since a sweep holds every result.
     pub fn into_result(mut self) -> SimResult {
         self.records.sort_by_key(|r| r.round);
+        self.records.shrink_to_fit();
         SimResult {
             policy: self.policy.name().to_string(),
             target_accuracy: self.sim.config().target(),
@@ -653,8 +675,12 @@ impl ServeOptions {
 pub struct ServeReport {
     /// Jobs moved to `done/`.
     pub jobs: usize,
-    /// `(policy, repeat)` units completed (including resumed ones).
+    /// `(policy, repeat)` units completed (including resumed ones) in
+    /// the jobs moved to `done/`.
     pub units: usize,
+    /// Jobs moved to `failed/`: a spec, checkpoint or completion marker
+    /// the daemon refused.
+    pub failed: usize,
 }
 
 /// One row of a job's `summary.json`.
@@ -684,11 +710,18 @@ pub struct UnitSummary {
 /// [`ServeOptions::once`] the call returns after draining; otherwise it
 /// polls forever (run it under a supervisor and SIGKILL at will — that
 /// is the point).
+///
+/// A job whose spec, checkpoint or completion marker is refused
+/// ([`ServeError::Spec`], [`ServeError::Checkpoint`]) moves to
+/// `root/failed/<job>/` with the error in `error.txt`, and the loop goes
+/// on. A filesystem error ([`ServeError::Io`]) is the daemon's own and
+/// is returned.
 pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeReport, ServeError> {
     let queue = opts.root.join("queue");
     let active = opts.root.join("active");
     let done = opts.root.join("done");
-    for dir in [&queue, &active, &done] {
+    let failed = opts.root.join("failed");
+    for dir in [&queue, &active, &done, &failed] {
         std::fs::create_dir_all(dir)
             .map_err(ServeError::io(format!("creating {}", dir.display())))?;
     }
@@ -727,8 +760,22 @@ pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeRepo
             continue;
         }
         for job_dir in jobs {
-            report.units += run_job(registry, &job_dir, opts, &crash_counter)?;
-            let dest = done.join(job_dir.file_name().expect("job dirs are named"));
+            let dest = match run_job(registry, &job_dir, opts, &crash_counter) {
+                Ok(units) => {
+                    report.units += units;
+                    report.jobs += 1;
+                    &done
+                }
+                Err(e @ (ServeError::Spec { .. } | ServeError::Checkpoint { .. })) => {
+                    let error_path = job_dir.join("error.txt");
+                    std::fs::write(&error_path, format!("{e}\n"))
+                        .map_err(ServeError::io(format!("writing {}", error_path.display())))?;
+                    report.failed += 1;
+                    &failed
+                }
+                Err(e) => return Err(e),
+            };
+            let dest = dest.join(job_dir.file_name().expect("job dirs are named"));
             if dest.exists() {
                 std::fs::remove_dir_all(&dest)
                     .map_err(ServeError::io(format!("clearing stale {}", dest.display())))?;
@@ -738,7 +785,6 @@ pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeRepo
                 job_dir.display(),
                 dest.display()
             )))?;
-            report.jobs += 1;
         }
         if opts.once {
             // Re-scan once more: a job may have been queued while the
@@ -1007,6 +1053,23 @@ mod tests {
     }
 
     #[test]
+    fn the_writer_lays_out_what_the_reader_hashes_in_place() {
+        let dir = std::env::temp_dir().join(format!("autofl-ckpt-layout-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("unit.ckpt.json");
+        let payload = serde::Value::Map(vec![("x".to_string(), 3usize.to_value())]);
+        write_checkpoint(&path, payload.clone()).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let (digest, body) = canonical_parts(&text).expect("the writer's layout is canonical");
+        assert_eq!(digest, payload_digest(&payload));
+        assert_eq!(body, serde_json::to_string(&payload).unwrap());
+        // Any other layout is left to the re-serializing check.
+        assert!(canonical_parts(&text.replacen(':', ": ", 1)).is_none());
+        assert!(canonical_parts(&format!("{text}\n")).is_none());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn stepped_run_matches_run_policy() {
         let config = SimConfig::tiny_test(3);
         let mut run = ExperimentRun::new(&config, &RandomSelector, None).unwrap();
@@ -1160,7 +1223,14 @@ mod tests {
             ..ServeOptions::new(&root)
         };
         let report = serve(&baseline_registry(), &opts).unwrap();
-        assert_eq!(report, ServeReport { jobs: 1, units: 4 });
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 1,
+                units: 4,
+                failed: 0
+            }
+        );
         // The queue entry became a finished job with traces + summary.
         assert!(!root.join("queue/smoke.json").exists());
         assert!(!root.join("active/smoke").exists());
@@ -1231,7 +1301,14 @@ mod tests {
         assert!(!job.join("state/FedAvg-Random-r0.ckpt.json").exists());
         std::fs::write(job.join("traces/FedAvg-Random-r0.jsonl"), "sentinel\n").unwrap();
         let report = serve(&registry, &opts).unwrap();
-        assert_eq!(report, ServeReport { jobs: 1, units: 2 });
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 1,
+                units: 2,
+                failed: 0
+            }
+        );
         let (done, reference) = (restarted.join("done/marker"), straight.join("done/marker"));
         assert_eq!(
             read(done.join("traces/FedAvg-Random-r0.jsonl")),
@@ -1255,13 +1332,68 @@ mod tests {
             serde_json::to_string_pretty(&summary).unwrap(),
         )
         .unwrap();
-        let err = serve(&registry, &once(mismatched)).unwrap_err();
-        assert!(matches!(err, ServeError::Checkpoint { .. }), "{err}");
-        assert!(
-            err.to_string()
-                .contains("at seed 7 marks the unit FedAvg-Random-r0 at seed 6"),
-            "{err}"
+        let report = serve(&registry, &once(mismatched.clone())).unwrap();
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 0,
+                units: 0,
+                failed: 1
+            }
         );
+        assert!(!mismatched.join("active/marker").exists());
+        let error = read(mismatched.join("failed/marker/error.txt"));
+        assert!(
+            error.contains("at seed 7 marks the unit FedAvg-Random-r0 at seed 6"),
+            "{error}"
+        );
+        std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    #[test]
+    fn a_refused_job_moves_to_failed_and_the_daemon_goes_on() {
+        let root = std::env::temp_dir().join(format!("autofl-serve-failed-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let mut config = SimConfig::tiny_test(9);
+        config.max_rounds = 3;
+        config.target_accuracy = Some(1.1);
+        let good = ExperimentSpec::new("good", config.clone(), ["FedAvg-Random"], 1);
+        let bad = ExperimentSpec::new("bad", config, ["FedAvg-Random", "No-Such-Policy"], 1);
+        let registry = baseline_registry();
+        let serve_queue = |root: &Path, specs: &[(&str, &ExperimentSpec)]| {
+            std::fs::create_dir_all(root.join("queue")).unwrap();
+            for (name, spec) in specs {
+                std::fs::write(root.join(format!("queue/{name}.json")), spec.to_json()).unwrap();
+            }
+            let opts = ServeOptions {
+                once: true,
+                ..ServeOptions::new(root)
+            };
+            serve(&registry, &opts).unwrap()
+        };
+
+        // The bad job sorts first, so the good one is served after it.
+        let mixed = root.join("mixed");
+        let report = serve_queue(&mixed, &[("a_bad", &bad), ("b_good", &good)]);
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 1,
+                units: 1,
+                failed: 1
+            }
+        );
+        assert_eq!(std::fs::read_dir(mixed.join("active")).unwrap().count(), 0);
+        let error = std::fs::read_to_string(mixed.join("failed/a_bad/error.txt")).unwrap();
+        assert!(error.contains("No-Such-Policy"), "{error}");
+        assert!(mixed.join("failed/a_bad/spec.json").is_file());
+
+        let solo = root.join("solo");
+        serve_queue(&solo, &[("b_good", &good)]);
+        for file in ["spec.json", "summary.json", "traces/FedAvg-Random-r0.jsonl"] {
+            let read = |root: &Path| std::fs::read(root.join("done/b_good").join(file)).unwrap();
+            assert_eq!(read(&mixed), read(&solo), "{file}");
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 }

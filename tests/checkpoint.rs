@@ -381,6 +381,20 @@ fn resume_rejects_a_participant_outside_the_fleet() {
 }
 
 #[test]
+fn resume_rejects_a_dvfs_step_that_does_not_fit_a_byte() {
+    let err = corrupted_resume_error("dvfs-step", &RandomSelector, 1, |payload| {
+        let serde_json::Value::Seq(records) = entry(payload, "records") else {
+            panic!("records are a sequence");
+        };
+        let serde_json::Value::Seq(plans) = entry(&mut records[0], "plans") else {
+            panic!("plans are a sequence");
+        };
+        *entry(&mut plans[0], "freq_step") = serde_json::Value::UInt(256);
+    });
+    assert!(err.contains("256"), "{err}");
+}
+
+#[test]
 fn resume_rejects_selector_state_that_does_not_fit_the_fleet() {
     // `tiny_test` fleets hold devices 0..12; resuming any of these used
     // to succeed, and the short ones panicked in a later step.
@@ -810,6 +824,45 @@ fn readers_check_the_canonical_payload_not_the_file_bytes() {
     std::fs::write(&path, &flipped).unwrap();
     let err = read_checkpoint(&path).expect_err("a flipped payload byte must be rejected");
     assert!(err.to_string().contains("digest mismatch"), "{err}");
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn canonical_checkpoints_are_hashed_in_place_and_still_checked() {
+    let (payload, file) = autofl_checkpoint("in-place", 6);
+    let dir = std::env::temp_dir().join(format!("autofl-ckpt-in-place-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unit.ckpt.json");
+    let envelope = serde_json::parse(&file).expect("checkpoint is JSON");
+    let pretty = serde_json::to_string_pretty(&envelope).expect("envelope serializes");
+
+    // The leading digit of the first Q-value, flipped: still valid JSON,
+    // but no longer the payload the digest was taken of.
+    let flip_q = |text: &str| {
+        let q = text.find("\"q\":").expect("AutoFL checkpoints hold Q rows");
+        let at = q + text[q..]
+            .find(|c: char| c.is_ascii_digit())
+            .expect("Q rows hold numbers");
+        let mut bytes = text.as_bytes().to_vec();
+        bytes[at] = if bytes[at] == b'1' { b'2' } else { b'1' };
+        bytes
+    };
+    for (form, text) in [("canonical", &file), ("re-indented", &pretty)] {
+        std::fs::write(&path, text).unwrap();
+        let restored = read_checkpoint(&path).unwrap_or_else(|e| panic!("{form}: {e}"));
+        assert!(restored == payload, "{form}: the payload changed");
+        std::fs::write(&path, flip_q(text)).unwrap();
+        let err = read_checkpoint(&path).expect_err("a flipped Q digit must be refused");
+        assert!(err.to_string().contains("digest mismatch"), "{form}: {err}");
+    }
+
+    // A canonical file whose digest was taken of other bytes.
+    let digest = payload_digest(&payload);
+    let wrong = format!("{:016x}", u64::from_str_radix(&digest, 16).unwrap() ^ 1);
+    std::fs::write(&path, file.replacen(&digest, &wrong, 1)).unwrap();
+    let err = read_checkpoint(&path).expect_err("a wrong digest must be refused");
+    let expected = format!("envelope says {wrong}, payload hashes to {digest}");
+    assert!(err.to_string().contains(&expected), "{err}");
     std::fs::remove_dir_all(&dir).unwrap();
 }
 

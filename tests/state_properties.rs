@@ -66,7 +66,7 @@ proptest! {
         let tier = DeviceTier::Mid;
         let target = if gpu { ExecutionTarget::Gpu } else { ExecutionTarget::Cpu };
         let table = DvfsTable::for_tier(tier, target);
-        let plan = ExecutionPlan { target, freq_step: table.step_at_fraction(step_frac) };
+        let plan = ExecutionPlan::at_step(target, table.step_at_fraction(step_frac));
         let c = DeviceConditions::ideal();
         let small = execute(tier, plan, TrainingTask { flops, upload_bytes: 1000 }, &c);
         let large = execute(tier, plan, TrainingTask { flops: flops * 2, upload_bytes: 1000 }, &c);
