@@ -167,7 +167,7 @@ impl Partition {
             for k in 0..quota {
                 let mut scanned = 0;
                 while next[class] >= end[class] {
-                    debug_assert!(scanned < classes, "fewer than n × quota samples");
+                    debug_assert!(scanned < classes, "no pool left, yet n × quota <= total");
                     class = (class + 1) % classes;
                     scanned += 1;
                 }
@@ -196,7 +196,7 @@ impl Partition {
                     class = (0..classes)
                         .filter(|&c| next[c] < end[c])
                         .max_by_key(|&c| end[c] - next[c])
-                        .expect("fewer than n × quota samples are taken");
+                        .expect("n × quota <= total leaves a sample in some pool");
                 }
                 take(device, k, class, &mut next);
             }
