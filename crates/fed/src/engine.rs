@@ -7,7 +7,7 @@ use crate::accuracy::{
 use crate::adversary::{AdversaryConfig, AdversaryRole};
 use crate::algorithms::AggregationAlgorithm;
 use crate::conditions::ConditionsView;
-use crate::estimate::participant_costs;
+use crate::estimate::{fleet_idle_energy_j, participant_costs};
 use crate::fabric::{NetworkFabric, RoundNetStats};
 use crate::fleet::{AvailabilityView, FleetDynamics, FleetStore, ShardBin, StragglerPolicy};
 use crate::global::GlobalParams;
@@ -16,7 +16,6 @@ use autofl_data::partition::DataDistribution;
 use autofl_data::FlData;
 use autofl_device::cost::{ExecutionPlan, TrainingTask};
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::idle_energy_j;
 use autofl_device::scenario::{Conditions, VarianceScenario};
 use autofl_device::tier::DeviceTier;
 use autofl_nn::zoo::Workload;
@@ -375,12 +374,12 @@ impl SimResult {
 struct RoundScratch {
     /// Per-participant training tasks.
     tasks: Vec<TrainingTask>,
-    /// Fleet-sized participant membership mask.
-    is_participant: Vec<bool>,
     /// Per-device tiers, one byte-sized entry per device in fleet order.
-    /// Filled once on first use: the idle-energy scan walks this compact
+    /// Filled once on first use: the idle-energy walk reads this compact
     /// array instead of re-reading whole `Device` structs every round.
     tiers: Vec<DeviceTier>,
+    /// Sort buffer for the idle-energy walk's participant ids.
+    participant_ids: Vec<usize>,
     /// Sort buffer for the median.
     median: Vec<f64>,
     /// Fleet-sized reachability mask under active network partitions
@@ -395,52 +394,31 @@ struct RoundScratch {
     roles: Vec<AdversaryRole>,
 }
 
-/// Everything a dispatched cohort carries between check-in/execution
-/// ([`Simulation::dispatch_round`]) and the aggregation + lifecycle +
-/// feedback steps that complete it
-/// ([`Simulation::complete_cohort`]). The event scheduler
-/// ([`crate::runtime`]) holds the outcome in flight until its scheduled
-/// upload/completion events fire. Serializable so a checkpoint
+/// A dispatched cohort between check-in/execution
+/// ([`Simulation::dispatch_round`]) and the aggregation, lifecycle and
+/// feedback steps that complete it ([`Simulation::complete_cohort`]):
+/// the record it will become, plus what the record does not keep. The
+/// event scheduler ([`crate::runtime`]) holds it in flight until its
+/// upload and completion events fire. Serializable so a checkpoint
 /// ([`crate::serve`]) can capture cohorts that are in flight when the
 /// process dies.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct DispatchOutcome {
-    /// The round (cohort index) this outcome belongs to.
-    pub round: usize,
-    /// Devices excluded from this round's pool by fleet dynamics.
-    pub ineligible: usize,
+    /// The cohort's record. Dispatch writes every field except
+    /// `dispatch_time_s`, which the scheduler stamps at launch, and the
+    /// four that completion writes: `accuracy`, `logical_time_s`,
+    /// `mean_staleness` and `idle_energy_j`, which stay 0.0 until then.
+    pub record: RoundRecord,
     /// Global accuracy at dispatch time (before this cohort aggregates).
     pub prev_accuracy: f64,
-    /// The selected cohort, in selection order.
-    pub participants: Vec<DeviceId>,
-    /// Per-participant execution plans.
-    pub plans: Vec<ExecutionPlan>,
     /// Per-participant completion times (deadline-clamped, dropout-truncated).
     pub completion: Vec<f64>,
-    /// Per-participant surviving update fractions (0 = no update).
-    pub fractions: Vec<f64>,
     /// Per-participant active energy actually burned.
     pub per_participant_energy: Vec<f64>,
-    /// Participants cut at the straggler deadline with no update.
-    pub dropped: Vec<DeviceId>,
-    /// Participants lost mid-round to battery death or churn.
-    pub dropouts: Vec<DeviceId>,
-    /// Cohort makespan: the slowest surviving completion time.
-    pub round_time_s: f64,
-    /// Total active energy across the cohort.
-    pub active_energy_j: f64,
-    /// Network-fabric accounting; `Some` iff a fabric is attached.
-    pub net: Option<RoundNetStats>,
     /// The codec's surrogate update-quality multiplier for this round.
     /// Exactly `1.0` without a fabric (or on full-sync rounds), so
     /// multiplying update fractions by it is bit-exact a no-op.
     pub codec_fidelity: f64,
-    /// Adversarial participants this round; `Some` iff an adversary
-    /// config is attached (see [`RoundRecord::adversarial`]).
-    pub adversarial: Option<usize>,
-    /// Neutralised adversarial updates; `Some` iff an adversary config
-    /// is attached (see [`RoundRecord::flagged`]).
-    pub flagged: Option<usize>,
 }
 
 /// The simulation: owns the fleet, the data, the accuracy engine and the
@@ -611,66 +589,64 @@ impl Simulation {
         self.engine.accuracy()
     }
 
-    /// Closes out a cohort whose completion event fired: charges the idle
-    /// fleet, advances the device lifecycles, feeds the outcome back to
-    /// `selector` and assembles the round's record — the one place a
-    /// [`RoundRecord`] is built. `accuracy` is the global accuracy after
-    /// the cohort's closing aggregation step; the times are the
-    /// scheduler's logical clock at dispatch and at completion.
+    /// Closes out a cohort whose completion event fired, after the
+    /// scheduler has stamped its record's accuracy, completion time and
+    /// staleness: charges the idle fleet, advances the device lifecycles
+    /// and feeds the outcome back to `selector`. Returns the finished
+    /// record.
     pub(crate) fn complete_cohort(
         &mut self,
         outcome: DispatchOutcome,
-        accuracy: f64,
-        dispatch_time_s: f64,
-        logical_time_s: f64,
-        mean_staleness: f64,
         selector: &mut dyn Selector,
     ) -> RoundRecord {
-        let idle_energy = self.idle_energy_for(&outcome.participants, outcome.round_time_s);
-        self.end_round_lifecycle(
-            outcome.round_time_s,
-            &outcome.participants,
-            &outcome.completion,
-            &outcome.per_participant_energy,
+        let DispatchOutcome {
+            mut record,
+            prev_accuracy,
+            completion,
+            per_participant_energy,
+            ..
+        } = outcome;
+        if self.scratch.tiers.len() != self.fleet.len() {
+            self.scratch.tiers = self.fleet.iter().map(|d| d.tier()).collect();
+        }
+        record.idle_energy_j = fleet_idle_energy_j(
+            &mut self.scratch.participant_ids,
+            self.scratch.tiers.iter().copied(),
+            &record.participants,
+            record.round_time_s,
         );
-        let idle_per_device = if self.fleet.len() > outcome.participants.len() {
-            idle_energy / (self.fleet.len() - outcome.participants.len()) as f64
+        // Non-members idle-cool over the round; members pay what the
+        // round actually cost them (battery drain, heating).
+        if let (Some(dynamics), Some(state)) = (&self.config.fleet, &mut self.fleet_state) {
+            state.end_round(
+                dynamics,
+                &self.fleet,
+                record.round_time_s,
+                &record.participants,
+                &completion,
+                &per_participant_energy,
+            );
+        }
+        let idle_per_device = if self.fleet.len() > record.participants.len() {
+            record.idle_energy_j / (self.fleet.len() - record.participants.len()) as f64
         } else {
             0.0
         };
         selector.observe(&RoundFeedback {
-            round: outcome.round,
-            participants: &outcome.participants,
-            per_participant_energy_j: &outcome.per_participant_energy,
+            round: record.round,
+            participants: &record.participants,
+            per_participant_energy_j: &per_participant_energy,
             idle_energy_per_device_j: idle_per_device,
-            global_energy_j: outcome.active_energy_j + idle_energy,
-            round_time_s: outcome.round_time_s,
-            accuracy,
-            prev_accuracy: outcome.prev_accuracy,
-            dropped: &outcome.dropped,
-            dropouts: &outcome.dropouts,
-            mean_staleness,
-            bytes_uplinked: outcome.net.map_or(0, |n| n.bytes_uplinked),
+            global_energy_j: record.total_energy_j(),
+            round_time_s: record.round_time_s,
+            accuracy: record.accuracy,
+            prev_accuracy,
+            dropped: &record.dropped,
+            dropouts: &record.dropouts,
+            mean_staleness: record.mean_staleness,
+            bytes_uplinked: record.net.map_or(0, |n| n.bytes_uplinked),
         });
-        RoundRecord {
-            round: outcome.round,
-            participants: outcome.participants,
-            plans: outcome.plans,
-            round_time_s: outcome.round_time_s,
-            active_energy_j: outcome.active_energy_j,
-            idle_energy_j: idle_energy,
-            accuracy,
-            dropped: outcome.dropped,
-            update_fractions: outcome.fractions,
-            dropouts: outcome.dropouts,
-            ineligible: outcome.ineligible,
-            dispatch_time_s,
-            logical_time_s,
-            mean_staleness,
-            net: outcome.net,
-            adversarial: outcome.adversarial,
-            flagged: outcome.flagged,
-        }
+        record
     }
 
     /// Check-in, selection and execution of cohort `round` — everything
@@ -812,7 +788,7 @@ impl Simulation {
             );
         }
         // Task construction is two field reads per participant; the heavy
-        // per-device work (cost execution) fans out inside estimate_round.
+        // per-device work (cost execution) fans out inside participant_costs.
         self.scratch.tasks.clear();
         self.scratch
             .tasks
@@ -832,8 +808,8 @@ impl Simulation {
 
         // 3. Execute: per-device costs (parallel fan-out), straggler
         // deadline, drops/partials. The engine reduces times and energies
-        // itself with deadline clamping, so it asks only for the
-        // per-participant costs — not estimate_round's idle sweep.
+        // itself with deadline clamping; the idle fleet is charged when
+        // the cohort completes.
         let costs = participant_costs(
             &self.fleet,
             &participants,
@@ -1029,59 +1005,30 @@ impl Simulation {
         };
 
         DispatchOutcome {
-            round,
-            ineligible: ineligible + partitioned,
+            record: RoundRecord {
+                round,
+                participants,
+                plans,
+                round_time_s,
+                active_energy_j,
+                idle_energy_j: 0.0,
+                accuracy: 0.0,
+                dropped,
+                update_fractions: fractions,
+                dropouts,
+                ineligible: ineligible + partitioned,
+                dispatch_time_s: 0.0,
+                logical_time_s: 0.0,
+                mean_staleness: 0.0,
+                net,
+                adversarial,
+                flagged,
+            },
             prev_accuracy,
-            participants,
-            plans,
             completion,
-            fractions,
             per_participant_energy,
-            dropped,
-            dropouts,
-            round_time_s,
-            active_energy_j,
-            net,
             codec_fidelity,
-            adversarial,
-            flagged,
         }
-    }
-
-    /// Idle energy of every non-participant over a round of
-    /// `round_time_s` seconds (Eq. 5 else branch), summed in fleet order.
-    fn idle_energy_for(&mut self, participants: &[DeviceId], round_time_s: f64) -> f64 {
-        let is_participant = &mut self.scratch.is_participant;
-        is_participant.clear();
-        is_participant.resize(self.fleet.len(), false);
-        for id in participants {
-            is_participant[id.0] = true;
-        }
-        if self.scratch.tiers.len() != self.fleet.len() {
-            self.scratch.tiers = self.fleet.iter().map(|d| d.tier()).collect();
-        }
-        // `idle_energy_j` is a pure function of the (three-valued) tier,
-        // so the three possible addends are computed once and the fleet
-        // walk reduces to a mask test plus a table lookup. The sum still
-        // visits devices in fleet order, one addition each — bit-identical
-        // to calling `idle_energy_j` per device.
-        let idle = |tier| idle_energy_j(tier, round_time_s);
-        let per_tier = [
-            idle(DeviceTier::High),
-            idle(DeviceTier::Mid),
-            idle(DeviceTier::Low),
-        ];
-        let mut idle_energy = 0.0;
-        for (tier, participant) in self.scratch.tiers.iter().zip(&self.scratch.is_participant) {
-            if !participant {
-                idle_energy += per_tier[match tier {
-                    DeviceTier::High => 0,
-                    DeviceTier::Mid => 1,
-                    DeviceTier::Low => 2,
-                }];
-            }
-        }
-        idle_energy
     }
 
     /// Applies one aggregation step: folds the surviving updates —
@@ -1181,29 +1128,6 @@ impl Simulation {
             poison,
         };
         self.engine.apply_round(&stats)
-    }
-
-    /// Advances the lifecycle states with what the cohort's round
-    /// actually cost each device (battery drain, heating, cooling).
-    /// Non-members idle-cool over `round_time_s` seconds. Runs at the
-    /// cohort's completion event.
-    fn end_round_lifecycle(
-        &mut self,
-        round_time_s: f64,
-        participants: &[DeviceId],
-        completion: &[f64],
-        per_participant_energy: &[f64],
-    ) {
-        if let (Some(dynamics), Some(state)) = (&self.config.fleet, &mut self.fleet_state) {
-            state.end_round(
-                dynamics,
-                &self.fleet,
-                round_time_s,
-                participants,
-                completion,
-                per_participant_energy,
-            );
-        }
     }
 
     /// Runs `selector` until the target accuracy is reached or

@@ -12,7 +12,7 @@
 //!   meets the round's pace, exploiting straggler slack.
 
 use crate::clusters::CharacterizationCluster;
-use crate::estimate::estimate_from_costs;
+use crate::estimate::cohort_global_energy_j;
 use crate::selection::{top_k_by, RoundContext, SelectionDecision, Selector};
 use autofl_device::cost::{execute, ExecutionPlan, RoundCost};
 use autofl_device::dvfs::{DvfsTable, ExecutionTarget};
@@ -177,8 +177,8 @@ impl Selector for OracleSelector {
                 continue; // fleet cannot realise this composition
             }
             // The CPU-max costs the ranking computed are exactly what
-            // `estimate_round` would execute for this cohort.
-            let est = estimate_from_costs(ctx.fleet, &participants, costs);
+            // this cohort would execute.
+            let global_energy_j = cohort_global_energy_j(ctx.fleet, &participants, &costs);
             let ids: Vec<usize> = participants.iter().map(|id| id.0).collect();
             let coverage = ctx.partition.cohort_class_coverage(&ids);
             let divergence = ctx.partition.cohort_divergence(&ids);
@@ -200,7 +200,7 @@ impl Selector for OracleSelector {
             let quality =
                 (coverage * coverage * (1.0 - divergence / 2.0).max(0.05) * drift_factor).max(0.01);
             // Energy to converge ∝ per-round energy / convergence quality.
-            let score = est.global_energy_j() / quality;
+            let score = global_energy_j / quality;
             if best.as_ref().map(|(s, _)| score < *s).unwrap_or(true) {
                 best = Some((score, participants));
             }

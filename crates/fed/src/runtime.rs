@@ -138,8 +138,6 @@ impl Ord for Event {
 /// A dispatched cohort waiting for its events to fire.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct InFlight {
-    /// Logical time the cohort was dispatched.
-    dispatch_time_s: f64,
     /// Global aggregation version at dispatch; staleness of this
     /// cohort's updates is measured against it.
     version_at_dispatch: u64,
@@ -147,41 +145,47 @@ struct InFlight {
     staleness_sum: f64,
     /// How many of its updates have been folded into the global model.
     aggregated: usize,
-    /// The cohort's execution outcome, held until completion.
+    /// The cohort's execution outcome and its record, held until
+    /// completion.
     outcome: DispatchOutcome,
 }
 
 impl InFlight {
     /// The update participant `slot` delivers.
     fn update(&self, slot: usize) -> BufferedUpdate {
+        let record = &self.outcome.record;
         BufferedUpdate {
-            round: self.outcome.round,
+            round: record.round,
             slot,
-            id: self.outcome.participants[slot],
-            fraction: self.outcome.fractions[slot],
+            id: record.participants[slot],
+            fraction: record.update_fractions[slot],
         }
     }
 
     /// Every surviving update, in slot order: the barrier's closing
     /// aggregation input.
     fn survivors(&self) -> Vec<BufferedUpdate> {
-        (0..self.outcome.participants.len())
-            .filter(|&slot| self.outcome.fractions[slot] > 0.0)
+        let record = &self.outcome.record;
+        (0..record.participants.len())
+            .filter(|&slot| record.update_fractions[slot] > 0.0)
             .map(|slot| self.update(slot))
             .collect()
     }
 
     /// Rejects a restored cohort whose per-participant columns disagree
     /// in length, that names a device outside a fleet of `devices`, or
-    /// that claims a dispatch version later than `version`.
+    /// that claims a dispatch version later than `version`. The record's
+    /// completion-time fields are not checked: completion overwrites
+    /// them.
     fn check(&self, devices: usize, version: u64) -> Result<(), serde::Error> {
         let o = &self.outcome;
-        let err = |msg: String| serde::Error::custom(format!("round {}: {msg}", o.round));
-        let n = o.participants.len();
+        let r = &o.record;
+        let err = |msg: String| serde::Error::custom(format!("round {}: {msg}", r.round));
+        let n = r.participants.len();
         let columns = [
-            o.plans.len(),
+            r.plans.len(),
             o.completion.len(),
-            o.fractions.len(),
+            r.update_fractions.len(),
             o.per_participant_energy.len(),
         ];
         if columns.iter().any(|&len| len != n) {
@@ -189,7 +193,7 @@ impl InFlight {
                 "per-participant columns {columns:?} do not match {n} participants"
             )));
         }
-        let mut ids = o.participants.iter().chain(&o.dropped).chain(&o.dropouts);
+        let mut ids = r.participants.iter().chain(&r.dropped).chain(&r.dropouts);
         if let Some(id) = ids.find(|id| id.0 >= devices) {
             return Err(err(format!(
                 "device {} is outside the {devices}-device fleet",
@@ -258,17 +262,20 @@ impl Scheduler {
         self.heap.push(Reverse(Event { time, seq, kind }));
     }
 
-    /// Puts a cohort dispatched at logical time `at` in flight: its
-    /// surviving uploads (buffered mode only) and its completion land on
-    /// the heap at their cost-model times.
-    fn launch(&mut self, outcome: DispatchOutcome, at: f64, buffered: bool) {
-        let round = outcome.round;
+    /// Puts a cohort dispatched at logical time `at` in flight, stamping
+    /// its record's dispatch time: its surviving uploads (buffered mode
+    /// only) and its completion land on the heap at their cost-model
+    /// times.
+    fn launch(&mut self, mut outcome: DispatchOutcome, at: f64, buffered: bool) {
+        let record = &mut outcome.record;
+        record.dispatch_time_s = at;
+        let round = record.round;
         if buffered {
             // Uploads are scheduled before the cohort's completion so
             // an upload tied with CohortDone at the same instant (the
             // slowest survivor's own update) is buffered first.
-            for slot in 0..outcome.participants.len() {
-                if outcome.fractions[slot] > 0.0 {
+            for slot in 0..record.participants.len() {
+                if record.update_fractions[slot] > 0.0 {
                     self.schedule(
                         at + outcome.completion[slot],
                         EventKind::Upload { round, slot },
@@ -276,11 +283,10 @@ impl Scheduler {
                 }
             }
         }
-        self.schedule(at + outcome.round_time_s, EventKind::CohortDone { round });
+        self.schedule(at + record.round_time_s, EventKind::CohortDone { round });
         self.in_flight.insert(
             round,
             InFlight {
-                dispatch_time_s: at,
                 version_at_dispatch: self.version,
                 staleness_sum: 0.0,
                 aggregated: 0,
@@ -332,7 +338,7 @@ impl Scheduler {
         let mut in_flight = BTreeMap::new();
         for fl in serde::field::<Vec<InFlight>>(value, "in_flight")? {
             fl.check(devices, version).map_err(|e| e.at("in_flight"))?;
-            let round = fl.outcome.round;
+            let round = fl.outcome.record.round;
             if round >= next_round {
                 return Err(serde::Error::custom(format!(
                     "round {round} is in flight but only {next_round} rounds were dispatched"
@@ -351,7 +357,7 @@ impl Scheduler {
         let dangling = events.iter().find(|e| match e.kind {
             EventKind::Upload { round, slot } => !in_flight
                 .get(&round)
-                .is_some_and(|fl| slot < fl.outcome.participants.len()),
+                .is_some_and(|fl| slot < fl.outcome.record.participants.len()),
             EventKind::CohortDone { round } => !in_flight.contains_key(&round),
         });
         if let Some(event) = dangling {
@@ -464,25 +470,21 @@ impl Simulation {
                         Some(_) => std::mem::take(&mut buffer),
                     };
                     let accuracy = self.flush(entries, rt.staleness_exponent);
-                    let fl = self
+                    let mut fl = self
                         .sched
                         .in_flight
                         .remove(&round)
                         .expect("completed cohort is in flight");
-                    let mean_staleness = if fl.aggregated > 0 {
+                    let record = &mut fl.outcome.record;
+                    record.accuracy = accuracy;
+                    record.logical_time_s = event.time;
+                    record.mean_staleness = if fl.aggregated > 0 {
                         fl.staleness_sum / fl.aggregated as f64
                     } else {
                         0.0
                     };
                     self.sched.last_completion_s = event.time;
-                    let record = self.complete_cohort(
-                        fl.outcome,
-                        accuracy,
-                        fl.dispatch_time_s,
-                        event.time,
-                        mean_staleness,
-                        selector,
-                    );
+                    let record = self.complete_cohort(fl.outcome, selector);
                     if record.accuracy >= self.config().target() {
                         // Stop dispatching; cohorts already in flight
                         // drain to completion so no consumed device work

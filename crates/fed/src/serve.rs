@@ -87,11 +87,7 @@ impl std::fmt::Display for ServeError {
             ServeError::Io { context, source } => write!(f, "{context}: {source}"),
             ServeError::Spec { path, source } => write!(f, "{}: {source}", path.display()),
             ServeError::Checkpoint { path, reason } => {
-                write!(
-                    f,
-                    "checkpoint {}: {reason} (delete the file to restart this unit from scratch)",
-                    path.display()
-                )
+                write!(f, "checkpoint {}: {reason}", path.display())
             }
         }
     }
@@ -111,10 +107,12 @@ impl ServeError {
 // ---------------------------------------------------------------------------
 
 /// Version of the checkpoint envelope this build writes and reads.
-/// Version 3 holds AutoFL's Q-tables and pending rounds as flat columns;
-/// version 2's one map per Q row and per pending device is refused, as is
-/// version 1's separate lockstep/event driver.
-pub const CHECKPOINT_VERSION: u64 = 3;
+/// Version 4 holds each cohort in flight as the record it will become
+/// plus what the record lacks; version 3 restated the record's fields
+/// one by one. Version 3 and older are refused: version 2's one map per
+/// Q row and per pending device, and version 1's separate lockstep/event
+/// driver.
+pub const CHECKPOINT_VERSION: u64 = 4;
 
 /// FNV-1a 64-bit digest of the canonical payload JSON, as fixed-width
 /// hex. Not cryptographic — it guards against torn writes and hand
@@ -713,9 +711,10 @@ pub struct UnitSummary {
 ///
 /// A job whose spec, checkpoint or completion marker is refused
 /// ([`ServeError::Spec`], [`ServeError::Checkpoint`]) moves to
-/// `root/failed/<job>/` with the error in `error.txt`, and the loop goes
-/// on. A filesystem error ([`ServeError::Io`]) is the daemon's own and
-/// is returned.
+/// `root/failed/<job>/` with the error and a retry in `error.txt`, and
+/// the loop goes on. A job moved back into `root/active/` is run again,
+/// and once it finishes its `error.txt` is gone. A filesystem error
+/// ([`ServeError::Io`]) is the daemon's own and is returned.
 pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeReport, ServeError> {
     let queue = opts.root.join("queue");
     let active = opts.root.join("active");
@@ -760,22 +759,61 @@ pub fn serve(registry: &PolicyRegistry, opts: &ServeOptions) -> Result<ServeRepo
             continue;
         }
         for job_dir in jobs {
-            let dest = match run_job(registry, &job_dir, opts, &crash_counter) {
+            let name = job_dir.file_name().expect("job dirs are named");
+            let error_path = job_dir.join("error.txt");
+            let failed_dest = failed.join(name);
+            // A refused job's error names each file where it will live,
+            // under `failed/<job>/`, and how to bring the job back.
+            let moved = |path: PathBuf| match path.strip_prefix(&job_dir) {
+                Ok(relative) => failed_dest.join(relative),
+                Err(_) => path,
+            };
+            let refused = match run_job(registry, &job_dir, opts, &crash_counter) {
                 Ok(units) => {
                     report.units += units;
                     report.jobs += 1;
-                    &done
+                    None
                 }
-                Err(e @ (ServeError::Spec { .. } | ServeError::Checkpoint { .. })) => {
-                    let error_path = job_dir.join("error.txt");
-                    std::fs::write(&error_path, format!("{e}\n"))
-                        .map_err(ServeError::io(format!("writing {}", error_path.display())))?;
-                    report.failed += 1;
-                    &failed
-                }
+                Err(ServeError::Spec { path, source }) => Some((
+                    ServeError::Spec {
+                        path: moved(path),
+                        source,
+                    },
+                    "fix the spec",
+                )),
+                Err(ServeError::Checkpoint { path, reason }) => Some((
+                    ServeError::Checkpoint {
+                        path: moved(path),
+                        reason,
+                    },
+                    "delete that file to restart its unit from scratch",
+                )),
                 Err(e) => return Err(e),
             };
-            let dest = dest.join(job_dir.file_name().expect("job dirs are named"));
+            let dest = match refused {
+                Some((e, remedy)) => {
+                    let text = format!(
+                        "{e}\nTo retry, {remedy}, then move {} back into {}.\n",
+                        failed_dest.display(),
+                        active.display()
+                    );
+                    std::fs::write(&error_path, text)
+                        .map_err(ServeError::io(format!("writing {}", error_path.display())))?;
+                    report.failed += 1;
+                    failed_dest
+                }
+                None => {
+                    // A retried job still holds the error.txt it was
+                    // refused with; the finished job keeps none.
+                    if error_path.is_file() {
+                        std::fs::remove_file(&error_path).map_err(ServeError::io(format!(
+                            "removing {}",
+                            error_path.display()
+                        )))?;
+                    }
+                    done.join(name)
+                }
+            };
             if dest.exists() {
                 std::fs::remove_dir_all(&dest)
                     .map_err(ServeError::io(format!("clearing stale {}", dest.display())))?;
@@ -1034,7 +1072,7 @@ mod tests {
 
         // Another version — newer, or an older payload layout: refused,
         // not misread.
-        for other in [1, 2, 999] {
+        for other in [1, 2, 3, 999] {
             write_checkpoint(&path, payload.clone()).unwrap();
             let text = std::fs::read_to_string(&path).unwrap();
             let current = format!("\"version\":{CHECKPOINT_VERSION}");
@@ -1347,7 +1385,33 @@ mod tests {
             error.contains("at seed 7 marks the unit FedAvg-Random-r0 at seed 6"),
             "{error}"
         );
+        let marker = mismatched.join("failed/marker/state/FedAvg-Random-r0.summary.json");
+        assert!(
+            error.contains(&format!("checkpoint {}: the summary", marker.display())),
+            "{error}"
+        );
+        assert!(
+            error.contains("delete that file to restart its unit from scratch"),
+            "{error}"
+        );
         std::fs::remove_dir_all(&root).unwrap();
+    }
+
+    /// Every file under `dir`, by path relative to it, with its bytes.
+    fn files(dir: &Path) -> std::collections::BTreeMap<PathBuf, Vec<u8>> {
+        let mut files = std::collections::BTreeMap::new();
+        let mut dirs = vec![dir.to_path_buf()];
+        while let Some(at) = dirs.pop() {
+            for path in list_sorted(&at).unwrap() {
+                if path.is_dir() {
+                    dirs.push(path);
+                } else {
+                    let bytes = std::fs::read(&path).unwrap();
+                    files.insert(path.strip_prefix(dir).unwrap().to_path_buf(), bytes);
+                }
+            }
+        }
+        files
     }
 
     #[test]
@@ -1358,6 +1422,7 @@ mod tests {
         config.max_rounds = 3;
         config.target_accuracy = Some(1.1);
         let good = ExperimentSpec::new("good", config.clone(), ["FedAvg-Random"], 1);
+        let fixed = ExperimentSpec::new("bad", config.clone(), ["FedAvg-Random"], 1);
         let bad = ExperimentSpec::new("bad", config, ["FedAvg-Random", "No-Such-Policy"], 1);
         let registry = baseline_registry();
         let serve_queue = |root: &Path, specs: &[(&str, &ExperimentSpec)]| {
@@ -1384,15 +1449,44 @@ mod tests {
             }
         );
         assert_eq!(std::fs::read_dir(mixed.join("active")).unwrap().count(), 0);
-        let error = std::fs::read_to_string(mixed.join("failed/a_bad/error.txt")).unwrap();
+        let failed_job = mixed.join("failed/a_bad");
+        let error = std::fs::read_to_string(failed_job.join("error.txt")).unwrap();
         assert!(error.contains("No-Such-Policy"), "{error}");
-        assert!(mixed.join("failed/a_bad/spec.json").is_file());
+        // The error names the spec where it now lives, never where it
+        // was when it was refused.
+        let spec_path = failed_job.join("spec.json");
+        assert!(error.contains(&spec_path.display().to_string()), "{error}");
+        assert!(!error.contains("active/a_bad"), "{error}");
+        assert!(spec_path.is_file());
 
+        // The retry error.txt states: fix the spec, move the directory
+        // back into active/ and serve again.
+        assert!(
+            error.contains(&format!(
+                "fix the spec, then move {} back into {}",
+                failed_job.display(),
+                mixed.join("active").display()
+            )),
+            "{error}"
+        );
+        std::fs::write(&spec_path, fixed.to_json()).unwrap();
+        std::fs::rename(&failed_job, mixed.join("active/a_bad")).unwrap();
+        let report = serve_queue(&mixed, &[]);
+        assert_eq!(
+            report,
+            ServeReport {
+                jobs: 1,
+                units: 1,
+                failed: 0
+            }
+        );
+
+        // Both jobs end as a solo run of their (fixed) spec leaves them:
+        // the same files with the same bytes, and no stale error.txt.
         let solo = root.join("solo");
-        serve_queue(&solo, &[("b_good", &good)]);
-        for file in ["spec.json", "summary.json", "traces/FedAvg-Random-r0.jsonl"] {
-            let read = |root: &Path| std::fs::read(root.join("done/b_good").join(file)).unwrap();
-            assert_eq!(read(&mixed), read(&solo), "{file}");
+        serve_queue(&solo, &[("a_bad", &fixed), ("b_good", &good)]);
+        for job in ["done/a_bad", "done/b_good"] {
+            assert_eq!(files(&mixed.join(job)), files(&solo.join(job)), "{job}");
         }
         std::fs::remove_dir_all(&root).unwrap();
     }

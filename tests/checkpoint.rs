@@ -18,7 +18,7 @@ use autofl_fed::policy::Policy;
 use autofl_fed::runtime::AsyncRuntime;
 use autofl_fed::selection::RandomSelector;
 use autofl_fed::serve::{
-    payload_digest, read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun,
+    payload_digest, read_checkpoint, write_checkpoint, ConvergeTarget, ExperimentRun, ServeError,
     CHECKPOINT_VERSION,
 };
 use common::fnv1a_hex;
@@ -164,8 +164,8 @@ fn entry<'v>(value: &'v mut serde_json::Value, key: &str) -> &'v mut serde_json:
 /// pipelined buffered run of `policy` for `records` records (two cohorts
 /// dispatched, one still in flight), lets `corrupt` edit its payload,
 /// re-envelopes the payload so the digest matches, and returns the error
-/// resuming yields — resume must refuse the state instead of panicking
-/// in a later step.
+/// resuming yields — resume must refuse the state as a
+/// [`ServeError::Checkpoint`] instead of panicking in a later step.
 fn corrupted_resume_error(
     label: &str,
     policy: &dyn Policy,
@@ -187,9 +187,10 @@ fn corrupted_resume_error(
     write_checkpoint(&path, payload).expect("checkpoint writes");
     let payload = read_checkpoint(&path).expect("the digest still matches");
     std::fs::remove_dir_all(&dir).unwrap();
-    ExperimentRun::resume(&config, policy, None, &payload)
-        .expect_err("an inconsistent checkpoint must not resume")
-        .to_string()
+    let err = ExperimentRun::resume(&config, policy, None, &payload)
+        .expect_err("an inconsistent checkpoint must not resume");
+    assert!(matches!(err, ServeError::Checkpoint { .. }), "{err:?}");
+    err.to_string()
 }
 
 /// [`corrupted_resume_error`] of a FedAvg-Random run after one record,
@@ -370,14 +371,43 @@ fn resume_rejects_a_participant_outside_the_fleet() {
         let serde_json::Value::Seq(in_flight) = entry(scheduler, "in_flight") else {
             panic!("in_flight is a sequence");
         };
-        let outcome = entry(&mut in_flight[0], "outcome");
-        let serde_json::Value::Seq(participants) = entry(outcome, "participants") else {
+        let record = entry(entry(&mut in_flight[0], "outcome"), "record");
+        let serde_json::Value::Seq(participants) = entry(record, "participants") else {
             panic!("participants are a sequence");
         };
         // `tiny_test` fleets hold devices 0..12.
         participants[0] = serde_json::Value::UInt(12);
     });
     assert!(err.contains("outside the 12-device fleet"), "{err}");
+}
+
+#[test]
+fn resume_rejects_in_flight_columns_that_disagree_with_the_cohort() {
+    // After one record, round 0 is still in flight with `tiny_test`'s 4
+    // participants. Its columns are checked in the order plans,
+    // completion times, update fractions, energies.
+    for (in_record, column, lengths) in [
+        (true, "plans", "[3, 4, 4, 4]"),
+        (false, "completion", "[4, 3, 4, 4]"),
+        (true, "update_fractions", "[4, 4, 3, 4]"),
+        (false, "per_participant_energy", "[4, 4, 4, 3]"),
+    ] {
+        let err = resume_error(&format!("short-{column}"), |scheduler| {
+            let outcome = entry(&mut items(entry(scheduler, "in_flight"))[0], "outcome");
+            let holder = if in_record {
+                entry(outcome, "record")
+            } else {
+                outcome
+            };
+            let len = items(entry(holder, column)).len();
+            resize(entry(holder, column), len - 1);
+        });
+        let expected = format!(
+            "sim.scheduler.in_flight: round 0: per-participant columns {lengths} \
+             do not match 4 participants"
+        );
+        assert!(err.contains(&expected), "{column}: {err}");
+    }
 }
 
 #[test]
