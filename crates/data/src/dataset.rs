@@ -120,15 +120,17 @@ impl Dataset {
         (Tensor::from_vec(shape, buf), labels)
     }
 
-    /// Splits `indices` into shuffled mini-batches of at most `batch_size`.
+    /// Splits `indices` (a device's slice of
+    /// [`crate::partition::Partition::device_indices`]) into shuffled
+    /// mini-batches of at most `batch_size`.
     pub fn minibatches(
         &self,
-        indices: &[usize],
+        indices: &[u32],
         batch_size: usize,
         rng: &mut impl Rng,
     ) -> Vec<(Tensor, Vec<usize>)> {
         assert!(batch_size > 0, "batch size must be positive");
-        let mut order = indices.to_vec();
+        let mut order: Vec<usize> = indices.iter().map(|&i| i as usize).collect();
         order.shuffle(rng);
         order
             .chunks(batch_size)

@@ -57,17 +57,19 @@ impl DataDistribution {
 /// row-major class-count matrix) rather than as nested `Vec`s: at a
 /// million devices the nested layout costs a million separate heap
 /// allocations and pointer-chasing on every cohort-statistics walk,
-/// while the flat layout is two contiguous arrays.
+/// while the flat layout is two contiguous arrays. Indices and counts
+/// are `u32`: a partition holds at most `u32::MAX` samples, and a count
+/// never exceeds its device's samples.
 #[derive(Debug, Clone)]
 pub struct Partition {
     /// `offsets[d]..offsets[d + 1]` is device `d`'s slice of `indices`.
     offsets: Vec<usize>,
     /// Flattened per-device training-sample indices.
-    indices: Vec<usize>,
+    indices: Vec<u32>,
     non_iid_devices: Vec<bool>,
     num_classes: usize,
     /// Row-major `num_devices × num_classes` label histogram.
-    counts: Vec<usize>,
+    counts: Vec<u32>,
 }
 
 impl Partition {
@@ -153,10 +155,10 @@ impl Partition {
         let quota = total / num_devices;
         let rest = total - num_devices * quota;
         let offsets: Vec<usize> = (0..=num_devices).map(|d| d * quota + d.min(rest)).collect();
-        let mut indices = vec![0usize; total];
-        let mut counts = vec![0usize; num_devices * classes];
+        let mut indices = vec![0u32; total];
+        let mut counts = vec![0u32; num_devices * classes];
         let mut take = |device: usize, k: usize, class: usize, next: &mut [usize]| {
-            indices[offsets[device] + k] = pool[next[class]] as usize;
+            indices[offsets[device] + k] = pool[next[class]];
             next[class] += 1;
             counts[device * classes + class] += 1;
         };
@@ -226,7 +228,7 @@ impl Partition {
     }
 
     /// Training-sample indices owned by `device`.
-    pub fn device_indices(&self, device: usize) -> &[usize] {
+    pub fn device_indices(&self, device: usize) -> &[u32] {
         &self.indices[self.offsets[device]..self.offsets[device + 1]]
     }
 
@@ -242,7 +244,7 @@ impl Partition {
     }
 
     /// Per-class sample counts held by `device`.
-    pub fn class_counts(&self, device: usize) -> &[usize] {
+    pub fn class_counts(&self, device: usize) -> &[u32] {
         let stride = self.num_classes.max(1);
         &self.counts[device * stride..(device + 1) * stride]
     }
@@ -254,12 +256,15 @@ impl Partition {
     /// device's data representative of that class.
     pub fn num_classes_present(&self, device: usize) -> usize {
         let counts = self.class_counts(device);
-        let total: usize = counts.iter().sum();
+        let total: usize = counts.iter().map(|&c| c as usize).sum();
         if total == 0 {
             return 0;
         }
         let threshold = ((total as f64 / self.num_classes as f64) * 0.1).ceil() as usize;
-        counts.iter().filter(|&&c| c >= threshold.max(1)).count()
+        counts
+            .iter()
+            .filter(|&&c| c as usize >= threshold.max(1))
+            .count()
     }
 
     /// Total number of label classes in the dataset.
@@ -273,14 +278,14 @@ impl Partition {
     /// drift).
     pub fn device_divergence(&self, device: usize) -> f64 {
         let counts = self.class_counts(device);
-        let total: usize = counts.iter().sum();
+        let total: usize = counts.iter().map(|&k| k as usize).sum();
         if total == 0 {
             return 2.0;
         }
         let uniform = 1.0 / self.num_classes as f64;
         counts
             .iter()
-            .map(|&k| (k as f64 / total as f64 - uniform).abs())
+            .map(|&k| (f64::from(k) / total as f64 - uniform).abs())
             .sum()
     }
 
@@ -291,7 +296,7 @@ impl Partition {
         let mut counts = vec![0usize; self.num_classes];
         for &d in devices {
             for (c, &k) in self.class_counts(d).iter().enumerate() {
-                counts[c] += k;
+                counts[c] += k as usize;
             }
         }
         let total: usize = counts.iter().sum();
@@ -465,9 +470,10 @@ mod tests {
     ) {
         let p = Partition::new(dataset, num_devices, distribution, seed);
         let (offsets, indices, counts, flags) = reference(dataset, num_devices, distribution, seed);
+        let widen = |v: &[u32]| v.iter().map(|&x| x as usize).collect::<Vec<_>>();
         assert_eq!(p.offsets, offsets, "offsets");
-        assert_eq!(p.indices, indices, "indices");
-        assert_eq!(p.counts, counts, "counts");
+        assert_eq!(widen(&p.indices), indices, "indices");
+        assert_eq!(widen(&p.counts), counts, "counts");
         assert_eq!(p.non_iid_devices, flags, "non-IID flags");
     }
 
@@ -524,6 +530,7 @@ mod tests {
         let mut seen = vec![false; d.len()];
         for dev in 0..10 {
             for &i in p.device_indices(dev) {
+                let i = i as usize;
                 assert!(!seen[i], "sample {} assigned twice", i);
                 seen[i] = true;
             }

@@ -37,7 +37,9 @@ pub struct DeviceLifecycle {
 /// This is the single definition of eligibility — both the struct view
 /// ([`DeviceLifecycle::eligible`]) and the structure-of-arrays hot path
 /// (`autofl_fed::fleet::FleetStore::begin_round`) call it, so the rule
-/// cannot silently diverge between layouts.
+/// cannot silently diverge between layouts. The operators do not
+/// short-circuit, so the rule costs no branch in that per-device loop.
+#[inline]
 pub fn check_in_eligible(
     online: bool,
     foreground: bool,
@@ -45,7 +47,7 @@ pub fn check_in_eligible(
     soc: f64,
     min_soc: f64,
 ) -> bool {
-    online && !foreground && (charging || soc >= min_soc)
+    online & !foreground & (charging | (soc >= min_soc))
 }
 
 impl DeviceLifecycle {

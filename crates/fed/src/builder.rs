@@ -55,6 +55,15 @@ pub enum ConfigError {
     ZeroGlobalParam,
     /// Devices hold no training samples.
     NoSamples,
+    /// The fleet, or the training samples it holds in all
+    /// (`devices × samples_per_device`), exceeds `u32::MAX`, the most
+    /// the data partition and the fleet store index.
+    FleetTooLarge {
+        /// Fleet size `N`.
+        devices: usize,
+        /// Training samples per device.
+        samples_per_device: usize,
+    },
     /// A device's per-round training work — `E × samples_per_device ×`
     /// the workload's training FLOPs per sample — overflows `u64`.
     LocalWorkOverflow {
@@ -178,6 +187,16 @@ impl std::fmt::Display for ConfigError {
                 write!(f, "global parameters (B, E, K) must all be positive")
             }
             ConfigError::NoSamples => write!(f, "samples_per_device must be positive"),
+            ConfigError::FleetTooLarge {
+                devices,
+                samples_per_device,
+            } => write!(
+                f,
+                "{devices} devices × {samples_per_device} samples per device exceed \
+                 the limit of {} devices and {} samples in all",
+                u32::MAX,
+                u32::MAX
+            ),
             ConfigError::LocalWorkOverflow {
                 local_epochs,
                 samples_per_device,
@@ -328,6 +347,18 @@ impl SimConfig {
         }
         if self.samples_per_device == 0 {
             return Err(ConfigError::NoSamples);
+        }
+        // `Partition::new` and `FleetStore::new` index with `u32`; refuse
+        // here what they would refuse only after allocating the fleet.
+        let samples = self
+            .num_devices
+            .checked_mul(self.samples_per_device)
+            .and_then(|s| u32::try_from(s).ok());
+        if u32::try_from(self.num_devices).is_err() || samples.is_none() {
+            return Err(ConfigError::FleetTooLarge {
+                devices: self.num_devices,
+                samples_per_device: self.samples_per_device,
+            });
         }
         // Every device holds `samples_per_device` samples, so this is the
         // largest product `RoundContext::task_for` forms.
@@ -754,6 +785,32 @@ mod tests {
             .build_config()
             .expect("valid");
         assert_eq!(built, by_hand);
+    }
+
+    #[test]
+    fn fleets_past_the_u32_limits_are_refused_by_validate_alone() {
+        // Only `validate` runs, so nothing here allocates a fleet. Both
+        // configurations used to validate and then abort in
+        // `Simulation::new`.
+        let mut config = SimConfig::paper_default(Workload::CnnMnist);
+        for (devices, samples_per_device) in
+            [(1usize << 32, 1), (1_000_000, 4_295), (usize::MAX / 2, 3)]
+        {
+            config.num_devices = devices;
+            config.samples_per_device = samples_per_device;
+            assert_eq!(
+                config.validate(),
+                Err(ConfigError::FleetTooLarge {
+                    devices,
+                    samples_per_device
+                })
+            );
+        }
+        for (devices, samples_per_device) in [(1_000_000, 4_294), (u32::MAX as usize, 1)] {
+            config.num_devices = devices;
+            config.samples_per_device = samples_per_device;
+            assert_eq!(config.validate(), Ok(()));
+        }
     }
 
     #[test]

@@ -591,9 +591,9 @@ impl Simulation {
 
     /// Closes out a cohort whose completion event fired, after the
     /// scheduler has stamped its record's accuracy, completion time and
-    /// staleness: charges the idle fleet, advances the device lifecycles
-    /// and feeds the outcome back to `selector`. Returns the finished
-    /// record.
+    /// staleness: charges the idle fleet, hands the lifecycle update to
+    /// the fleet store ([`FleetStore::hold_end_round`]) and feeds the
+    /// outcome back to `selector`. Returns the finished record.
     pub(crate) fn complete_cohort(
         &mut self,
         outcome: DispatchOutcome,
@@ -616,9 +616,11 @@ impl Simulation {
             record.round_time_s,
         );
         // Non-members idle-cool over the round; members pay what the
-        // round actually cost them (battery drain, heating).
+        // round actually cost them (battery drain, heating). The store
+        // holds the update and applies it at the head of the next begin
+        // pass.
         if let (Some(dynamics), Some(state)) = (&self.config.fleet, &mut self.fleet_state) {
-            state.end_round(
+            state.hold_end_round(
                 dynamics,
                 &self.fleet,
                 record.round_time_s,

@@ -293,21 +293,119 @@ pub struct ShardBin {
 /// The shard count is a layout/parallelism knob only: results are
 /// bit-identical at any shard count because every stochastic draw comes
 /// from a per-device stream keyed by the global device id.
+///
+/// A completed cohort's lifecycle update is *held* (at most one at a
+/// time) and applied to each device at the head of the next
+/// [`FleetStore::begin_round`], in the same pass that draws the new
+/// sessions. [`FleetStore::end_round`] applies an update at once.
 #[derive(Debug, Clone)]
 pub struct FleetStore {
     seed: u64,
     len: usize,
     shard_size: usize,
     shards: Vec<FleetShard>,
-    /// Reusable fleet-sized participant-slot scratch for `end_round`.
-    participant_slot: Vec<usize>,
+    /// The held end-of-round update, if any; its participants are
+    /// `members`.
+    held: Option<RoundEnd>,
+    /// The held update's participants, sorted by id. The buffer is
+    /// reused from one hand-over to the next.
+    members: Vec<Member>,
+}
+
+/// The per-pass constants of one completed round's lifecycle update,
+/// each product formed once per pass.
+#[derive(Debug, Clone, Copy)]
+struct RoundEnd {
+    round_time_s: f64,
+    /// `charge_rate_per_s × round_time_s`: what a plugged-in device gains.
+    charge: f64,
+    /// `idle_drain_per_s × round_time_s`: what an idle unplugged device
+    /// loses.
+    drain: f64,
+    /// `cool_per_s × round_time_s`: what an idle device sheds.
+    cool: f64,
+    heat_per_s: f64,
+    cool_per_s: f64,
+}
+
+/// One participant of a held update: what its end-of-round update reads
+/// besides its own lanes.
+#[derive(Debug, Clone, Copy)]
+struct Member {
+    id: usize,
+    busy_s: f64,
+    energy_j: f64,
+    /// `battery_capacity_j × battery_capacity_scale`, formed at hand-over.
+    capacity_j: f64,
+}
+
+impl RoundEnd {
+    /// Advances one device's `soc` and `throttle` over the round:
+    /// `member` pays battery from its measured energy and heats for its
+    /// busy seconds; every other device drains (or charges) and cools
+    /// over the round duration. One clamp per device: a participant's
+    /// net throttle change is computed before clamping, otherwise the
+    /// clamp floor would eat the cooling term and credit spurious heat.
+    #[inline(always)]
+    fn apply(&self, member: Option<&Member>, charging: bool, soc: &mut f64, throttle: &mut f64) {
+        match member {
+            Some(m) => {
+                if charging {
+                    *soc += self.charge;
+                } else {
+                    *soc -= m.energy_j / m.capacity_j;
+                }
+                // Heats for its busy seconds, cools for the idle
+                // remainder of the round.
+                let busy = m.busy_s.min(self.round_time_s);
+                *throttle += self.heat_per_s * busy - self.cool_per_s * (self.round_time_s - busy);
+            }
+            None => {
+                // `soc + (−drain)` is `soc − drain` bit for bit, so the
+                // charging branch is a select.
+                *soc += if charging { self.charge } else { -self.drain };
+                *throttle -= self.cool;
+            }
+        }
+        *soc = soc.clamp(0.0, 1.0);
+        *throttle = throttle.clamp(0.0, 1.0);
+    }
+
+    /// Applies the update to every lane of `shard`; `members` holds the
+    /// update's participants sorted by id.
+    fn settle(&self, members: &[Member], shard: &mut FleetShard) {
+        let n = shard.len();
+        let mut members = shard_members(members, shard).iter().peekable();
+        let (soc, throttle, charging) = (
+            &mut shard.soc[..n],
+            &mut shard.throttle[..n],
+            &shard.charging[..n],
+        );
+        for j in 0..n {
+            let member = members.next_if(|m| m.id == shard.offset + j);
+            self.apply(member, charging[j], &mut soc[j], &mut throttle[j]);
+        }
+    }
+}
+
+/// The run of `members` (sorted by id) that falls inside `shard`.
+fn shard_members<'m>(members: &'m [Member], shard: &FleetShard) -> &'m [Member] {
+    let lo = members.partition_point(|m| m.id < shard.offset);
+    let hi = members.partition_point(|m| m.id < shard.offset + shard.len());
+    &members[lo..hi]
 }
 
 impl FleetStore {
     /// Initial state for a fleet in `shards` contiguous extents:
     /// per-device SoC drawn uniformly from the configured range on stream
     /// `(seed, TAG_INIT, id)`; everyone cool, idle and online.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the fleet holds more than `u32::MAX` devices: eligible
+    /// ids are drawn as `u32` ([`AvailabilityView::eligible_ids_u32`]).
     pub fn new(config: &FleetDynamics, fleet: &Fleet, seed: u64, shards: usize) -> Self {
+        u32::try_from(fleet.len()).expect("a fleet store holds at most u32::MAX devices");
         let size = shard_size(fleet.len(), shards);
         let extents = shard_extents(fleet.len(), shards);
         let shards: Vec<FleetShard> = extents
@@ -340,7 +438,8 @@ impl FleetStore {
             len: fleet.len(),
             shard_size: size,
             shards,
-            participant_slot: Vec::new(),
+            held: None,
+            members: Vec::new(),
         }
     }
 
@@ -359,9 +458,16 @@ impl FleetStore {
         self.shards.len()
     }
 
+    /// Shard and lane of device `i`. Every per-device reader goes
+    /// through here, and the engine reads only after a begin pass, so a
+    /// held update must not be pending: it would be read unapplied.
     #[inline]
     fn locate(&self, i: usize) -> (usize, usize) {
         debug_assert!(i < self.len, "device {i} outside store of {}", self.len);
+        debug_assert!(
+            self.held.is_none(),
+            "device {i} read while an end-of-round update is held"
+        );
         (i / self.shard_size, i % self.shard_size)
     }
 
@@ -428,21 +534,36 @@ impl FleetStore {
     }
 
     /// Serializes the carried lifecycle state (per-device SoC, throttle,
-    /// session flags, eligibility) for a checkpoint. The seed and shard
-    /// geometry are *not* captured: both are deterministic functions of
-    /// the simulation config, and [`FleetStore::state_restore`] verifies
-    /// the geometry instead of trusting the file.
+    /// session flags, eligibility) for a checkpoint, with any held
+    /// end-of-round update applied to a copy: the columns are written
+    /// settled, and the held update itself is never written. The seed
+    /// and shard geometry are *not* captured: both are deterministic
+    /// functions of the simulation config, and
+    /// [`FleetStore::state_restore`] verifies the geometry instead of
+    /// trusting the file.
     pub fn state_snapshot(&self) -> serde::Value {
+        let shards = match &self.held {
+            None => self.shards.to_value(),
+            Some(end) => {
+                let mut shards = self.shards.clone();
+                for shard in &mut shards {
+                    end.settle(&self.members, shard);
+                }
+                shards.to_value()
+            }
+        };
         serde::Value::Map(vec![
             ("len".to_string(), self.len.to_value()),
-            ("shards".to_string(), self.shards.to_value()),
+            ("shards".to_string(), shards),
         ])
     }
 
     /// Restores state captured by [`FleetStore::state_snapshot`] onto a
     /// store freshly built from the same config (same fleet size and
-    /// shard count). Every per-device column of a shard must cover the
-    /// shard's extent.
+    /// shard count), dropping any held update: the snapshot's columns
+    /// are settled. Every per-device column of a shard must cover the
+    /// shard's extent, and its eligible count must equal the eligible
+    /// devices of its column.
     pub fn state_restore(&mut self, value: &serde::Value) -> Result<(), serde::Error> {
         let len: usize = serde::field(value, "len")?;
         let shards: Vec<FleetShard> = serde::field(value, "shards")?;
@@ -475,14 +596,27 @@ impl FleetStore {
                 ))
                 .at(&format!("shards[{s}]")));
             }
+            // The eligible-id fill sizes each shard's run by this count.
+            let eligible = got.eligible.iter().filter(|&&e| e).count();
+            if got.eligible_count != eligible {
+                return Err(serde::Error::custom(format!(
+                    "eligible_count is {} but column `eligible` holds {eligible} eligible devices",
+                    got.eligible_count
+                ))
+                .at(&format!("shards[{s}]")));
+            }
         }
         self.shards = shards;
+        self.held = None;
         Ok(())
     }
 
-    /// Draws this round's charging / foreground / connectivity sessions
-    /// (sticky across rounds), refreshes every device's stored
-    /// availability, and returns the number of ineligible devices.
+    /// Applies the held end-of-round update, if any, then draws this
+    /// round's charging / foreground / connectivity sessions (sticky
+    /// across rounds), refreshes every device's stored availability, and
+    /// returns the number of ineligible devices. Both happen in one pass
+    /// over each device: its update reads only its own lanes and the
+    /// cohort, and its draws read only its own lanes.
     ///
     /// Shards evolve in parallel; every device draws from its own stream
     /// `(seed, TAG_ROUND, round, id)` and the ineligible total is a sum
@@ -490,45 +624,73 @@ impl FleetStore {
     /// shard count, thread count and schedule.
     pub fn begin_round(&mut self, config: &FleetDynamics, fleet: &Fleet, round: usize) -> usize {
         let seed = self.seed;
+        let held = self.held.take();
+        let members = &self.members;
+        let charge_prob = config.charge_prob.clamp(0.0, 1.0);
         self.shards.par_iter_mut().for_each(|shard| {
-            let mut eligible_count = 0usize;
-            for j in 0..shard.len() {
-                let i = shard.offset + j;
+            let n = shard.len();
+            let offset = shard.offset;
+            let mut cohort = shard_members(members, shard).iter().peekable();
+            let FleetShard {
+                soc,
+                throttle,
+                charging,
+                foreground,
+                online,
+                eligible,
+                eligible_count,
+                ..
+            } = shard;
+            let (soc, throttle, charging, foreground, online, eligible) = (
+                &mut soc[..n],
+                &mut throttle[..n],
+                &mut charging[..n],
+                &mut foreground[..n],
+                &mut online[..n],
+                &mut eligible[..n],
+            );
+            let mut count = 0usize;
+            for j in 0..n {
+                let i = offset + j;
+                if let Some(end) = &held {
+                    let member = cohort.next_if(|m| m.id == i);
+                    end.apply(member, charging[j], &mut soc[j], &mut throttle[j]);
+                }
                 let mut rng =
                     SmallRng::seed_from_u64(device_stream_seed(seed, TAG_ROUND, round as u64, i));
                 let device = fleet.device(DeviceId(i));
                 // Fixed draw order per device: charging, foreground,
                 // connectivity — three coins per round regardless of
                 // state, so streams never drift.
-                let p_charge = if shard.charging[j] {
+                let p_charge = if charging[j] {
                     STAY_CHARGING
                 } else {
-                    config.charge_prob
+                    charge_prob
                 };
-                shard.charging[j] = rng.gen_bool(p_charge.clamp(0.0, 1.0));
-                let p_fg = if shard.foreground[j] {
+                charging[j] = rng.gen_bool(p_charge);
+                let p_fg = if foreground[j] {
                     STAY_FOREGROUND
                 } else {
                     (config.foreground_prob * device.interference_propensity()).clamp(0.0, 1.0)
                 };
-                shard.foreground[j] = rng.gen_bool(p_fg);
-                let p_off = if shard.online[j] {
+                foreground[j] = rng.gen_bool(p_fg);
+                let p_off = if online[j] {
                     (config.offline_prob * device.weak_signal_propensity()).clamp(0.0, 1.0)
                 } else {
                     STAY_OFFLINE
                 };
-                shard.online[j] = !rng.gen_bool(p_off);
-                let eligible = autofl_device::lifecycle::check_in_eligible(
-                    shard.online[j],
-                    shard.foreground[j],
-                    shard.charging[j],
-                    shard.soc[j],
+                online[j] = !rng.gen_bool(p_off);
+                let ok = autofl_device::lifecycle::check_in_eligible(
+                    online[j],
+                    foreground[j],
+                    charging[j],
+                    soc[j],
                     config.min_soc,
                 );
-                shard.eligible[j] = eligible;
-                eligible_count += usize::from(eligible);
+                eligible[j] = ok;
+                count += usize::from(ok);
             }
-            shard.eligible_count = eligible_count;
+            *eligible_count = count;
         });
         self.len - self.eligible_count()
     }
@@ -574,11 +736,77 @@ impl FleetStore {
         fraction
     }
 
-    /// Applies one completed round to the lifecycle states: participants
-    /// pay battery from their measured energy and heat up for their busy
-    /// seconds; everyone else drains (or charges) and cools over the
-    /// round duration. Shards update in parallel (per-device writes are
+    /// Holds one completed round's lifecycle update until the next
+    /// [`FleetStore::begin_round`], which applies it to each device at
+    /// the head of its pass: participants pay battery from their measured
+    /// energy and heat up for their busy seconds; everyone else drains
+    /// (or charges) and cools over the round duration.
+    ///
+    /// At most one update is held. A hand-over while one is still held
+    /// (cohorts completing with no dispatch between them, as when a run
+    /// drains) first settles the held one in a pass of its own, so
+    /// updates apply in completion order. Each participant's battery
+    /// capacity is read here, so the held update needs neither `fleet`
+    /// nor `config` later.
+    ///
+    /// `busy_s` and `energy_j` are aligned with `participants`, which
+    /// must be distinct.
+    pub(crate) fn hold_end_round(
+        &mut self,
+        config: &FleetDynamics,
+        fleet: &Fleet,
+        round_time_s: f64,
+        participants: &[DeviceId],
+        busy_s: &[f64],
+        energy_j: &[f64],
+    ) {
+        debug_assert_eq!(participants.len(), busy_s.len());
+        debug_assert_eq!(participants.len(), energy_j.len());
+        self.settle();
+        self.members.clear();
+        self.members
+            .extend(participants.iter().zip(busy_s).zip(energy_j).map(
+                |((id, &busy_s), &energy_j)| Member {
+                    id: id.0,
+                    busy_s,
+                    energy_j,
+                    capacity_j: fleet.device(*id).tier().battery_capacity_j()
+                        * config.battery_capacity_scale,
+                },
+            ));
+        self.members.sort_unstable_by_key(|m| m.id);
+        debug_assert!(
+            self.members.windows(2).all(|w| w[0].id < w[1].id),
+            "participants must be distinct"
+        );
+        self.held = Some(RoundEnd {
+            round_time_s,
+            charge: config.charge_rate_per_s * round_time_s,
+            drain: config.idle_drain_per_s * round_time_s,
+            cool: config.cool_per_s * round_time_s,
+            heat_per_s: config.heat_per_s,
+            cool_per_s: config.cool_per_s,
+        });
+    }
+
+    /// Applies the held end-of-round update, if any, in a pass of its
+    /// own. Shards update in parallel (per-device writes are
     /// independent, so the result is schedule-free).
+    fn settle(&mut self) {
+        if let Some(end) = self.held.take() {
+            let members = &self.members;
+            self.shards
+                .par_iter_mut()
+                .for_each(|shard| end.settle(members, shard));
+        }
+    }
+
+    /// Applies one completed round to the lifecycle states at once:
+    /// participants pay battery from their measured energy and heat up
+    /// for their busy seconds; everyone else drains (or charges) and
+    /// cools over the round duration. The round engine holds the update
+    /// instead (`hold_end_round`) and applies it in its next begin pass,
+    /// with the same arithmetic.
     ///
     /// `busy_s` and `energy_j` are aligned with `participants`.
     pub fn end_round(
@@ -590,48 +818,8 @@ impl FleetStore {
         busy_s: &[f64],
         energy_j: &[f64],
     ) {
-        debug_assert_eq!(participants.len(), busy_s.len());
-        debug_assert_eq!(participants.len(), energy_j.len());
-        self.participant_slot.clear();
-        self.participant_slot.resize(self.len, usize::MAX);
-        for (i, id) in participants.iter().enumerate() {
-            self.participant_slot[id.0] = i;
-        }
-        let slots = std::mem::take(&mut self.participant_slot);
-        self.shards.par_iter_mut().for_each(|shard| {
-            // One pass, one clamp per device: a participant's net
-            // throttle change must be computed before clamping,
-            // otherwise the clamp floor would eat the cooling term
-            // and credit spurious heat.
-            for j in 0..shard.len() {
-                let d = shard.offset + j;
-                let i = slots[d];
-                if i != usize::MAX {
-                    if shard.charging[j] {
-                        shard.soc[j] += config.charge_rate_per_s * round_time_s;
-                    } else {
-                        let capacity = fleet.device(DeviceId(d)).tier().battery_capacity_j()
-                            * config.battery_capacity_scale;
-                        shard.soc[j] -= energy_j[i] / capacity;
-                    }
-                    // Heats for its busy seconds, cools for the idle
-                    // remainder of the round.
-                    let busy = busy_s[i].min(round_time_s);
-                    shard.throttle[j] +=
-                        config.heat_per_s * busy - config.cool_per_s * (round_time_s - busy);
-                } else {
-                    if shard.charging[j] {
-                        shard.soc[j] += config.charge_rate_per_s * round_time_s;
-                    } else {
-                        shard.soc[j] -= config.idle_drain_per_s * round_time_s;
-                    }
-                    shard.throttle[j] -= config.cool_per_s * round_time_s;
-                }
-                shard.soc[j] = shard.soc[j].clamp(0.0, 1.0);
-                shard.throttle[j] = shard.throttle[j].clamp(0.0, 1.0);
-            }
-        });
-        self.participant_slot = slots;
+        self.hold_end_round(config, fleet, round_time_s, participants, busy_s, energy_j);
+        self.settle();
     }
 }
 
@@ -743,62 +931,78 @@ impl AvailabilityView<'_> {
         }
     }
 
-    /// Ids of every eligible device, in fleet order. Walks availability
-    /// bins and skips shards with no eligible devices, so a mostly-dark
-    /// fleet costs much less than a full scan. Shards are scanned in
-    /// parallel and their id runs concatenated in shard order — device
-    /// ids are integers, so the result is identical to a sequential scan
-    /// at any thread count.
+    /// Ids of every eligible device, in fleet order. Built by the same
+    /// fill as [`AvailabilityView::eligible_ids_u32`].
     pub fn eligible_ids(&self) -> Vec<DeviceId> {
-        match self {
-            AvailabilityView::Ideal { devices } => (0..*devices).map(DeviceId).collect(),
-            AvailabilityView::Masked {
-                eligible,
-                bins,
-                count,
-                ..
-            } => {
-                let mut ids = Vec::with_capacity(*count);
-                for bin in bins.iter() {
-                    if bin.eligible == 0 {
-                        continue;
-                    }
-                    for (j, &e) in eligible[bin.offset..bin.offset + bin.len]
-                        .iter()
-                        .enumerate()
-                    {
-                        if e {
-                            ids.push(DeviceId(bin.offset + j));
-                        }
-                    }
-                }
-                ids
-            }
-            AvailabilityView::Dynamic(store) => {
-                let per_shard: Vec<Vec<DeviceId>> = store
-                    .shards
-                    .par_iter()
-                    .map(|shard| {
-                        if shard.eligible_count == 0 {
-                            return Vec::new();
-                        }
-                        let mut ids = Vec::with_capacity(shard.eligible_count);
-                        for (j, &e) in shard.eligible.iter().enumerate() {
-                            if e {
-                                ids.push(DeviceId(shard.offset + j));
-                            }
-                        }
-                        ids
-                    })
-                    .collect();
-                let mut ids = Vec::with_capacity(store.eligible_count());
-                for mut run in per_shard {
-                    ids.append(&mut run);
-                }
-                ids
-            }
-        }
+        self.fill_eligible_ids(DeviceId)
     }
+
+    /// Ids of every eligible device, in fleet order, as `u32` — half the
+    /// bytes of [`AvailabilityView::eligible_ids`], for callers that
+    /// permute the whole list and keep a few (FedAvg-Random).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the view covers more than `u32::MAX` devices.
+    pub fn eligible_ids_u32(&self) -> Vec<u32> {
+        u32::try_from(self.devices()).expect("u32 ids cover at most u32::MAX devices");
+        self.fill_eligible_ids(|i| i as u32)
+    }
+
+    /// The one eligible-id fill: each availability bin writes its
+    /// eligible ids at its own offset of the result, the prefix sum of
+    /// the bins' eligible counts. Bins are filled in parallel, each by
+    /// [`fill_run`], and a bin with no eligible device writes nothing.
+    /// Ids are integers written to pre-assigned slots, so the result is
+    /// identical to a sequential scan at any thread count.
+    fn fill_eligible_ids<T: Copy + Send>(&self, id: impl Fn(usize) -> T + Sync) -> Vec<T> {
+        let runs: Vec<(usize, &[bool], usize)> = match self {
+            AvailabilityView::Ideal { devices } => return (0..*devices).map(id).collect(),
+            AvailabilityView::Dynamic(store) => store
+                .shards
+                .iter()
+                .map(|s| (s.offset, &s.eligible[..], s.eligible_count))
+                .collect(),
+            AvailabilityView::Masked { eligible, bins, .. } => bins
+                .iter()
+                .map(|b| (b.offset, &eligible[b.offset..b.offset + b.len], b.eligible))
+                .collect(),
+        };
+        let mut ids = vec![id(0); runs.iter().map(|r| r.2).sum()];
+        let mut rest = &mut ids[..];
+        let mut jobs = Vec::with_capacity(runs.len());
+        for (offset, lanes, count) in runs {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(count);
+            jobs.push((offset, lanes, out));
+            rest = tail;
+        }
+        jobs.par_iter_mut()
+            .for_each(|(offset, lanes, out)| fill_run(*offset, lanes, out, &id));
+        ids
+    }
+}
+
+/// Writes `id(offset + j)` for every set lane `j` of `lanes`, in order,
+/// into `out`, which holds exactly as many slots as there are set lanes.
+/// Branch-free: every lane up to the last set one writes its id at the
+/// cursor, and only a set lane advances it, so the next lane overwrites
+/// an unset lane's write. No lane after the last set one is visited, so
+/// every write lands inside `out`; a bin with no slot reads no lane.
+fn fill_run<T>(offset: usize, lanes: &[bool], out: &mut [T], id: impl Fn(usize) -> T) {
+    if out.is_empty() {
+        return;
+    }
+    let end = lanes.iter().rposition(|&e| e).map_or(0, |last| last + 1);
+    let mut k = 0;
+    for (j, &e) in lanes[..end].iter().enumerate() {
+        out[k] = id(offset + j);
+        k += usize::from(e);
+    }
+    assert_eq!(
+        k,
+        out.len(),
+        "a bin's eligible count disagrees with its lanes"
+    );
 }
 
 /// Normalised aggregation weights over the surviving cohort:
@@ -831,6 +1035,9 @@ pub fn survivor_weights(effective: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use autofl_device::tier::DeviceTier;
+    use proptest::prelude::*;
+    use rand::seq::SliceRandom;
 
     fn fleet() -> Fleet {
         Fleet::custom(
@@ -1005,6 +1212,118 @@ mod tests {
         let base = run(1);
         for shards in [2, 4, 16, 24] {
             assert_eq!(base, run(shards), "shards={shards}");
+        }
+    }
+
+    /// Asserts that every column of `a` equals `b`'s bit for bit.
+    fn assert_same_columns(a: &FleetStore, b: &FleetStore, at: &str) {
+        for (s, (x, y)) in a.shards.iter().zip(&b.shards).enumerate() {
+            let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&x.soc), bits(&y.soc), "{at}: soc of shard {s}");
+            assert_eq!(
+                bits(&x.throttle),
+                bits(&y.throttle),
+                "{at}: throttle of shard {s}"
+            );
+            assert_eq!(x.charging, y.charging, "{at}: charging of shard {s}");
+            assert_eq!(x.foreground, y.foreground, "{at}: foreground of shard {s}");
+            assert_eq!(x.online, y.online, "{at}: online of shard {s}");
+            assert_eq!(x.eligible, y.eligible, "{at}: eligible of shard {s}");
+            assert_eq!(
+                x.eligible_count, y.eligible_count,
+                "{at}: count of shard {s}"
+            );
+        }
+    }
+
+    /// Runs one random schedule of begin passes, hand-overs (a second
+    /// one in a round is a drain) and snapshots twice: once through
+    /// [`FleetStore::hold_end_round`], once through the eager
+    /// [`FleetStore::end_round`]. Every begin pass must leave the same
+    /// columns and every snapshot the same text.
+    fn held_and_eager_agree(seed: u64) {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let tiers = [DeviceTier::High, DeviceTier::Mid, DeviceTier::Low];
+        let runs: Vec<(DeviceTier, usize)> = (0..rng.gen_range(1..=3))
+            .map(|_| (tiers[rng.gen_range(0..3)], rng.gen_range(1..=100)))
+            .collect();
+        let fleet = Fleet::custom(&runs, seed);
+        let n = fleet.len();
+        let config = FleetDynamics {
+            charge_prob: rng.gen_range(0.0..=1.0),
+            battery_capacity_scale: rng.gen_range(1e-3..=1.0),
+            min_soc: rng.gen_range(0.0..=0.6),
+            heat_per_s: rng.gen_range(0.0..=1e-2),
+            cool_per_s: rng.gen_range(0.0..=1e-2),
+            ..FleetDynamics::realistic()
+        };
+        let shards = rng.gen_range(1..=8);
+        let mut held = FleetStore::new(&config, &fleet, seed, shards);
+        let mut eager = held.clone();
+        for round in 0..rng.gen_range(1..=8) {
+            let at = format!("round {round}");
+            assert_eq!(
+                held.begin_round(&config, &fleet, round),
+                eager.begin_round(&config, &fleet, round),
+                "{at}"
+            );
+            assert_same_columns(&held, &eager, &at);
+            for _ in 0..rng.gen_range(1..=2) {
+                let mut cohort: Vec<DeviceId> = match rng.gen_range(0..4) {
+                    0 => Vec::new(),
+                    1 => {
+                        let shard = &held.shards[rng.gen_range(0..held.shards.len())];
+                        (shard.offset..shard.offset + shard.len())
+                            .map(DeviceId)
+                            .collect()
+                    }
+                    _ => {
+                        let mut ids = fleet.ids();
+                        ids.shuffle(&mut rng);
+                        ids.truncate(rng.gen_range(1..=n.min(40)));
+                        ids
+                    }
+                };
+                cohort.shuffle(&mut rng);
+                let round_time_s = rng.gen_range(1.0..=600.0);
+                let busy: Vec<f64> = cohort
+                    .iter()
+                    .map(|_| rng.gen_range(0.0..=2.0 * round_time_s))
+                    .collect();
+                let energy: Vec<f64> = cohort.iter().map(|_| rng.gen_range(0.0..=5e3)).collect();
+                held.hold_end_round(&config, &fleet, round_time_s, &cohort, &busy, &energy);
+                eager.end_round(&config, &fleet, round_time_s, &cohort, &busy, &energy);
+            }
+            if rng.gen_bool(0.3) {
+                let text = |s: &FleetStore| serde_json::to_string(&s.state_snapshot()).unwrap();
+                let snapshot = text(&held);
+                assert_eq!(snapshot, text(&eager), "{at}: snapshot");
+                if rng.gen_bool(0.5) {
+                    // A resumed store holds nothing: its columns are settled.
+                    let value = serde_json::from_str(&snapshot).unwrap();
+                    held.state_restore(&value).expect("a snapshot restores");
+                    assert_same_columns(&held, &eager, &format!("{at}: restored"));
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        #[test]
+        fn a_held_update_equals_the_eager_one(seed in 0u64..u64::MAX) {
+            for threads in ["1", "4"] {
+                let prev = std::env::var("AUTOFL_THREADS").ok();
+                std::env::set_var("AUTOFL_THREADS", threads);
+                rayon::refresh_thread_count();
+                held_and_eager_agree(seed);
+                match prev {
+                    Some(v) => std::env::set_var("AUTOFL_THREADS", v),
+                    None => std::env::remove_var("AUTOFL_THREADS"),
+                }
+                rayon::refresh_thread_count();
+            }
         }
     }
 

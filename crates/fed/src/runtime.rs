@@ -173,8 +173,10 @@ impl InFlight {
     }
 
     /// Rejects a restored cohort whose per-participant columns disagree
-    /// in length, that names a device outside a fleet of `devices`, or
-    /// that claims a dispatch version later than `version`. The record's
+    /// in length, that names a device outside a fleet of `devices` or a
+    /// participant twice (the fleet store walks a completed cohort's
+    /// participants in id order, one lane each), or that claims a
+    /// dispatch version later than `version`. The record's
     /// completion-time fields are not checked: completion overwrites
     /// them.
     fn check(&self, devices: usize, version: u64) -> Result<(), serde::Error> {
@@ -199,6 +201,11 @@ impl InFlight {
                 "device {} is outside the {devices}-device fleet",
                 id.0
             )));
+        }
+        let mut sorted: Vec<usize> = r.participants.iter().map(|id| id.0).collect();
+        sorted.sort_unstable();
+        if let Some(pair) = sorted.windows(2).find(|pair| pair[0] == pair[1]) {
+            return Err(err(format!("device {} is a participant twice", pair[0])));
         }
         if self.version_at_dispatch > version {
             return Err(err(format!(

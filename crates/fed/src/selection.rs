@@ -269,11 +269,15 @@ impl RandomSelector {
 }
 
 impl Selector for RandomSelector {
+    /// Shuffles the eligible ids as `u32` and keeps the first `K`. The
+    /// shuffle's draws depend only on the list's length, so this is the
+    /// permutation, cohort and RNG state of shuffling [`DeviceId`]s.
     fn select(&mut self, ctx: &RoundContext<'_>, rng: &mut SmallRng) -> SelectionDecision {
-        let mut ids = ctx.eligible_ids();
+        let mut ids = ctx.availability.eligible_ids_u32();
         ids.shuffle(rng);
-        ids.truncate(ctx.params.num_participants);
-        SelectionDecision::cpu_max(ctx.fleet, ids)
+        let k = ctx.params.num_participants.min(ids.len());
+        let participants = ids[..k].iter().map(|&i| DeviceId(i as usize)).collect();
+        SelectionDecision::cpu_max(ctx.fleet, participants)
     }
 
     fn name(&self) -> &'static str {
@@ -369,6 +373,7 @@ impl Selector for ClusterSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::ShardBin;
     use autofl_data::partition::DataDistribution;
     use autofl_data::FlData;
     use autofl_device::store::ConditionsStore;
@@ -421,6 +426,103 @@ mod tests {
         unique.dedup();
         assert_eq!(unique.len(), 20);
         assert_eq!(d.plans.len(), 20);
+    }
+
+    /// FedAvg-Random as it drew before its ids were `u32`: every eligible
+    /// [`DeviceId`], found by a scan of every device, shuffled, the first
+    /// `K` kept.
+    fn random_reference(ctx: &RoundContext<'_>, rng: &mut SmallRng) -> Vec<DeviceId> {
+        let mut ids: Vec<DeviceId> = ctx.fleet.ids();
+        ids.retain(|&id| ctx.is_eligible(id));
+        assert_eq!(ctx.eligible_ids(), ids, "the fill equals the scan");
+        ids.shuffle(rng);
+        ids.truncate(ctx.params.num_participants);
+        ids
+    }
+
+    fn entry<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
+        let serde::Value::Map(entries) = value else {
+            panic!("expected a map holding `{key}`");
+        };
+        &mut entries
+            .iter_mut()
+            .find(|(k, _)| k == key)
+            .expect("the key")
+            .1
+    }
+
+    #[test]
+    fn random_u32_draw_equals_the_device_id_reference() {
+        let (fleet, data, params, conditions) = context_fixture();
+        let dynamics = crate::fleet::FleetDynamics::realistic();
+        let mut store = crate::fleet::FleetStore::new(&dynamics, &fleet, 3, 4);
+        store.begin_round(&dynamics, &fleet, 0);
+        // The same store with no eligible device in its second shard,
+        // restored from an edited snapshot.
+        let mut snapshot = store.state_snapshot();
+        let serde::Value::Seq(shards) = entry(&mut snapshot, "shards") else {
+            panic!("shards are a sequence");
+        };
+        let serde::Value::Seq(lanes) = entry(&mut shards[1], "eligible") else {
+            panic!("a column is a sequence");
+        };
+        lanes.fill(serde::Value::Bool(false));
+        *entry(&mut shards[1], "eligible_count") = serde::Value::UInt(0);
+        let mut dark = store.clone();
+        dark.state_restore(&snapshot)
+            .expect("a consistent snapshot");
+        // A partition mask over the live store: every third device cut.
+        let reachable: Vec<bool> = (0..fleet.len())
+            .map(|i| store.is_eligible(i) && i % 3 != 0)
+            .collect();
+        let bins: Vec<ShardBin> = store
+            .bins()
+            .into_iter()
+            .map(|b| ShardBin {
+                eligible: reachable[b.offset..b.offset + b.len]
+                    .iter()
+                    .filter(|&&e| e)
+                    .count(),
+                ..b
+            })
+            .collect();
+        let views = [
+            AvailabilityView::Ideal {
+                devices: fleet.len(),
+            },
+            AvailabilityView::Dynamic(&store),
+            AvailabilityView::Dynamic(&dark),
+            AvailabilityView::Masked {
+                eligible: &reachable,
+                bins: &bins,
+                count: bins.iter().map(|b| b.eligible).sum(),
+                store: Some(&store),
+            },
+        ];
+        assert_eq!(dark.bins()[1].eligible, 0);
+        for view in views {
+            let eligible = view.eligible_count();
+            assert!(eligible > 20, "a pool to draw from");
+            for k in [1, 20, eligible, eligible + 7] {
+                let params = GlobalParams {
+                    num_participants: k,
+                    ..params
+                };
+                let c = RoundContext {
+                    availability: view,
+                    params: &params,
+                    ..ctx(&fleet, &data, &params, &conditions)
+                };
+                for seed in 0..3 {
+                    let mut rng = SmallRng::seed_from_u64(seed);
+                    let mut reference_rng = rng.clone();
+                    let drawn = RandomSelector.select(&c, &mut rng).participants;
+                    assert_eq!(drawn, random_reference(&c, &mut reference_rng), "k = {k}");
+                    assert_eq!(drawn.len(), k.min(eligible));
+                    assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG state");
+                }
+            }
+        }
     }
 
     #[test]

@@ -276,6 +276,36 @@ mod tests {
     }
 
     #[test]
+    fn fleets_past_the_u32_limits_are_refused_on_spec_load() {
+        // 1M devices × 4,295 samples is 4.3e9 samples: the spec used to
+        // load, and its run aborted allocating 34 GB of labels.
+        let mut spec = spec_fixture();
+        spec.config.num_devices = 1_000_000;
+        spec.config.samples_per_device = 4_295;
+        let err = ExperimentSpec::from_json(&spec.to_json()).unwrap_err();
+        assert_eq!(
+            err,
+            SpecError::Config(ConfigError::FleetTooLarge {
+                devices: 1_000_000,
+                samples_per_device: 4_295,
+            })
+        );
+        assert!(
+            err.to_string().contains("1000000 devices × 4295 samples"),
+            "{err}"
+        );
+        spec.config.num_devices = 1 << 32;
+        spec.config.samples_per_device = 1;
+        assert!(matches!(
+            ExperimentSpec::from_json(&spec.to_json()),
+            Err(SpecError::Config(ConfigError::FleetTooLarge { .. }))
+        ));
+        spec.config.samples_per_device = 4_294;
+        spec.config.num_devices = 1_000_000;
+        assert!(ExperimentSpec::from_json(&spec.to_json()).is_ok());
+    }
+
+    #[test]
     fn json_roundtrip_is_exact() {
         let spec = spec_fixture();
         let json = spec.to_json();

@@ -382,6 +382,48 @@ fn resume_rejects_a_participant_outside_the_fleet() {
 }
 
 #[test]
+fn resume_rejects_a_participant_named_twice() {
+    // The fleet store applies a completed cohort's update to each
+    // participant once, walking the participants in id order.
+    let err = resume_error("twice", |scheduler| {
+        let serde_json::Value::Seq(in_flight) = entry(scheduler, "in_flight") else {
+            panic!("in_flight is a sequence");
+        };
+        let record = entry(entry(&mut in_flight[0], "outcome"), "record");
+        let serde_json::Value::Seq(participants) = entry(record, "participants") else {
+            panic!("participants are a sequence");
+        };
+        participants[1] = participants[0].clone();
+    });
+    assert!(err.contains("is a participant twice"), "{err}");
+}
+
+#[test]
+fn resume_rejects_an_eligible_count_that_disagrees_with_its_column() {
+    // `full_config(29, 1)`: one shard of all 12 devices. The eligible-id
+    // fill sizes each shard's run by its count, so a count off by one
+    // either way must be refused, not drawn from.
+    for delta in [-1i64, 1] {
+        let err = corrupted_resume_error(&format!("count{delta}"), &RandomSelector, 1, |p| {
+            let fleet = entry(entry(p, "sim"), "fleet_state");
+            let serde_json::Value::Seq(shards) = entry(fleet, "shards") else {
+                panic!("shards are a sequence");
+            };
+            let count = entry(&mut shards[0], "eligible_count");
+            let serde_json::Value::UInt(n) = *count else {
+                panic!("the count is an integer");
+            };
+            *count = serde_json::Value::UInt(n.saturating_add_signed(delta));
+        });
+        assert!(
+            err.contains("sim.fleet_state.shards[0]: eligible_count is")
+                && err.contains("but column `eligible` holds"),
+            "{err}"
+        );
+    }
+}
+
+#[test]
 fn resume_rejects_in_flight_columns_that_disagree_with_the_cohort() {
     // After one record, round 0 is still in flight with `tiny_test`'s 4
     // participants. Its columns are checked in the order plans,

@@ -31,6 +31,7 @@ proptest! {
         let mut seen = vec![false; data.len()];
         for d in 0..devices {
             for &i in p.device_indices(d) {
+                let i = i as usize;
                 prop_assert!(!seen[i], "sample {} assigned twice", i);
                 seen[i] = true;
             }
