@@ -17,6 +17,7 @@ use autofl_bench::{print_rows, standard_registry, Row};
 use autofl_fed::observe::JsonlSink;
 use autofl_fed::serve::ExperimentRun;
 use autofl_fed::spec::ExperimentSpec;
+use std::io::{BufWriter, Write};
 use std::process::ExitCode;
 
 fn usage() -> ExitCode {
@@ -109,8 +110,11 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let mut sink = JsonlSink::new(std::io::BufWriter::new(file));
-        let result = match run.finish(&mut [&mut sink]) {
+        let mut sink = JsonlSink::new(BufWriter::new(file));
+        let finished = run.finish(&mut [&mut sink]);
+        // The last buffered bytes reach the file only on a flush, whose
+        // error a dropped `BufWriter` would swallow.
+        let result = match finished.and_then(|r| sink.into_inner().flush().map(|()| r)) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("spec_run: trace write to {path} failed: {e}");

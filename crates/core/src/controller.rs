@@ -12,7 +12,7 @@
 use crate::action::Action;
 use crate::overhead::Overhead;
 use crate::qtable::{QSharing, QTableColumns, QTableSet, RowId};
-use crate::reward::{reward, ParticipationOutcome, RewardConfig, RewardInputs};
+use crate::reward::{reward, RewardInputs, RewardScales};
 use crate::state::{GlobalState, LocalState, StateSpace};
 use autofl_device::cost::{execute, ExecutionPlan};
 use autofl_device::fleet::DeviceId;
@@ -42,8 +42,6 @@ pub struct AutoFlConfig {
     pub learning_rate: f64,
     /// Q-learning discount factor µ.
     pub discount: f64,
-    /// Reward weights/scales (Eq. 7).
-    pub reward: RewardConfig,
     /// Whether the second-level action includes DVFS levels (true) or only
     /// the CPU/GPU choice at maximum frequency (ablation).
     pub dvfs_enabled: bool,
@@ -60,7 +58,6 @@ impl Default for AutoFlConfig {
             epsilon_decay: 1.0,
             learning_rate: 0.9,
             discount: 0.1,
-            reward: RewardConfig::default(),
             dvfs_enabled: true,
             sharing: QSharing::PerDevice,
             seed: 0xa07_0f1,
@@ -159,7 +156,7 @@ struct AutoFlState {
     pending: Vec<PendingColumns>,
     rng: Vec<u64>,
     reward_history: Vec<f64>,
-    resolved_reward: Option<RewardConfig>,
+    resolved_reward: Option<RewardScales>,
 }
 
 /// The AutoFL selector (the paper's contribution).
@@ -188,9 +185,9 @@ pub struct AutoFl {
     rng: SmallRng,
     overhead: Overhead,
     reward_history: Vec<f64>,
-    /// Reward config with energy scales normalised to the workload's
-    /// nominal per-device round energy (resolved on the first round).
-    resolved_reward: Option<RewardConfig>,
+    /// The Eq. (7) energy scales, normalised to the workload's nominal
+    /// per-device round energy (resolved on the first round).
+    resolved_reward: Option<RewardScales>,
 }
 
 impl AutoFl {
@@ -339,10 +336,10 @@ impl Selector for AutoFl {
             )
             .total_energy_j()
             .max(1e-6);
-            let mut reward = self.config.reward;
-            reward.local_energy_scale_j = nominal_j / 25.0;
-            reward.global_energy_scale_j = nominal_j * ctx.params.num_participants as f64 / 7.0;
-            self.resolved_reward = Some(reward);
+            self.resolved_reward = Some(RewardScales {
+                global_energy_scale_j: nominal_j * ctx.params.num_participants as f64 / 7.0,
+                local_energy_scale_j: nominal_j / 25.0,
+            });
         }
         let global_state = self.space.global_state(ctx);
         let total_classes = ctx.partition.num_classes().max(1) as f64;
@@ -474,57 +471,35 @@ impl Selector for AutoFl {
             return;
         };
         let (_, pending) = self.pending.remove(slot);
-        let tables = match self.tables.as_mut() {
-            Some(t) => t,
-            None => return,
+        // The round's `select` built both (`check_restored` refuses a
+        // checkpoint with pending rounds and no scales).
+        let (Some(tables), Some(scales)) = (self.tables.as_mut(), self.resolved_reward) else {
+            return;
         };
 
-        // Reward phase (Eq. 5–7). Deadline misses and mid-round dropouts
-        // carry their own (default-zero) penalties, so the agent can
-        // learn to route around flaky devices rather than just expensive
-        // ones. `reward` is pure and every idle device's inputs are the
-        // same, so the idle reward is computed once and overwritten for
-        // the devices the feedback names.
+        // Reward phase (Eq. 5–7). `reward` is pure and every idle
+        // device's inputs are the same, so the idle reward is computed
+        // once and overwritten for the participants.
         let t_reward = Instant::now();
-        let reward_config = self.resolved_reward.unwrap_or(self.config.reward);
-        let reward_of = |local_energy_j: f64, outcome: ParticipationOutcome| {
+        let reward_of = |local_energy_j: f64| {
             reward(
-                &reward_config,
+                &scales,
                 &RewardInputs {
                     local_energy_j,
                     global_energy_j: feedback.global_energy_j,
                     accuracy: feedback.accuracy,
                     prev_accuracy: feedback.prev_accuracy,
-                    outcome,
-                    staleness: feedback.mean_staleness,
-                    uplink_bytes: feedback.bytes_uplinked as f64,
                 },
             )
         };
-        let idle_j = feedback.idle_energy_per_device_j;
         let mut rewards =
-            vec![reward_of(idle_j, ParticipationOutcome::Idle); pending.per_device.len()];
+            vec![reward_of(feedback.idle_energy_per_device_j); pending.per_device.len()];
         for (id, e) in feedback
             .participants
             .iter()
             .zip(feedback.per_participant_energy_j)
         {
-            rewards[id.0] = reward_of(*e, ParticipationOutcome::Completed);
-        }
-        // A straggler or dropout keeps the energy of its participation
-        // (idle energy if it was not a participant).
-        let energy_of = |id: &DeviceId| {
-            feedback
-                .participants
-                .iter()
-                .rposition(|p| p == id)
-                .map_or(idle_j, |i| feedback.per_participant_energy_j[i])
-        };
-        for id in feedback.dropped {
-            rewards[id.0] = reward_of(energy_of(id), ParticipationOutcome::DeadlineMiss);
-        }
-        for id in feedback.dropouts {
-            rewards[id.0] = reward_of(energy_of(id), ParticipationOutcome::Dropout);
+            rewards[id.0] = reward_of(*e);
         }
         let reward_elapsed = t_reward.elapsed();
 
@@ -601,7 +576,9 @@ impl Selector for AutoFl {
 
     // The Q-table index and every pending round hold one entry per fleet
     // device; a restored state of another length would panic in a later
-    // step (or, too long, silently run on another fleet's state).
+    // step (or, too long, silently run on another fleet's state). A
+    // pending round was selected, so its select resolved the reward
+    // scales: without them its feedback has no reward.
     fn check_restored(&self, devices: usize) -> Result<(), serde::Error> {
         let wrong = |what: &str, len: usize| {
             serde::Error::custom(format!(
@@ -621,6 +598,12 @@ impl Selector for AutoFl {
                     .at("locals")
                     .at(&format!("pending[{i}]")));
             }
+        }
+        if !self.pending.is_empty() && self.resolved_reward.is_none() {
+            return Err(serde::Error::custom(
+                "rounds are pending but the reward scales are missing",
+            )
+            .at("resolved_reward"));
         }
         Ok(())
     }

@@ -47,7 +47,7 @@ pub use controller::{AutoFl, AutoFlConfig};
 pub use overhead::Overhead;
 pub use policy::{standard_registry, AutoFlPolicy, PAPER_POLICIES};
 pub use qtable::{QSharing, QTableSet, RowId};
-pub use reward::{reward, ParticipationOutcome, RewardConfig, RewardInputs};
+pub use reward::{reward, RewardInputs, RewardScales};
 pub use state::{GlobalState, LocalState, StateSpace};
 
 // Re-exported so examples and benches can name the trait without an extra

@@ -3,12 +3,10 @@
 //! The state splits into a *global* part shared by every device in a round
 //! (NN layer mix and the `(B, E, K)` parameters) and a *local* part
 //! observed per device (co-running CPU/memory load, network bandwidth,
-//! data classes). Continuous features are discretised into the bins the
-//! paper derived with DBSCAN; [`StateSpace`] holds those boundaries and
-//! can alternatively re-derive them from observations
-//! ([`StateSpace::fit_runtime_bins`]).
+//! data classes). Continuous features are discretised into the published
+//! Table 1 bins, which the paper derived offline with DBSCAN;
+//! [`StateSpace`] holds those boundaries.
 
-use autofl_cluster::dbscan::Discretizer;
 use autofl_device::network::BANDWIDTH_THRESHOLD_MBPS;
 use autofl_device::scenario::DeviceConditions;
 use autofl_fed::fleet::DeviceAvailability;
@@ -99,6 +97,36 @@ fn pack_bytes(bytes: &[u8]) -> u64 {
         .fold(0, |packed, &byte| packed << 8 | u64::from(byte))
 }
 
+/// Maps a continuous 1-D feature to the bin its value falls in, given
+/// the boundaries between adjacent bins.
+#[derive(Debug, Clone)]
+struct Discretizer {
+    /// Strictly increasing boundaries; bin `i` holds the values from
+    /// boundary `i − 1` (inclusive) up to boundary `i` (exclusive).
+    boundaries: Vec<f64>,
+}
+
+impl Discretizer {
+    /// A discretizer with explicit boundaries (the published Table 1
+    /// bins).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the boundaries are not strictly increasing.
+    fn from_boundaries(boundaries: Vec<f64>) -> Self {
+        assert!(
+            boundaries.windows(2).all(|w| w[0] < w[1]),
+            "boundaries must be strictly increasing"
+        );
+        Discretizer { boundaries }
+    }
+
+    /// Maps a value to its bin index in `0..=boundaries.len()`.
+    fn bin(&self, value: f64) -> usize {
+        self.boundaries.iter().take_while(|&&b| value >= b).count()
+    }
+}
+
 /// Bin boundaries for every state feature.
 #[derive(Debug, Clone)]
 pub struct StateSpace {
@@ -139,27 +167,6 @@ impl StateSpace {
             co_cpu: Discretizer::from_boundaries(vec![0.25, 0.75]),
             co_mem: Discretizer::from_boundaries(vec![0.25, 0.75]),
         }
-    }
-
-    /// Re-derives the runtime-variance bins from observed utilisation
-    /// samples with DBSCAN, the procedure the paper used to build Table 1.
-    /// NN/parameter bins keep their published values.
-    pub fn fit_runtime_bins(cpu_observations: &[f64], mem_observations: &[f64]) -> Self {
-        let mut space = StateSpace::paper_bins();
-        let fit = |obs: &[f64], fallback: &Discretizer| -> Discretizer {
-            if obs.len() < 10 {
-                return fallback.clone();
-            }
-            let d = Discretizer::fit(obs, 0.08, 4);
-            if d.num_bins() >= 2 {
-                d
-            } else {
-                fallback.clone()
-            }
-        };
-        space.co_cpu = fit(cpu_observations, &space.co_cpu);
-        space.co_mem = fit(mem_observations, &space.co_mem);
-        space
     }
 
     /// Discretises the round-global features.
@@ -231,6 +238,7 @@ mod tests {
     use super::*;
     use autofl_device::interference::Interference;
     use autofl_device::network::{NetworkObservation, SignalStrength};
+    use proptest::prelude::*;
 
     fn conditions(co_cpu: f64, co_mem: f64, bw: f64) -> DeviceConditions {
         DeviceConditions {
@@ -382,44 +390,31 @@ mod tests {
     }
 
     #[test]
-    fn fitted_bins_fall_back_on_sparse_data() {
-        let space = StateSpace::fit_runtime_bins(&[0.1, 0.2], &[0.3]);
-        // Too few observations: published bins kept.
-        assert_eq!(
-            space
-                .local_state(
-                    &conditions(0.5, 0.0, 80.0),
-                    1.0,
-                    &DeviceAvailability::ideal()
-                )
-                .co_cpu,
-            2
-        );
+    fn explicit_boundaries_match_table1_semantics() {
+        // S_B bins: small (<8), medium (<32), large (>=32).
+        let d = Discretizer::from_boundaries(vec![8.0, 32.0]);
+        assert_eq!(d.bin(4.0), 0);
+        assert_eq!(d.bin(16.0), 1);
+        assert_eq!(d.bin(32.0), 2);
+        assert_eq!(d.bin(64.0), 2);
     }
 
     #[test]
-    fn fitted_bins_separate_bimodal_load() {
-        let mut cpu = Vec::new();
-        for i in 0..30 {
-            cpu.push(0.1 + (i % 5) as f64 * 0.005); // idle-ish mode
-            cpu.push(0.8 + (i % 5) as f64 * 0.005); // busy mode
+    #[should_panic(expected = "strictly increasing")]
+    fn rejects_unsorted_boundaries() {
+        let _ = Discretizer::from_boundaries(vec![5.0, 2.0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Discretizer bins are total: any f64 maps into one of the
+        /// `boundaries + 1` bins.
+        #[test]
+        fn discretizer_bins_are_total(value in -1e6f64..1e6) {
+            let d = Discretizer::from_boundaries(vec![8.0, 32.0]);
+            prop_assert!(d.bin(value) <= d.boundaries.len());
         }
-        let space = StateSpace::fit_runtime_bins(&cpu, &cpu);
-        let lo = space
-            .local_state(
-                &conditions(0.12, 0.0, 80.0),
-                1.0,
-                &DeviceAvailability::ideal(),
-            )
-            .co_cpu;
-        let hi = space
-            .local_state(
-                &conditions(0.82, 0.0, 80.0),
-                1.0,
-                &DeviceAvailability::ideal(),
-            )
-            .co_cpu;
-        assert_ne!(lo, hi);
     }
 
     #[test]

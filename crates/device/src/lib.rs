@@ -17,9 +17,6 @@
 //! * [`store`] — sharded structure-of-arrays storage for per-device state
 //!   ([`store::shard_extents`]) and the materialised per-round
 //!   [`store::ConditionsStore`].
-//! * [`lifecycle`] — slow-moving per-device state (battery, charging,
-//!   thermal throttle, foreground sessions, connectivity) evolved by the
-//!   fleet-dynamics subsystem in `autofl-fed`.
 //! * [`cost`] — Eqs. (1)–(4): compute/communication/idle time and energy.
 //!
 //! # Examples
@@ -45,7 +42,6 @@ pub mod cost;
 pub mod dvfs;
 pub mod fleet;
 pub mod interference;
-pub mod lifecycle;
 pub mod network;
 pub mod scenario;
 pub mod store;
@@ -55,7 +51,6 @@ pub use cost::{execute, idle_energy_j, ExecutionPlan, RoundCost, TrainingTask};
 pub use dvfs::{DvfsTable, ExecutionTarget};
 pub use fleet::{Device, DeviceId, Fleet};
 pub use interference::Interference;
-pub use lifecycle::DeviceLifecycle;
 pub use network::{NetworkObservation, SignalStrength};
 pub use scenario::{Conditions, DeviceConditions, VarianceScenario};
 pub use store::{shard_extents, ConditionsStore};

@@ -127,8 +127,8 @@ pub struct DeviceConditions {
     pub network: NetworkObservation,
     /// Thermal throttle level in `[0, 1]` (0 = cool, full frequency).
     /// Scenario sampling always produces 0; the fleet-dynamics subsystem
-    /// overlays the device's [`crate::lifecycle::DeviceLifecycle`] level
-    /// before costs are executed.
+    /// (`autofl_fed::fleet::FleetStore`) overlays the device's carried
+    /// throttle level before costs are executed.
     pub throttle: f64,
 }
 

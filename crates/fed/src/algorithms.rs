@@ -9,24 +9,24 @@
 //! thing configs and experiment files carry — and the one home of its
 //! metadata (name, partial-update policy, robustness, sharding
 //! exactness). [`AggregationAlgorithm::aggregate_sharded`] dispatches to
-//! one of four implementations, because the linear rules and the
+//! one of four private implementations, because the linear rules and the
 //! order-statistics rules have fundamentally different sharding stories:
 //!
 //! * **Linear rules** (FedAvg, FedProx, FedNova, FEDL) are weighted sums,
 //!   so per-shard partials reduce to one [`ExactF32Sum`] per coordinate
-//!   and merge exactly — [`LinearAggregator`].
+//!   and merge exactly (`linear_aggregate`).
 //! * **Order-statistics rules** (median, trimmed mean) cannot reduce a
 //!   shard to a running sum: the only partial state that combines exactly
 //!   is the multiset of submitted values itself. Concatenating the shard
 //!   partials in any order feeds the same multiset to the sort, so the
-//!   two-level combine is still exact — [`MedianAggregator`] and
-//!   [`TrimmedMeanAggregator`] compute the flat statistic directly at
+//!   two-level combine is still exact — `median_aggregate` and
+//!   `trimmed_mean_aggregate` compute the flat statistic directly at
 //!   every shard count and still honour
 //!   [`AggregationAlgorithm::exact_sharded`].
-//! * **Krum** ([`KrumAggregator`]) scores every update against every
-//!   other, which no per-shard state can carry; it is flat-only
-//!   (`exact_sharded() == false`) and configuration validation rejects it
-//!   with `shards > 1`.
+//! * **Krum** (`krum_aggregate`, which applies the update [`krum_select`]
+//!   picks) scores every update against every other, which no per-shard
+//!   state can carry; it is flat-only (`exact_sharded() == false`) and
+//!   configuration validation rejects it with `shards > 1`.
 //!
 //! # Hierarchical aggregation and exact summation
 //!
@@ -207,14 +207,12 @@ impl AggregationAlgorithm {
             AggregationAlgorithm::FedAvg
             | AggregationAlgorithm::FedProx { .. }
             | AggregationAlgorithm::FedNova
-            | AggregationAlgorithm::Fedl { .. } => {
-                LinearAggregator { spec: *self }.aggregate_sharded(global, updates, shards)
-            }
-            AggregationAlgorithm::Median => MedianAggregator.aggregate(global, updates),
+            | AggregationAlgorithm::Fedl { .. } => linear_aggregate(*self, global, updates, shards),
+            AggregationAlgorithm::Median => median_aggregate(global, updates),
             AggregationAlgorithm::TrimmedMean { trim } => {
-                TrimmedMeanAggregator { trim }.aggregate(global, updates)
+                trimmed_mean_aggregate(trim, global, updates)
             }
-            AggregationAlgorithm::Krum => KrumAggregator.aggregate_sharded(global, updates, shards),
+            AggregationAlgorithm::Krum => krum_aggregate(global, updates, shards),
         }
     }
 }
@@ -239,268 +237,242 @@ fn assert_deltas_conform(global: &[f32], updates: &[ClientUpdate]) {
 }
 
 /// The weighted-sum rules (FedAvg, FedProx, FedNova, FEDL) on the exact
-/// hierarchical summation path.
-#[derive(Debug, Clone, Copy)]
-pub struct LinearAggregator {
+/// hierarchical summation path: folds the cohort's weighted deltas into
+/// `global` through `shards` exact partial sums, bit-identical at every
+/// shard count.
+fn linear_aggregate(
     spec: AggregationAlgorithm,
-}
-
-impl LinearAggregator {
-    /// The per-update aggregation weights this rule assigns (sample
-    /// fractions for FedAvg/FedProx/FEDL; step-normalised sample
-    /// fractions rescaled by the effective step count for FedNova).
-    fn update_weights(&self, updates: &[ClientUpdate]) -> Vec<f32> {
-        match self.spec {
-            AggregationAlgorithm::FedNova => {
-                // Normalise by local steps, then re-scale by the effective
-                // step count so the update magnitude matches homogeneous
-                // FedAvg: Δ = τ_eff · Σ p_i · (Δ_i / τ_i).
-                let total: f64 = updates.iter().map(|u| u.num_samples as f64).sum();
-                let tau_eff: f64 = updates
-                    .iter()
-                    .map(|u| u.num_samples as f64 / total * u.local_steps.max(1) as f64)
-                    .sum();
-                updates
-                    .iter()
-                    .map(|u| {
-                        (u.num_samples as f64 / total * tau_eff / u.local_steps.max(1) as f64)
-                            as f32
-                    })
-                    .collect()
-            }
-            _ => sample_fraction_weights(updates),
-        }
+    global: &mut [f32],
+    updates: &[ClientUpdate],
+    shards: usize,
+) {
+    if updates.is_empty() {
+        return;
     }
-
-    /// Folds the cohort's weighted deltas into `global` through `shards`
-    /// exact partial sums, bit-identical at every shard count.
-    fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], shards: usize) {
-        if updates.is_empty() {
-            return;
+    assert_deltas_conform(global, updates);
+    // The per-update aggregation weights this rule assigns (sample
+    // fractions for FedAvg/FedProx/FEDL; step-normalised sample fractions
+    // rescaled by the effective step count for FedNova).
+    let weights = match spec {
+        AggregationAlgorithm::FedNova => {
+            // Normalise by local steps, then re-scale by the effective
+            // step count so the update magnitude matches homogeneous
+            // FedAvg: Δ = τ_eff · Σ p_i · (Δ_i / τ_i).
+            let total: f64 = updates.iter().map(|u| u.num_samples as f64).sum();
+            let tau_eff: f64 = updates
+                .iter()
+                .map(|u| u.num_samples as f64 / total * u.local_steps.max(1) as f64)
+                .sum();
+            updates
+                .iter()
+                .map(|u| {
+                    (u.num_samples as f64 / total * tau_eff / u.local_steps.max(1) as f64) as f32
+                })
+                .collect()
         }
-        assert_deltas_conform(global, updates);
-        let weights = self.update_weights(updates);
-        // Per-shard partial aggregates, fanned out across the pool. The
-        // term `w · d` is rounded to f32 exactly as the flat inner loop
-        // would compute it, so grouping cannot change the terms — and the
-        // exact accumulator means grouping cannot change their sum.
-        let extents = shard_extents(updates.len(), shards);
-        let mut partials: Vec<Vec<ExactF32Sum>> = extents
-            .par_iter()
-            .map(|&(offset, len)| {
-                let mut acc = vec![ExactF32Sum::default(); global.len()];
-                for u in offset..offset + len {
-                    let w = weights[u];
-                    for (a, d) in acc.iter_mut().zip(updates[u].delta.iter()) {
-                        a.add(w * d);
-                    }
+        _ => sample_fraction_weights(updates),
+    };
+    // Per-shard partial aggregates, fanned out across the pool. The term
+    // `w · d` is rounded to f32 exactly as the flat inner loop would
+    // compute it, so grouping cannot change the terms — and the exact
+    // accumulator means grouping cannot change their sum.
+    let extents = shard_extents(updates.len(), shards);
+    let mut partials: Vec<Vec<ExactF32Sum>> = extents
+        .par_iter()
+        .map(|&(offset, len)| {
+            let mut acc = vec![ExactF32Sum::default(); global.len()];
+            for u in offset..offset + len {
+                let w = weights[u];
+                for (a, d) in acc.iter_mut().zip(updates[u].delta.iter()) {
+                    a.add(w * d);
                 }
-                acc
-            })
-            .collect();
-        // Global combine: exact merge in shard order (any order would
-        // give the same bits — integer addition commutes).
-        let mut combined = partials.swap_remove(0);
-        for partial in &partials {
-            for (a, b) in combined.iter_mut().zip(partial.iter()) {
-                a.merge(b);
             }
+            acc
+        })
+        .collect();
+    // Global combine: exact merge in shard order (any order would give
+    // the same bits — integer addition commutes).
+    let mut combined = partials.swap_remove(0);
+    for partial in &partials {
+        for (a, b) in combined.iter_mut().zip(partial.iter()) {
+            a.merge(b);
         }
-        for (g, a) in global.iter_mut().zip(combined.iter()) {
-            *g = (f64::from(*g) + a.to_f64()) as f32;
-        }
+    }
+    for (g, a) in global.iter_mut().zip(combined.iter()) {
+        *g = (f64::from(*g) + a.to_f64()) as f32;
     }
 }
 
-/// Coordinate-wise median. The per-shard partial is the multiset of
-/// submitted values itself — concatenation is an exact combine — so the
-/// implementation sorts each coordinate's full column directly and is
-/// bit-identical at every shard count; parallelism fans out across
-/// coordinates instead of shards.
-#[derive(Debug, Clone, Copy)]
-pub struct MedianAggregator;
-
-impl MedianAggregator {
-    /// Moves each coordinate of `global` by the median of the submitted
-    /// deltas at that coordinate.
-    fn aggregate(&self, global: &mut [f32], updates: &[ClientUpdate]) {
-        if updates.is_empty() {
-            return;
-        }
-        assert_deltas_conform(global, updates);
-        let n = updates.len();
-        let steps: Vec<f32> = (0..global.len())
-            .into_par_iter()
-            .with_min_len(256)
-            .map(|j| {
-                let mut column: Vec<f32> = updates
-                    .iter()
-                    .map(|u| {
-                        let v = u.delta[j];
-                        assert!(v.is_finite(), "median aggregation requires finite deltas");
-                        v
-                    })
-                    .collect();
-                // A total order makes the result permutation-invariant.
-                column.sort_by(f32::total_cmp);
-                if n % 2 == 1 {
-                    column[n / 2]
-                } else {
-                    ((f64::from(column[n / 2 - 1]) + f64::from(column[n / 2])) / 2.0) as f32
-                }
-            })
-            .collect();
-        for (g, s) in global.iter_mut().zip(steps.iter()) {
-            *g = (f64::from(*g) + f64::from(*s)) as f32;
-        }
+/// Coordinate-wise median: moves each coordinate of `global` by the
+/// median of the submitted deltas at that coordinate. The per-shard
+/// partial is the multiset of submitted values itself — concatenation is
+/// an exact combine — so this sorts each coordinate's full column
+/// directly and is bit-identical at every shard count; parallelism fans
+/// out across coordinates instead of shards.
+fn median_aggregate(global: &mut [f32], updates: &[ClientUpdate]) {
+    if updates.is_empty() {
+        return;
+    }
+    assert_deltas_conform(global, updates);
+    let n = updates.len();
+    let steps: Vec<f32> = (0..global.len())
+        .into_par_iter()
+        .with_min_len(256)
+        .map(|j| {
+            let mut column: Vec<f32> = updates
+                .iter()
+                .map(|u| {
+                    let v = u.delta[j];
+                    assert!(v.is_finite(), "median aggregation requires finite deltas");
+                    v
+                })
+                .collect();
+            // A total order makes the result permutation-invariant.
+            column.sort_by(f32::total_cmp);
+            if n % 2 == 1 {
+                column[n / 2]
+            } else {
+                ((f64::from(column[n / 2 - 1]) + f64::from(column[n / 2])) / 2.0) as f32
+            }
+        })
+        .collect();
+    for (g, s) in global.iter_mut().zip(steps.iter()) {
+        *g = (f64::from(*g) + f64::from(*s)) as f32;
     }
 }
 
-/// Coordinate-wise trimmed mean. Like the median, the exact per-shard
-/// partial is the raw value multiset, so the flat statistic is computed
-/// directly at every shard count. The surviving values are summed with
-/// FedAvg's sample-fraction weights on the exact accumulator, and the
-/// trimmed-away weight mass is renormalised back in; with `trim = 0`
-/// nothing is trimmed, the renormalisation factor is exactly `1.0`, and
-/// the result is bit-identical to FedAvg.
-#[derive(Debug, Clone, Copy)]
-pub struct TrimmedMeanAggregator {
-    /// Fraction trimmed from each end per coordinate, in `[0, 0.5)`.
-    pub trim: f64,
-}
-
-impl TrimmedMeanAggregator {
-    /// Moves each coordinate of `global` by the weighted mean of the
-    /// deltas left after trimming both tails at that coordinate.
-    fn aggregate(&self, global: &mut [f32], updates: &[ClientUpdate]) {
-        if updates.is_empty() {
-            return;
-        }
-        assert_deltas_conform(global, updates);
-        let n = updates.len();
-        // Validation pins trim < 0.5, so 2k < n and at least one value
-        // survives per coordinate.
-        let k = (self.trim * n as f64).floor() as usize;
-        let weights = sample_fraction_weights(updates);
-        let total_w: f64 = weights.iter().copied().map(f64::from).sum();
-        let steps: Vec<f64> = (0..global.len())
-            .into_par_iter()
-            .with_min_len(256)
-            .map(|j| {
-                let mut column: Vec<(f32, usize)> = updates
-                    .iter()
-                    .enumerate()
-                    .map(|(u, upd)| {
-                        let v = upd.delta[j];
-                        assert!(v.is_finite(), "trimmed mean requires finite deltas");
-                        (v, u)
-                    })
-                    .collect();
-                column.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                // Sum the kept terms in *update* order (not sorted order):
-                // at trim = 0 this is term-for-term the FedAvg inner loop.
-                let mut kept: Vec<usize> = column[k..n - k].iter().map(|&(_, u)| u).collect();
-                kept.sort_unstable();
-                let mut acc = ExactF32Sum::default();
-                let mut kept_w = 0.0f64;
-                for &u in &kept {
-                    acc.add(weights[u] * updates[u].delta[j]);
-                    kept_w += f64::from(weights[u]);
-                }
-                // Renormalise the surviving weight mass. With nothing
-                // trimmed `kept_w` is the same f64 sum as `total_w`, the
-                // factor is exactly 1.0 and the multiply is a bit-exact
-                // no-op — the FedAvg-equality contract.
-                acc.to_f64() * (total_w / kept_w)
-            })
-            .collect();
-        for (g, s) in global.iter_mut().zip(steps.iter()) {
-            *g = (f64::from(*g) + s) as f32;
-        }
+/// Coordinate-wise trimmed mean: moves each coordinate of `global` by the
+/// weighted mean of the deltas left after trimming the `⌊trim·n⌋` lowest
+/// and highest at that coordinate (`trim` in `[0, 0.5)`). Like the
+/// median, the exact per-shard partial is the raw value multiset, so the
+/// flat statistic is computed directly at every shard count. The
+/// surviving values are summed with FedAvg's sample-fraction weights on
+/// the exact accumulator, and the trimmed-away weight mass is
+/// renormalised back in; with `trim = 0` nothing is trimmed, the
+/// renormalisation factor is exactly `1.0`, and the result is
+/// bit-identical to FedAvg.
+fn trimmed_mean_aggregate(trim: f64, global: &mut [f32], updates: &[ClientUpdate]) {
+    if updates.is_empty() {
+        return;
+    }
+    assert_deltas_conform(global, updates);
+    let n = updates.len();
+    // Validation pins trim < 0.5, so 2k < n and at least one value
+    // survives per coordinate.
+    let k = (trim * n as f64).floor() as usize;
+    let weights = sample_fraction_weights(updates);
+    let total_w: f64 = weights.iter().copied().map(f64::from).sum();
+    let steps: Vec<f64> = (0..global.len())
+        .into_par_iter()
+        .with_min_len(256)
+        .map(|j| {
+            let mut column: Vec<(f32, usize)> = updates
+                .iter()
+                .enumerate()
+                .map(|(u, upd)| {
+                    let v = upd.delta[j];
+                    assert!(v.is_finite(), "trimmed mean requires finite deltas");
+                    (v, u)
+                })
+                .collect();
+            column.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            // Sum the kept terms in *update* order (not sorted order): at
+            // trim = 0 this is term-for-term the FedAvg inner loop.
+            let mut kept: Vec<usize> = column[k..n - k].iter().map(|&(_, u)| u).collect();
+            kept.sort_unstable();
+            let mut acc = ExactF32Sum::default();
+            let mut kept_w = 0.0f64;
+            for &u in &kept {
+                acc.add(weights[u] * updates[u].delta[j]);
+                kept_w += f64::from(weights[u]);
+            }
+            // Renormalise the surviving weight mass. With nothing trimmed
+            // `kept_w` is the same f64 sum as `total_w`, the factor is
+            // exactly 1.0 and the multiply is a bit-exact no-op — the
+            // FedAvg-equality contract.
+            acc.to_f64() * (total_w / kept_w)
+        })
+        .collect();
+    for (g, s) in global.iter_mut().zip(steps.iter()) {
+        *g = (f64::from(*g) + s) as f32;
     }
 }
 
-/// Krum. Scores every update by the summed squared distance to its
-/// `n − f − 2` nearest peers (with `f = ⌊(n−1)/3⌋` assumed Byzantine)
-/// and applies the lowest-scoring update verbatim — the output is always
-/// one of the submitted deltas. Flat-only: the pairwise score matrix has
-/// no exact per-shard partial.
-#[derive(Debug, Clone, Copy)]
-pub struct KrumAggregator;
-
-impl KrumAggregator {
-    /// Index of the update Krum selects (ties go to the lowest index).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty cohort.
-    pub fn select(updates: &[ClientUpdate]) -> usize {
-        let n = updates.len();
-        assert!(n > 0, "Krum selection needs at least one update");
-        if n == 1 {
-            return 0;
-        }
-        let f = (n - 1) / 3;
-        let neighbours = n.saturating_sub(f + 2).max(1).min(n - 1);
-        // Pairwise squared L2 distances, accumulated in coordinate order
-        // (f64) — deterministic and symmetric.
-        let mut d2 = vec![0.0f64; n * n];
-        for i in 0..n {
-            for j in i + 1..n {
-                let d: f64 = updates[i]
-                    .delta
-                    .iter()
-                    .zip(updates[j].delta.iter())
-                    .map(|(a, b)| {
-                        let diff = f64::from(*a) - f64::from(*b);
-                        diff * diff
-                    })
-                    .sum();
-                d2[i * n + j] = d;
-                d2[j * n + i] = d;
-            }
-        }
-        let mut best = 0usize;
-        let mut best_score = f64::INFINITY;
-        let mut nearest: Vec<f64> = Vec::with_capacity(n - 1);
-        for i in 0..n {
-            nearest.clear();
-            nearest.extend((0..n).filter(|&j| j != i).map(|j| d2[i * n + j]));
-            nearest.sort_by(f64::total_cmp);
-            let score: f64 = nearest[..neighbours].iter().sum();
-            if score < best_score {
-                best_score = score;
-                best = i;
-            }
-        }
-        best
+/// Index of the update Krum selects: it scores every update by the
+/// summed squared distance to its `n − f − 2` nearest peers (with
+/// `f = ⌊(n−1)/3⌋` assumed Byzantine) and picks the lowest score (ties
+/// go to the lowest index).
+///
+/// # Panics
+///
+/// Panics on an empty cohort.
+pub fn krum_select(updates: &[ClientUpdate]) -> usize {
+    let n = updates.len();
+    assert!(n > 0, "Krum selection needs at least one update");
+    if n == 1 {
+        return 0;
     }
+    let f = (n - 1) / 3;
+    let neighbours = n.saturating_sub(f + 2).max(1).min(n - 1);
+    // Pairwise squared L2 distances, accumulated in coordinate order
+    // (f64) — deterministic and symmetric.
+    let mut d2 = vec![0.0f64; n * n];
+    for i in 0..n {
+        for j in i + 1..n {
+            let d: f64 = updates[i]
+                .delta
+                .iter()
+                .zip(updates[j].delta.iter())
+                .map(|(a, b)| {
+                    let diff = f64::from(*a) - f64::from(*b);
+                    diff * diff
+                })
+                .sum();
+            d2[i * n + j] = d;
+            d2[j * n + i] = d;
+        }
+    }
+    let mut best = 0usize;
+    let mut best_score = f64::INFINITY;
+    let mut nearest: Vec<f64> = Vec::with_capacity(n - 1);
+    for i in 0..n {
+        nearest.clear();
+        nearest.extend((0..n).filter(|&j| j != i).map(|j| d2[i * n + j]));
+        nearest.sort_by(f64::total_cmp);
+        let score: f64 = nearest[..neighbours].iter().sum();
+        if score < best_score {
+            best_score = score;
+            best = i;
+        }
+    }
+    best
+}
 
-    /// Applies the [`KrumAggregator::select`]ed update to `global`
-    /// verbatim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards > 1`: no exact per-shard partial exists.
-    fn aggregate_sharded(&self, global: &mut [f32], updates: &[ClientUpdate], shards: usize) {
-        assert!(
-            shards <= 1,
-            "Krum is flat-only: no exact per-shard partial exists \
-             (configuration validation rejects shards > 1)"
-        );
-        if updates.is_empty() {
-            return;
+/// Krum: applies the [`krum_select`]ed update to `global` verbatim, so
+/// the output is always one of the submitted deltas. Flat-only: the
+/// pairwise score matrix has no exact per-shard partial.
+///
+/// # Panics
+///
+/// Panics if `shards > 1`.
+fn krum_aggregate(global: &mut [f32], updates: &[ClientUpdate], shards: usize) {
+    assert!(
+        shards <= 1,
+        "Krum is flat-only: no exact per-shard partial exists \
+         (configuration validation rejects shards > 1)"
+    );
+    if updates.is_empty() {
+        return;
+    }
+    assert_deltas_conform(global, updates);
+    for u in updates {
+        for v in &u.delta {
+            assert!(v.is_finite(), "Krum requires finite deltas");
         }
-        assert_deltas_conform(global, updates);
-        for u in updates {
-            for v in &u.delta {
-                assert!(v.is_finite(), "Krum requires finite deltas");
-            }
-        }
-        let chosen = Self::select(updates);
-        for (g, d) in global.iter_mut().zip(updates[chosen].delta.iter()) {
-            *g = (f64::from(*g) + f64::from(*d)) as f32;
-        }
+    }
+    let chosen = krum_select(updates);
+    for (g, d) in global.iter_mut().zip(updates[chosen].delta.iter()) {
+        *g = (f64::from(*g) + f64::from(*d)) as f32;
     }
 }
 
@@ -878,7 +850,7 @@ mod tests {
             update(vec![0.9, 1.0], 10, 5),
             update(vec![50.0, -50.0], 10, 5),
         ];
-        let chosen = KrumAggregator::select(&updates);
+        let chosen = krum_select(&updates);
         assert!(chosen < 3, "Krum picked the attacker ({chosen})");
         let mut g = vec![0.0f32; 2];
         AggregationAlgorithm::Krum.aggregate(&mut g, &updates);

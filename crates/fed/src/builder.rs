@@ -726,13 +726,6 @@ impl SimBuilder {
         self
     }
 
-    /// Restores the workload profile's default convergence target.
-    #[must_use]
-    pub fn default_target(mut self) -> Self {
-        self.config.target_accuracy = None;
-        self
-    }
-
     /// Maximum rounds to simulate.
     #[must_use]
     pub fn max_rounds(mut self, rounds: usize) -> Self {

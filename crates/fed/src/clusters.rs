@@ -1,6 +1,5 @@
 //! The characterization clusters C0–C7 (Table 4 of the paper).
 
-use autofl_device::tier::DeviceTier;
 use serde::{Deserialize, Serialize};
 
 /// A fixed composition of participant tiers used in the Section 3
@@ -102,15 +101,6 @@ impl CharacterizationCluster {
             short -= 1;
         }
         Some((counts[0], counts[1], counts[2]))
-    }
-
-    /// Requested count for a given tier at `K = 20`.
-    pub fn count_for(&self, tier: DeviceTier) -> Option<usize> {
-        self.base_composition().map(|(h, m, l)| match tier {
-            DeviceTier::High => h,
-            DeviceTier::Mid => m,
-            DeviceTier::Low => l,
-        })
     }
 }
 

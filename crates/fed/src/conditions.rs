@@ -167,7 +167,7 @@ mod tests {
                             for id in 0..fleet.len() {
                                 let mut expect = bulk.get(id);
                                 if let Some(store) = lifecycle {
-                                    expect.throttle = store.lifecycle(id).throttle;
+                                    expect.throttle = store.availability(id).throttle;
                                     throttled += usize::from(expect.throttle > 0.0);
                                 }
                                 if faulty

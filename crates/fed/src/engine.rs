@@ -378,7 +378,8 @@ struct RoundScratch {
     /// Filled once on first use: the idle-energy walk reads this compact
     /// array instead of re-reading whole `Device` structs every round.
     tiers: Vec<DeviceTier>,
-    /// Sort buffer for the idle-energy walk's participant ids.
+    /// Sort buffer for the participant ids: the cohort check at dispatch
+    /// and the idle-energy walk.
     participant_ids: Vec<usize>,
     /// Sort buffer for the median.
     median: Vec<f64>,
@@ -774,6 +775,12 @@ impl Simulation {
             plans,
         } = selector.select(&ctx, &mut self.rng);
         assert_eq!(participants.len(), plans.len(), "selector plan mismatch");
+        check_cohort(
+            &mut self.scratch.participant_ids,
+            &participants,
+            self.fleet.len(),
+            selector.name(),
+        );
         // Selectors often cut the cohort out of a fleet-sized list (a
         // shuffle or a top-K); the round's record keeps this vector, so it
         // must not keep that list's capacity too.
@@ -963,8 +970,7 @@ impl Simulation {
         // Byte accounting: everyone who actually transmitted pays the
         // encoded uplink — survivors, partial stragglers, deadline-cut
         // stragglers (the device uploads; the *server* discards the late
-        // update — the same "energy burned, update dropped" semantics the
-        // straggler reward penalty documents), and uploads the fabric
+        // update: energy burned, update dropped), and uploads the fabric
         // lost after transmission. Only mid-round dropouts never finished
         // sending (`is_dropout` without `net_lost`). Every participant
         // received the full model on the downlink at dispatch.
@@ -1264,10 +1270,59 @@ fn median_into(scratch: &mut Vec<f64>, values: &[f64]) -> f64 {
     }
 }
 
+/// Panics unless every id of `participants` names a device of the
+/// `devices`-strong fleet and appears once, naming `selector` and the
+/// offending id. A repeated id would count its device's active energy
+/// twice and stall the fleet store's end-of-round cursor. `ids` is a
+/// caller-provided sort buffer (no per-call allocation).
+fn check_cohort(ids: &mut Vec<usize>, participants: &[DeviceId], devices: usize, selector: &str) {
+    ids.clear();
+    ids.extend(participants.iter().map(|id| id.0));
+    ids.sort_unstable();
+    if let Some(&last) = ids.last() {
+        assert!(
+            last < devices,
+            "selector `{selector}` chose device {last}, outside the {devices}-device fleet"
+        );
+    }
+    if let Some(pair) = ids.windows(2).find(|pair| pair[0] == pair[1]) {
+        panic!("selector `{selector}` chose device {} twice", pair[0]);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::selection::{ClusterSelector, RandomSelector};
+
+    /// Chooses the same ids every round, each on a mid-tier CPU-max plan
+    /// (an id outside the fleet has no tier to read).
+    struct Fixed(Vec<usize>);
+
+    impl Selector for Fixed {
+        fn select(&mut self, _: &RoundContext<'_>, _: &mut SmallRng) -> SelectionDecision {
+            SelectionDecision {
+                participants: self.0.iter().map(|&i| DeviceId(i)).collect(),
+                plans: vec![ExecutionPlan::cpu_max(DeviceTier::Mid); self.0.len()],
+            }
+        }
+
+        fn name(&self) -> &'static str {
+            "fixed"
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "selector `fixed` chose device 0 twice")]
+    fn a_selection_naming_a_device_twice_is_refused() {
+        Simulation::new(SimConfig::tiny_test(1)).run(&mut Fixed(vec![0, 0, 5]));
+    }
+
+    #[test]
+    #[should_panic(expected = "selector `fixed` chose device 12, outside the 12-device fleet")]
+    fn a_selection_naming_a_device_outside_the_fleet_is_refused() {
+        Simulation::new(SimConfig::tiny_test(1)).run(&mut Fixed(vec![3, 12]));
+    }
 
     #[test]
     fn tiny_simulation_runs_and_converges() {

@@ -32,7 +32,6 @@
 //! property tests.
 
 use autofl_device::fleet::{DeviceId, Fleet};
-use autofl_device::lifecycle::DeviceLifecycle;
 use autofl_device::store::{shard_extents, shard_size};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -388,6 +387,25 @@ impl RoundEnd {
     }
 }
 
+/// The production FL check-in rule over raw lifecycle fields: online,
+/// not in a foreground session, and either plugged in or above
+/// `min_soc`.
+///
+/// This is the single definition of eligibility, called by the
+/// structure-of-arrays pass in [`FleetStore::begin_round`]. The operators
+/// do not short-circuit, so the rule costs no branch in that per-device
+/// loop.
+#[inline]
+fn check_in_eligible(
+    online: bool,
+    foreground: bool,
+    charging: bool,
+    soc: f64,
+    min_soc: f64,
+) -> bool {
+    online & !foreground & (charging | (soc >= min_soc))
+}
+
 /// The run of `members` (sorted by id) that falls inside `shard`.
 fn shard_members<'m>(members: &'m [Member], shard: &FleetShard) -> &'m [Member] {
     let lo = members.partition_point(|m| m.id < shard.offset);
@@ -453,11 +471,6 @@ impl FleetStore {
         self.len == 0
     }
 
-    /// Number of shards the state is split into.
-    pub fn num_shards(&self) -> usize {
-        self.shards.len()
-    }
-
     /// Shard and lane of device `i`. Every per-device reader goes
     /// through here, and the engine reads only after a begin pass, so a
     /// held update must not be pending: it would be read unapplied.
@@ -469,19 +482,6 @@ impl FleetStore {
             "device {i} read while an end-of-round update is held"
         );
         (i / self.shard_size, i % self.shard_size)
-    }
-
-    /// Materialises device `i`'s lifecycle state.
-    pub fn lifecycle(&self, i: usize) -> DeviceLifecycle {
-        let (s, j) = self.locate(i);
-        let shard = &self.shards[s];
-        DeviceLifecycle {
-            soc: shard.soc[j],
-            charging: shard.charging[j],
-            throttle: shard.throttle[j],
-            foreground: shard.foreground[j],
-            online: shard.online[j],
-        }
     }
 
     /// Materialises device `i`'s availability as of the last
@@ -680,7 +680,7 @@ impl FleetStore {
                     STAY_OFFLINE
                 };
                 online[j] = !rng.gen_bool(p_off);
-                let ok = autofl_device::lifecycle::check_in_eligible(
+                let ok = check_in_eligible(
                     online[j],
                     foreground[j],
                     charging[j],
@@ -775,7 +775,7 @@ impl FleetStore {
                 },
             ));
         self.members.sort_unstable_by_key(|m| m.id);
-        debug_assert!(
+        assert!(
             self.members.windows(2).all(|w| w[0].id < w[1].id),
             "participants must be distinct"
         );
@@ -1177,8 +1177,8 @@ mod tests {
         let id = DeviceId(1);
         let capacity = f.device(id).tier().battery_capacity_j();
         store.end_round(&cfg, &f, 100.0, &[id], &[100.0], &[0.1 * capacity]);
-        let trained = store.lifecycle(id.0);
-        let idle = store.lifecycle(0);
+        let trained = store.availability(id.0);
+        let idle = store.availability(0);
         assert!(trained.soc < idle.soc, "training drains more than idling");
         assert!(
             trained.throttle > idle.throttle,
@@ -1205,9 +1205,7 @@ mod tests {
                     &[900.0, 1800.0, 500.0],
                 );
             }
-            (0..store.len())
-                .map(|i| store.lifecycle(i))
-                .collect::<Vec<_>>()
+            availabilities(&store)
         };
         let base = run(1);
         for shards in [2, 4, 16, 24] {
@@ -1325,6 +1323,21 @@ mod tests {
                 rayon::refresh_thread_count();
             }
         }
+    }
+
+    #[test]
+    fn eligibility_gates_match_the_checkin_rule() {
+        let rule = |online, foreground, charging, soc| {
+            check_in_eligible(online, foreground, charging, soc, 0.2)
+        };
+        assert!(rule(true, false, false, 1.0), "healthy device");
+        assert!(!rule(true, false, false, 0.1), "low battery and unplugged");
+        assert!(
+            rule(true, false, true, 0.1),
+            "plugged in overrides low battery"
+        );
+        assert!(!rule(true, true, true, 0.1), "foreground session blocks");
+        assert!(!rule(false, false, true, 0.1), "offline blocks");
     }
 
     #[test]

@@ -48,8 +48,8 @@
 //! * [`policy`] — the open [`policy::Policy`] trait (every stateless
 //!   selector is its own policy) and the name-addressed
 //!   [`policy::PolicyRegistry`] of baselines.
-//! * [`observe`] — [`observe::RoundObserver`] hooks with CSV/JSONL sinks
-//!   and live progress, attached through [`serve::ExperimentRun::finish`].
+//! * [`observe`] — [`observe::RoundObserver`] hooks and a JSONL sink,
+//!   attached through [`serve::ExperimentRun::finish`].
 //! * [`spec`] — declarative, serde-backed [`spec::ExperimentSpec`] files.
 //! * [`mod@serve`] — [`serve::ExperimentRun`], the one driver of a policy
 //!   run: it applies [`policy::Policy::tune`] once at the start, holds the
@@ -103,10 +103,7 @@ pub mod serve;
 pub mod spec;
 
 pub use adversary::{AdversaryConfig, AdversaryRole};
-pub use algorithms::{
-    AggregationAlgorithm, ExactF32Sum, KrumAggregator, LinearAggregator, MedianAggregator,
-    TrimmedMeanAggregator,
-};
+pub use algorithms::{AggregationAlgorithm, ExactF32Sum};
 pub use builder::{ConfigError, SimBuilder};
 pub use clusters::CharacterizationCluster;
 pub use engine::{Fidelity, RoundRecord, SimConfig, SimResult, Simulation};
@@ -119,7 +116,7 @@ pub use fleet::{
     StragglerPolicy,
 };
 pub use global::GlobalParams;
-pub use observe::{CsvSink, JsonlSink, Progress, RoundObserver};
+pub use observe::{JsonlSink, RoundObserver};
 pub use oracle::OracleSelector;
 pub use policy::{baseline_registry, run_policy, Policy, PolicyRegistry, TunedPolicy};
 pub use runtime::{staleness_weight, AsyncRuntime};

@@ -1,5 +1,5 @@
-//! Per-round introspection: the [`RoundObserver`] trait and built-in
-//! sinks.
+//! Per-round introspection: the [`RoundObserver`] trait and the JSON
+//! Lines sink [`JsonlSink`].
 //!
 //! Observers attach to a policy run through
 //! [`crate::serve::ExperimentRun::finish`] and see every [`RoundRecord`]
@@ -52,86 +52,6 @@ pub trait RoundObserver {
     }
 }
 
-/// Streams one CSV row per round to any writer.
-///
-/// Columns: `round,accuracy,round_time_s,active_energy_j,idle_energy_j,`
-/// `participants,dropped,dropouts,ineligible,logical_time_s,`
-/// `mean_staleness` — the id lists are space-separated so the file stays
-/// quote-free. The `logical_time_s` and `mean_staleness` columns carry
-/// the event scheduler's clock and staleness (see
-/// `docs/async-runtime.md`); under the full barrier they are the
-/// cumulative round time and 0.
-pub struct CsvSink<W: Write> {
-    out: W,
-    wrote_header: bool,
-}
-
-impl<W: Write> std::fmt::Debug for CsvSink<W> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CsvSink")
-            .field("wrote_header", &self.wrote_header)
-            .finish()
-    }
-}
-
-impl<W: Write> CsvSink<W> {
-    /// A sink writing to `out`.
-    pub fn new(out: W) -> Self {
-        CsvSink {
-            out,
-            wrote_header: false,
-        }
-    }
-
-    /// Consumes the sink and returns the writer.
-    pub fn into_inner(self) -> W {
-        self.out
-    }
-}
-
-fn join_ids(ids: &[autofl_device::fleet::DeviceId]) -> String {
-    ids.iter()
-        .map(|id| id.0.to_string())
-        .collect::<Vec<_>>()
-        .join(" ")
-}
-
-impl<W: Write> RoundObserver for CsvSink<W> {
-    fn on_round_end(&mut self, record: &RoundRecord) -> io::Result<()> {
-        if !self.wrote_header {
-            writeln!(
-                self.out,
-                "round,accuracy,round_time_s,active_energy_j,idle_energy_j,\
-                 participants,dropped,dropouts,ineligible,logical_time_s,\
-                 mean_staleness,bytes_up,bytes_down,net_drops,partitioned"
-            )?;
-            self.wrote_header = true;
-        }
-        // The four network columns read 0 when no fabric is attached
-        // (`record.net` is `None`), keeping every row the same width.
-        let net = record.net.unwrap_or_default();
-        writeln!(
-            self.out,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}",
-            record.round,
-            record.accuracy,
-            record.round_time_s,
-            record.active_energy_j,
-            record.idle_energy_j,
-            join_ids(&record.participants),
-            join_ids(&record.dropped),
-            join_ids(&record.dropouts),
-            record.ineligible,
-            record.logical_time_s,
-            record.mean_staleness,
-            net.bytes_uplinked,
-            net.bytes_downlinked,
-            net.net_drops,
-            net.partitioned,
-        )
-    }
-}
-
 /// Streams one JSON object per round (JSON Lines) to any writer — the
 /// full [`RoundRecord`], including execution plans and update fractions.
 pub struct JsonlSink<W: Write> {
@@ -165,53 +85,6 @@ impl<W: Write> RoundObserver for JsonlSink<W> {
     }
 }
 
-/// Live progress on stderr: one line every `every` rounds plus a
-/// convergence summary.
-#[derive(Debug, Clone)]
-pub struct Progress {
-    every: usize,
-    label: String,
-}
-
-impl Progress {
-    /// Reports every `every` rounds (clamped to at least 1) under `label`.
-    pub fn new(label: impl Into<String>, every: usize) -> Self {
-        Progress {
-            every: every.max(1),
-            label: label.into(),
-        }
-    }
-}
-
-impl RoundObserver for Progress {
-    fn on_round_end(&mut self, record: &RoundRecord) -> io::Result<()> {
-        if record.round % self.every == 0 {
-            eprintln!(
-                "[{}] round {:>4}  acc {:>5.1}%  {:>6.1} s/round  {:>8.0} J",
-                self.label,
-                record.round,
-                record.accuracy * 100.0,
-                record.round_time_s,
-                record.total_energy_j(),
-            );
-        }
-        Ok(())
-    }
-
-    fn on_converged(&mut self, result: &SimResult) -> io::Result<()> {
-        eprintln!(
-            "[{}] converged at round {} ({:.1}% >= {:.1}%)",
-            self.label,
-            result
-                .converged_round()
-                .expect("on_converged implies round"),
-            result.final_accuracy() * 100.0,
-            result.target_accuracy * 100.0,
-        );
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,17 +113,6 @@ mod tests {
     }
 
     #[test]
-    fn csv_sink_writes_header_and_one_row_per_round() {
-        let mut sink = CsvSink::new(Vec::new());
-        let result = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap();
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), result.records.len() + 1);
-        assert!(lines[0].starts_with("round,accuracy"));
-        assert!(lines[1].starts_with("0,"));
-    }
-
-    #[test]
     fn jsonl_sink_rows_parse_back_to_records() {
         let mut sink = JsonlSink::new(Vec::new());
         let result = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap();
@@ -267,7 +129,7 @@ mod tests {
     #[test]
     fn observers_do_not_perturb_the_run() {
         let plain = Simulation::new(short_config()).run(&mut RandomSelector::new());
-        let mut sink = CsvSink::new(Vec::new());
+        let mut sink = JsonlSink::new(Vec::new());
         let observed = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap();
         assert_eq!(plain.records.len(), observed.records.len());
         for (a, b) in plain.records.iter().zip(&observed.records) {
@@ -317,28 +179,32 @@ mod tests {
         }
     }
 
+    /// Bytes of the first line a [`JsonlSink`] writes for the Random run
+    /// on [`short_config`]: a budget that fits round 0 and fails round 1.
+    fn first_line_bytes() -> usize {
+        let result = Simulation::new(short_config()).run(&mut RandomSelector::new());
+        serde_json::to_string(&result.records[0])
+            .expect("round record serializes")
+            .len()
+            + 1
+    }
+
     #[test]
     fn failing_writer_surfaces_an_error_instead_of_panicking() {
-        for ok_bytes in [0usize, 200] {
-            let mut sink = CsvSink::new(FailingWriter {
+        for ok_bytes in [0, first_line_bytes()] {
+            let mut sink = JsonlSink::new(FailingWriter {
                 ok_bytes,
                 written: 0,
             });
             let err = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap_err();
             assert_eq!(err.kind(), io::ErrorKind::WriteZero);
         }
-        let mut sink = JsonlSink::new(FailingWriter {
-            ok_bytes: 0,
-            written: 0,
-        });
-        let err = observed(&short_config(), &RandomSelector, &mut [&mut sink]).unwrap_err();
-        assert_eq!(err.kind(), io::ErrorKind::WriteZero);
     }
 
     #[test]
     fn failing_writer_stops_the_run_at_the_failing_round() {
-        // Enough budget for the header + first row only: the run must
-        // stop after round 0's record errors, not execute all 8 rounds.
+        // Enough budget for round 0's line only: the run must stop after
+        // round 1's record errors, not execute all 8 rounds.
         static SELECTIONS: AtomicUsize = AtomicUsize::new(0);
         struct CountingSelector(RandomSelector);
         impl Selector for CountingSelector {
@@ -363,8 +229,8 @@ mod tests {
                 Box::new(CountingSelector(RandomSelector::new()))
             }
         }
-        let mut sink = CsvSink::new(FailingWriter {
-            ok_bytes: 200,
+        let mut sink = JsonlSink::new(FailingWriter {
+            ok_bytes: first_line_bytes(),
             written: 0,
         });
         let err = observed(&short_config(), &CountingPolicy, &mut [&mut sink]).unwrap_err();

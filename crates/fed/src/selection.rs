@@ -100,28 +100,7 @@ impl SelectionDecision {
     /// Builds a decision that trains every participant on its CPU at
     /// maximum frequency — the conventional default all non-O_FL baselines
     /// use.
-    ///
-    /// Debug builds assert that every participant is a member of `fleet`
-    /// and appears at most once: a duplicated id would silently double
-    /// that device's active energy and update weight in the round
-    /// accounting.
     pub fn cpu_max(fleet: &Fleet, participants: Vec<DeviceId>) -> Self {
-        #[cfg(debug_assertions)]
-        {
-            let mut seen = vec![false; fleet.len()];
-            for id in &participants {
-                debug_assert!(
-                    id.0 < fleet.len(),
-                    "participant {id:?} is not a member of the {}-device fleet",
-                    fleet.len()
-                );
-                debug_assert!(
-                    !seen[id.0],
-                    "participant {id:?} selected twice; duplicates skew energy accounting"
-                );
-                seen[id.0] = true;
-            }
-        }
         let plans = participants
             .iter()
             .map(|id| ExecutionPlan::cpu_max(fleet.device(*id).tier()))
@@ -183,7 +162,9 @@ pub struct RoundFeedback<'a> {
 ///
 /// Implemented by the baselines here and by `autofl_core::AutoFl`.
 pub trait Selector {
-    /// Chooses up to `K` participants and their execution plans.
+    /// Chooses up to `K` participants and their execution plans. Each
+    /// participant must be a device of the fleet and appear once: the
+    /// round engine panics on a decision that breaks this.
     fn select(&mut self, ctx: &RoundContext<'_>, rng: &mut SmallRng) -> SelectionDecision;
 
     /// Receives the measured outcome of the round (learning selectors

@@ -79,11 +79,6 @@ impl Sequential {
         &self.input_shape
     }
 
-    /// Number of layers.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Runs all layers forward.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         let mut x = input.clone();
@@ -127,13 +122,6 @@ impl Sequential {
     pub fn param_vector(&mut self) -> Vec<f32> {
         let mut v = Vec::new();
         self.visit_params(&mut |p, _| v.extend_from_slice(p.data()));
-        v
-    }
-
-    /// Copies all gradients into one flat vector (layer order).
-    pub fn grad_vector(&mut self) -> Vec<f32> {
-        let mut v = Vec::new();
-        self.visit_params(&mut |_, g| v.extend_from_slice(g.data()));
         v
     }
 

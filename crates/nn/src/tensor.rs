@@ -404,11 +404,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor and returns the underlying buffer.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Reinterprets the buffer under a new shape with the same element count.
     ///
     /// # Panics

@@ -4,7 +4,6 @@
 //! one import root. See the README for the architecture overview and
 //! DESIGN.md for the paper-to-module mapping.
 
-pub use autofl_cluster as cluster;
 pub use autofl_core as core;
 pub use autofl_data as data;
 pub use autofl_device as device;
@@ -17,6 +16,6 @@ pub use autofl_nn as nn;
 pub use autofl_core::policy::{standard_registry, AutoFlPolicy, PAPER_POLICIES};
 pub use autofl_fed::builder::{ConfigError, SimBuilder};
 pub use autofl_fed::engine::{SimConfig, SimResult, Simulation};
-pub use autofl_fed::observe::{CsvSink, JsonlSink, Progress, RoundObserver};
+pub use autofl_fed::observe::{JsonlSink, RoundObserver};
 pub use autofl_fed::policy::{run_policy, Policy, PolicyRegistry};
 pub use autofl_fed::spec::ExperimentSpec;

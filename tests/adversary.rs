@@ -11,7 +11,7 @@ mod common;
 use autofl::fed::spec::ExperimentSpec;
 use autofl::standard_registry;
 use autofl_fed::adversary::{AdversaryConfig, AdversaryRole};
-use autofl_fed::algorithms::{AggregationAlgorithm, ClientUpdate, KrumAggregator};
+use autofl_fed::algorithms::{krum_select, AggregationAlgorithm, ClientUpdate};
 use autofl_fed::engine::{RoundRecord, SimConfig, SimResult, Simulation};
 use autofl_fed::fabric::{LinkModel, NetworkFabric};
 use autofl_fed::fleet::FleetDynamics;
@@ -337,7 +337,7 @@ proptest! {
         let mut rng = SmallRng::seed_from_u64(seed);
         let updates = random_updates(&mut rng, n, dim);
         let global = aggregate_with(&AggregationAlgorithm::Krum, &updates, dim, 1);
-        let chosen = KrumAggregator::select(&updates);
+        let chosen = krum_select(&updates);
         prop_assert!(chosen < n);
         let expected: Vec<f32> = updates[chosen]
             .delta

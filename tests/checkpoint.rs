@@ -802,6 +802,67 @@ fn controlled_run_resumes_on_the_same_control_trajectory() {
     );
 }
 
+#[test]
+fn a_checkpoint_with_the_parent_reward_layout_resumes_identically() {
+    // Checkpoints of the same version written before Eq. (7) lost its
+    // options hold eight keys under `resolved_reward`: α, β, the two
+    // energy scales and four zero penalties. The reader looks each field
+    // up by name, so such a file resumes on its two scales.
+    let registry = standard_registry();
+    let policy = registry.expect("AutoFL");
+    let mut config = full_config(29, 1);
+    config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
+    let snapshot_text = |run: &ExperimentRun| {
+        serde_json::to_string(&run.state_snapshot()).expect("snapshot serializes")
+    };
+    let mut straight = ExperimentRun::new(&config, policy, None).expect("config validates");
+    while straight.step().expect("no observers").is_some() {}
+
+    let mut first = ExperimentRun::new(&config, policy, None).expect("config validates");
+    for _ in 0..3 {
+        first.step().expect("no observers").expect("a record");
+    }
+    let mut payload = first.state_snapshot();
+    let scales = entry(entry(&mut payload, "selector"), "resolved_reward");
+    let global = entry(scales, "global_energy_scale_j").clone();
+    let local = entry(scales, "local_energy_scale_j").clone();
+    let float = serde_json::Value::Float;
+    *scales = serde_json::Value::Map(vec![
+        ("alpha".to_string(), float(1.0)),
+        ("beta".to_string(), float(5.0)),
+        ("global_energy_scale_j".to_string(), global),
+        ("local_energy_scale_j".to_string(), local),
+        ("straggler_penalty".to_string(), float(0.0)),
+        ("dropout_penalty".to_string(), float(0.0)),
+        ("staleness_penalty".to_string(), float(0.0)),
+        ("bytes_penalty".to_string(), float(0.0)),
+    ]);
+    let dir = std::env::temp_dir().join(format!("autofl-ckpt-parent-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unit.ckpt.json");
+    write_checkpoint(&path, payload).expect("checkpoint writes");
+    let payload = read_checkpoint(&path).expect("checkpoint validates");
+    std::fs::remove_dir_all(&dir).unwrap();
+    let mut resumed =
+        ExperimentRun::resume(&config, policy, None, &payload).expect("checkpoint restores");
+    while resumed.step().expect("no observers").is_some() {}
+    assert!(
+        trace(resumed.records()) == trace(straight.records()),
+        "the resumed trace diverged"
+    );
+    assert!(
+        snapshot_text(&resumed) == snapshot_text(&straight),
+        "the resumed run ended on another learned state"
+    );
+
+    // A pending round was selected, so it needs the scales its select
+    // resolved; without them its feedback has no reward.
+    let err = selector_resume_error("no-scales", |selector| {
+        *entry(selector, "resolved_reward") = serde_json::Value::Null;
+    });
+    assert!(err.contains("selector.resolved_reward: "), "{err}");
+}
+
 /// AutoFL — Q-tables, pending rounds, agent RNG — on the full config with
 /// the buffered, pipelined runtime, checkpointed through
 /// `write_checkpoint` after `records` records. Returns the payload and

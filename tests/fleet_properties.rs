@@ -60,12 +60,12 @@ proptest! {
             let busy: Vec<f64> = participants.iter().map(|_| rng.gen_range(0.0..round_time)).collect();
             let energy: Vec<f64> = participants.iter().map(|_| rng.gen_range(0.0..100_000.0)).collect();
             state.end_round(&config, &fleet, round_time, &participants, &busy, &energy);
-            for lifecycle in (0..fleet.len()).map(|i| state.lifecycle(i)) {
-                prop_assert!((0.0..=1.0).contains(&lifecycle.soc), "soc {}", lifecycle.soc);
+            for device in (0..fleet.len()).map(|i| state.availability(i)) {
+                prop_assert!((0.0..=1.0).contains(&device.soc), "soc {}", device.soc);
                 prop_assert!(
-                    (0.0..=1.0).contains(&lifecycle.throttle),
+                    (0.0..=1.0).contains(&device.throttle),
                     "throttle {}",
-                    lifecycle.throttle
+                    device.throttle
                 );
             }
         }

@@ -82,8 +82,9 @@ fn ideal_fabric_reproduces_the_bare_engine_bit_for_bit() {
     );
 }
 
-/// The AutoFL policy sees `bytes_uplinked` in its reward inputs; with the
-/// default `bytes_penalty = 0` that must not perturb selection either.
+/// The AutoFL policy learns from round feedback, which carries
+/// `bytes_uplinked`; an ideal fabric must not perturb its selection
+/// either.
 #[test]
 fn ideal_fabric_is_reward_neutral_for_the_learned_policy() {
     let mut base_cfg = SimConfig::smoke(23);

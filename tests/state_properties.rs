@@ -1,6 +1,5 @@
 //! Property-based tests on the cross-crate invariants.
 
-use autofl_cluster::dbscan::Discretizer;
 use autofl_data::partition::{DataDistribution, Partition};
 use autofl_data::synth;
 use autofl_device::cost::{execute, ExecutionPlan, TrainingTask};
@@ -89,13 +88,6 @@ proptest! {
             prop_assert!(t.busy_power_w(s) < t.busy_power_w(s + 1));
             prop_assert!(t.gflops(s) < t.gflops(s + 1));
         }
-    }
-
-    /// Discretizer bins are total: any f64 maps into 0..num_bins.
-    #[test]
-    fn discretizer_bins_are_total(value in -1e6f64..1e6) {
-        let d = Discretizer::from_boundaries(vec![8.0, 32.0]);
-        prop_assert!(d.bin(value) < d.num_bins());
     }
 
     /// Model parameter vectors round-trip for every workload and seed.
