@@ -1,7 +1,7 @@
 //! Executes a declarative [`ExperimentSpec`] JSON file against the
 //! standard policy registry and prints the normalised comparison rows the
-//! figure binaries report — every figure row is reproducible from a
-//! checked-in file instead of code.
+//! figures report — every figure row is reproducible from a checked-in
+//! file instead of code.
 //!
 //! ```sh
 //! cargo run --release -p autofl-bench --bin spec_run -- tests/specs/fig04_s3_cnn.json
@@ -13,7 +13,7 @@
 //! round sink attached, writing one JSON object per round for offline
 //! analysis — the same bytes `spec_serve` writes to that unit's trace.
 
-use autofl_bench::{print_rows, standard_registry, Row};
+use autofl_bench::{rows_table, standard_registry, Row};
 use autofl_fed::observe::JsonlSink;
 use autofl_fed::serve::ExperimentRun;
 use autofl_fed::spec::ExperimentSpec;
@@ -74,14 +74,17 @@ fn main() -> ExitCode {
     };
 
     // `ExperimentSpec::run` returns repeat-major groups in policy order;
-    // normalise each repeat against its own first policy, like the figure
-    // binaries do.
+    // normalise each repeat against its own first policy, like the figures
+    // do.
     for (repeat, chunk) in runs.chunks(spec.policies.len()).enumerate() {
         let results: Vec<_> = chunk.iter().map(|r| &r.result).collect();
         let rows = Row::normalised(&results);
-        print_rows(
-            &format!("{} (repeat {repeat}, seed {})", spec.name, chunk[0].seed),
-            &rows,
+        print!(
+            "{}",
+            rows_table(
+                &format!("{} (repeat {repeat}, seed {})", spec.name, chunk[0].seed),
+                &rows,
+            )
         );
     }
 

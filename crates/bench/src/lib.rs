@@ -1,21 +1,21 @@
-//! Shared harness for the figure-regeneration binaries.
+//! Figure regeneration and experiment running for the AutoFL
+//! reproduction.
 //!
-//! Every `fig*` binary in `src/bin/` reproduces one table or figure of the
-//! paper: it builds the matching configuration through
-//! [`Simulation::builder`](autofl_fed::engine::Simulation::builder),
-//! resolves its policies from the [`standard_registry`], and prints the
-//! same rows/series the paper reports (PPW normalised to FedAvg-Random,
-//! convergence time, accuracy).
-//! The `spec_run` binary executes checked-in
-//! [`autofl_fed::spec::ExperimentSpec`] files through the same registry,
-//! so every figure is reproducible from a declarative JSON file. See
-//! EXPERIMENTS.md for the paper-vs-measured record.
+//! [`figures`] holds the paper's figures and the extension studies, each
+//! a function that returns its text; the `figures` binary prints them by
+//! name. The `spec_run` binary executes checked-in
+//! [`autofl_fed::spec::ExperimentSpec`] files through the same registry
+//! and prints the same comparison tables, so every figure row is
+//! reproducible from a declarative JSON file; `spec_serve` runs a queue
+//! of them with checkpoints.
 
 use autofl_fed::engine::{SimConfig, SimResult};
 pub use autofl_fed::policy::{run_policy, Policy, PolicyRegistry};
 use rayon::prelude::*;
 
 pub use autofl_core::policy::{standard_registry, PAPER_POLICIES};
+
+pub mod figures;
 
 /// Baselines only (everything except AutoFL), in reporting order.
 pub const BASELINE_POLICIES: [&str; 5] = [
@@ -31,7 +31,7 @@ pub const BASELINE_POLICIES: [&str; 5] = [
 ///
 /// Each run owns its `Simulation` and its seeds, so results are identical
 /// to running the pairs sequentially — config-level fan-out is the
-/// outermost (and best-scaling) parallelism the fig binaries have.
+/// outermost (and best-scaling) parallelism the figures have.
 pub fn par_sweep(runs: &[(SimConfig, &dyn Policy)]) -> Vec<SimResult> {
     runs.par_iter()
         .map(|(config, policy)| run_policy(config, *policy))
@@ -80,36 +80,43 @@ impl Row {
     }
 }
 
-/// Runs a set of policies (resolved from `registry` by name) on one
-/// configuration and normalises PPW / convergence time to the first name
-/// in the list (conventionally `"FedAvg-Random"`).
+/// Runs a set of policies (resolved from `registry` by name) on every
+/// configuration and normalises each configuration's PPW / convergence
+/// time to the first name in the list (conventionally
+/// `"FedAvg-Random"`). Returns one table of rows per configuration.
 ///
-/// The policy runs are independent simulations and execute in parallel;
-/// normalisation happens afterwards in input order.
+/// Every run is an independent simulation, so the whole set fans out
+/// through [`par_sweep`]; normalisation happens afterwards in input order.
 ///
 /// # Panics
 ///
-/// Panics if a name is not registered (runner binaries hold their policy
+/// Panics if a name is not registered (the figures hold their policy
 /// lists as compile-time constants).
-pub fn comparison(config: &SimConfig, registry: &PolicyRegistry, names: &[&str]) -> Vec<Row> {
-    let policies: Vec<&dyn Policy> = names.iter().map(|n| registry.expect(n)).collect();
-    let results: Vec<SimResult> = policies
-        .par_iter()
-        .map(|p| run_policy(config, *p))
+pub fn comparison(
+    configs: &[SimConfig],
+    registry: &PolicyRegistry,
+    names: &[&str],
+) -> Vec<Vec<Row>> {
+    let runs: Vec<(SimConfig, &dyn Policy)> = configs
+        .iter()
+        .flat_map(|config| names.iter().map(|n| (config.clone(), registry.expect(n))))
         .collect();
-    Row::normalised(&results.iter().collect::<Vec<_>>())
+    par_sweep(&runs)
+        .chunks(names.len())
+        .map(|results| Row::normalised(&results.iter().collect::<Vec<_>>()))
+        .collect()
 }
 
-/// Prints a comparison table with a title.
-pub fn print_rows(title: &str, rows: &[Row]) {
-    println!("\n--- {title} ---");
-    println!(
-        "{:<16} {:>9} {:>12} {:>10} {:>9}",
+/// A comparison table with a title, as the figures and `spec_run` print
+/// it.
+pub fn rows_table(title: &str, rows: &[Row]) -> String {
+    let mut out = format!(
+        "\n--- {title} ---\n{:<16} {:>9} {:>12} {:>10} {:>9}\n",
         "policy", "PPW x", "conv-speed x", "converged", "accuracy"
     );
     for row in rows {
-        println!(
-            "{:<16} {:>8.2}x {:>11.2}x {:>10} {:>8.1}%",
+        out += &format!(
+            "{:<16} {:>8.2}x {:>11.2}x {:>10} {:>8.1}%\n",
             row.label,
             row.ppw_norm,
             row.conv_speedup,
@@ -119,6 +126,7 @@ pub fn print_rows(title: &str, rows: &[Row]) {
             row.accuracy * 100.0
         );
     }
+    out
 }
 
 #[cfg(test)]
@@ -129,7 +137,7 @@ mod tests {
     fn comparison_normalises_to_first_policy() {
         let cfg = SimConfig::tiny_test(1);
         let reg = standard_registry();
-        let rows = comparison(&cfg, &reg, &["FedAvg-Random", "Performance"]);
+        let rows = comparison(&[cfg], &reg, &["FedAvg-Random", "Performance"]).remove(0);
         assert_eq!(rows[0].ppw_norm, 1.0);
         assert_eq!(rows[0].label, "FedAvg-Random");
         assert_eq!(rows.len(), 2);

@@ -288,35 +288,31 @@ impl SimResult {
         self.converged_round().is_some()
     }
 
-    /// Simulated seconds until convergence (or the whole run if it never
-    /// converged).
-    pub fn time_to_target_s(&self) -> f64 {
+    /// The records up to and including the converged round (the whole
+    /// run if it never converged): the effective horizon the
+    /// time-to-target figures sum over.
+    fn to_target(&self) -> &[RoundRecord] {
         let upto = self
             .converged_round()
             .map(|r| r + 1)
             .unwrap_or(self.records.len());
-        self.records[..upto].iter().map(|r| r.round_time_s).sum()
+        &self.records[..upto]
+    }
+
+    /// Simulated seconds until convergence (or the whole run if it never
+    /// converged).
+    pub fn time_to_target_s(&self) -> f64 {
+        self.to_target().iter().map(|r| r.round_time_s).sum()
     }
 
     /// Total energy in joules until convergence (or the whole run).
     pub fn energy_to_target_j(&self) -> f64 {
-        let upto = self
-            .converged_round()
-            .map(|r| r + 1)
-            .unwrap_or(self.records.len());
-        self.records[..upto]
-            .iter()
-            .map(|r| r.total_energy_j())
-            .sum()
+        self.to_target().iter().map(|r| r.total_energy_j()).sum()
     }
 
     /// Active (participant-side) energy until convergence.
     pub fn local_energy_to_target_j(&self) -> f64 {
-        let upto = self
-            .converged_round()
-            .map(|r| r + 1)
-            .unwrap_or(self.records.len());
-        self.records[..upto].iter().map(|r| r.active_energy_j).sum()
+        self.to_target().iter().map(|r| r.active_energy_j).sum()
     }
 
     /// Final test accuracy.
@@ -353,15 +349,8 @@ impl SimResult {
         if self.records.is_empty() {
             return 0.0;
         }
-        let upto = self
-            .converged_round()
-            .map(|r| r + 1)
-            .unwrap_or(self.records.len());
-        self.records[..upto]
-            .iter()
-            .map(|r| r.round_time_s)
-            .sum::<f64>()
-            / upto as f64
+        let records = self.to_target();
+        records.iter().map(|r| r.round_time_s).sum::<f64>() / records.len() as f64
     }
 }
 
@@ -495,22 +484,19 @@ impl Simulation {
     /// Builds a simulation from a configuration (deterministic in
     /// `config.seed`).
     pub fn new(config: SimConfig) -> Self {
-        let fleet = if config.num_devices == 200 {
-            Fleet::paper_fleet(config.seed)
-        } else {
-            // Keep the paper's 15/35/50% tier mix at any scale.
-            let h = (config.num_devices * 15 / 100).max(1);
-            let l = (config.num_devices * 50 / 100).max(1);
-            let m = config.num_devices - h - l;
-            Fleet::custom(
-                &[
-                    (autofl_device::tier::DeviceTier::High, h),
-                    (autofl_device::tier::DeviceTier::Mid, m),
-                    (autofl_device::tier::DeviceTier::Low, l),
-                ],
-                config.seed,
-            )
-        };
+        // The paper's 15/35/50% tier mix at any scale: at 200 devices it
+        // is exactly `Fleet::paper_fleet`.
+        let h = (config.num_devices * 15 / 100).max(1);
+        let l = (config.num_devices * 50 / 100).max(1);
+        let m = config.num_devices - h - l;
+        let fleet = Fleet::custom(
+            &[
+                (DeviceTier::High, h),
+                (DeviceTier::Mid, m),
+                (DeviceTier::Low, l),
+            ],
+            config.seed,
+        );
         // The surrogate engine never touches sample features — only the
         // partition statistics — so surrogate runs build a labels-only
         // dataset. At a million devices this is the difference between
@@ -1332,6 +1318,28 @@ mod tests {
         assert!(result.converged(), "final acc {}", result.final_accuracy());
         assert!(result.energy_to_target_j() > 0.0);
         assert!(result.time_to_target_s() > 0.0);
+    }
+
+    #[test]
+    fn a_200_device_simulation_holds_the_paper_fleet() {
+        let mut config = SimConfig::paper_default(Workload::CnnMnist);
+        config.num_devices = 200;
+        config.seed = 23;
+        let sim = Simulation::new(config);
+        let paper = Fleet::paper_fleet(23);
+        assert_eq!(sim.fleet().len(), paper.len());
+        for (built, expected) in sim.fleet().iter().zip(paper.iter()) {
+            assert_eq!(built.id(), expected.id());
+            assert_eq!(built.tier(), expected.tier());
+            assert_eq!(
+                built.interference_propensity().to_bits(),
+                expected.interference_propensity().to_bits()
+            );
+            assert_eq!(
+                built.weak_signal_propensity().to_bits(),
+                expected.weak_signal_propensity().to_bits()
+            );
+        }
     }
 
     #[test]

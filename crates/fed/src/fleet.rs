@@ -143,7 +143,8 @@ impl FleetDynamics {
     }
 
     /// The realistic profile with the churn knobs scaled to a target
-    /// mid-round dropout rate (the x-axis of the `fig16_dropout` sweep).
+    /// mid-round dropout rate (the x-axis of the `fig16` sweep in
+    /// `autofl_bench::figures`).
     pub fn with_dropout_rate(rate: f64) -> Self {
         FleetDynamics {
             mid_round_drop_prob: rate,

@@ -129,7 +129,7 @@ fn smoke_spec() -> ExperimentSpec {
 
 /// One full Figure 4 row: CNN-MNIST at S3, the random baseline plus every
 /// fixed cluster C1–C7 (the `spec_run` binary prints the same PPW ratios
-/// the `fig04_global_params` binary computes for this row).
+/// the `fig04` figure computes for this row).
 fn fig04_spec() -> ExperimentSpec {
     let config = Simulation::builder(Workload::CnnMnist)
         .params(GlobalParams::s3())
@@ -146,7 +146,8 @@ fn fig04_spec() -> ExperimentSpec {
 
 /// The CI convergence-control spec: the smoke fleet under a per-round
 /// energy budget of about half what uncontrolled FedAvg-Random spends
-/// there (the `fig_tune --smoke` ratio), so the controller shrinks `K`.
+/// there (the `figures fig_tune --smoke` ratio), so the controller
+/// shrinks `K`.
 fn control_smoke_spec() -> ExperimentSpec {
     let mut config = SimConfig::smoke(42);
     config.max_rounds = 60;
