@@ -484,11 +484,7 @@ impl Simulation {
     /// Builds a simulation from a configuration (deterministic in
     /// `config.seed`).
     pub fn new(config: SimConfig) -> Self {
-        // The paper's 15/35/50% tier mix at any scale: at 200 devices it
-        // is exactly `Fleet::paper_fleet`.
-        let h = (config.num_devices * 15 / 100).max(1);
-        let l = (config.num_devices * 50 / 100).max(1);
-        let m = config.num_devices - h - l;
+        let (h, m, l) = tier_mix(config.num_devices);
         let fleet = Fleet::custom(
             &[
                 (DeviceTier::High, h),
@@ -1276,10 +1272,44 @@ fn check_cohort(ids: &mut Vec<usize>, participants: &[DeviceId], devices: usize,
     }
 }
 
+/// The paper's 15/35/50% tier mix of `n ≥ 1` devices as (high, mid, low)
+/// counts; at 200 devices it is exactly `Fleet::paper_fleet`. The high
+/// and the low tier hold at least one device each, the low one only
+/// while the high one leaves room: one device is one high-end device.
+fn tier_mix(n: usize) -> (usize, usize, usize) {
+    let h = (n * 15 / 100).max(1);
+    let l = (n * 50 / 100).max(1).min(n - h);
+    (h, n - h - l, l)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::selection::{ClusterSelector, RandomSelector};
+
+    #[test]
+    fn every_fleet_size_builds_its_tier_mix() {
+        let counts = |sim: &Simulation| {
+            [DeviceTier::High, DeviceTier::Mid, DeviceTier::Low]
+                .map(|tier| sim.fleet().ids_of_tier(tier).len())
+        };
+        // One device with K = 1 validates, so it must build and run.
+        let mut config = SimConfig::tiny_test(3);
+        config.num_devices = 1;
+        config.params.num_participants = 1;
+        config.max_rounds = 2;
+        assert_eq!(config.validate(), Ok(()));
+        let mut sim = Simulation::new(config.clone());
+        assert_eq!(counts(&sim), [1, 0, 0]);
+        let record = sim.step(&mut RandomSelector).expect("a round");
+        assert_eq!(record.participants, [DeviceId(0)]);
+        // Every larger fleet keeps the split it always had.
+        for n in 2..=300 {
+            config.num_devices = n;
+            let (h, l) = ((n * 15 / 100).max(1), (n * 50 / 100).max(1));
+            assert_eq!(counts(&Simulation::new(config.clone())), [h, n - h - l, l]);
+        }
+    }
 
     /// Chooses the same ids every round, each on a mid-tier CPU-max plan
     /// (an id outside the fleet has no tier to read).

@@ -418,13 +418,7 @@ impl FleetStore {
     /// Initial state for a fleet in `shards` contiguous extents:
     /// per-device SoC drawn uniformly from the configured range on stream
     /// `(seed, TAG_INIT, id)`; everyone cool, idle and online.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fleet holds more than `u32::MAX` devices: eligible
-    /// ids are drawn as `u32` ([`AvailabilityView::eligible_ids_u32`]).
     pub fn new(config: &FleetDynamics, fleet: &Fleet, seed: u64, shards: usize) -> Self {
-        u32::try_from(fleet.len()).expect("a fleet store holds at most u32::MAX devices");
         let size = shard_size(fleet.len(), shards);
         let extents = shard_extents(fleet.len(), shards);
         let shards: Vec<FleetShard> = extents
@@ -862,7 +856,7 @@ pub enum AvailabilityView<'a> {
     },
 }
 
-impl AvailabilityView<'_> {
+impl<'a> AvailabilityView<'a> {
     /// Number of devices covered.
     pub fn devices(&self) -> usize {
         match self {
@@ -932,71 +926,125 @@ impl AvailabilityView<'_> {
         }
     }
 
-    /// Ids of every eligible device, in fleet order. Built by the same
-    /// fill as [`AvailabilityView::eligible_ids_u32`].
+    /// Ids of every eligible device, in fleet order. Each availability
+    /// bin writes its eligible ids at its own offset of the result, the
+    /// prefix sum of the bins' eligible counts. Bins are filled in
+    /// parallel, each by `fill_run`, and a bin with no eligible device
+    /// writes nothing. Ids are integers written to pre-assigned slots, so
+    /// the result is identical to a sequential scan at any thread count.
     pub fn eligible_ids(&self) -> Vec<DeviceId> {
-        self.fill_eligible_ids(DeviceId)
-    }
-
-    /// Ids of every eligible device, in fleet order, as `u32` — half the
-    /// bytes of [`AvailabilityView::eligible_ids`], for callers that
-    /// permute the whole list and keep a few (FedAvg-Random).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the view covers more than `u32::MAX` devices.
-    pub fn eligible_ids_u32(&self) -> Vec<u32> {
-        u32::try_from(self.devices()).expect("u32 ids cover at most u32::MAX devices");
-        self.fill_eligible_ids(|i| i as u32)
-    }
-
-    /// The one eligible-id fill: each availability bin writes its
-    /// eligible ids at its own offset of the result, the prefix sum of
-    /// the bins' eligible counts. Bins are filled in parallel, each by
-    /// [`fill_run`], and a bin with no eligible device writes nothing.
-    /// Ids are integers written to pre-assigned slots, so the result is
-    /// identical to a sequential scan at any thread count.
-    fn fill_eligible_ids<T: Copy + Send>(&self, id: impl Fn(usize) -> T + Sync) -> Vec<T> {
-        let runs: Vec<(usize, &[bool], usize)> = match self {
-            AvailabilityView::Ideal { devices } => return (0..*devices).map(id).collect(),
-            AvailabilityView::Dynamic(store) => store
-                .shards
-                .iter()
-                .map(|s| (s.offset, &s.eligible[..], s.eligible_count))
-                .collect(),
-            AvailabilityView::Masked { eligible, bins, .. } => bins
-                .iter()
-                .map(|b| (b.offset, &eligible[b.offset..b.offset + b.len], b.eligible))
-                .collect(),
+        let Some(runs) = self.runs() else {
+            return (0..self.devices()).map(DeviceId).collect();
         };
-        let mut ids = vec![id(0); runs.iter().map(|r| r.2).sum()];
+        let mut ids = vec![DeviceId(0); runs.iter().map(|r| r.count).sum()];
         let mut rest = &mut ids[..];
         let mut jobs = Vec::with_capacity(runs.len());
-        for (offset, lanes, count) in runs {
-            let (out, tail) = std::mem::take(&mut rest).split_at_mut(count);
-            jobs.push((offset, lanes, out));
+        for run in runs {
+            let (out, tail) = std::mem::take(&mut rest).split_at_mut(run.count);
+            jobs.push((run, out));
             rest = tail;
         }
         jobs.par_iter_mut()
-            .for_each(|(offset, lanes, out)| fill_run(*offset, lanes, out, &id));
+            .for_each(|(run, out)| fill_run(run.offset, run.lanes, out));
         ids
+    }
+
+    /// The devices at `ranks` of the fleet-order eligible list, that is
+    /// `eligible_ids()[r]` for each `r`, without building the list.
+    /// `ranks` must be strictly increasing and below
+    /// [`AvailabilityView::eligible_count`]. The lookup walks the bins'
+    /// eligible counts and scans lanes only inside a bin that holds a
+    /// rank, and there only up to its last one; the ideal fleet's rank is
+    /// the id itself.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ranks` is not strictly increasing or reaches past the
+    /// eligible count.
+    pub fn eligible_ids_at(&self, ranks: &[usize]) -> Vec<DeviceId> {
+        assert!(
+            ranks.windows(2).all(|w| w[0] < w[1]),
+            "ranks must be strictly increasing"
+        );
+        if let Some(&last) = ranks.last() {
+            let count = self.eligible_count();
+            assert!(last < count, "rank {last} past {count} eligible devices");
+        }
+        let Some(runs) = self.runs() else {
+            return ranks.iter().map(|&r| DeviceId(r)).collect();
+        };
+        let mut ids = Vec::with_capacity(ranks.len());
+        let (mut rest, mut first) = (ranks, 0);
+        for run in runs {
+            let (inside, tail) = rest.split_at(rest.partition_point(|&r| r < first + run.count));
+            let mut set = run.lanes.iter().enumerate().filter(|&(_, &e)| e);
+            // `set` yields the device of rank `next` next.
+            let mut next = first;
+            for &r in inside {
+                let (j, _) = set
+                    .nth(r - next)
+                    .expect("a bin's eligible count disagrees with its lanes");
+                ids.push(DeviceId(run.offset + j));
+                next = r + 1;
+            }
+            (rest, first) = (tail, first + run.count);
+        }
+        ids
+    }
+
+    /// Each bin's eligibility lanes, in fleet order: the one match the id
+    /// fill and the rank lookup share. `None` for the ideal fleet, which
+    /// stores no lanes because every device is eligible.
+    fn runs(&self) -> Option<Vec<Run<'a>>> {
+        match *self {
+            AvailabilityView::Ideal { .. } => None,
+            AvailabilityView::Dynamic(store) => Some(
+                store
+                    .shards
+                    .iter()
+                    .map(|s| Run {
+                        offset: s.offset,
+                        lanes: &s.eligible,
+                        count: s.eligible_count,
+                    })
+                    .collect(),
+            ),
+            AvailabilityView::Masked { eligible, bins, .. } => Some(
+                bins.iter()
+                    .map(|b| Run {
+                        offset: b.offset,
+                        lanes: &eligible[b.offset..b.offset + b.len],
+                        count: b.eligible,
+                    })
+                    .collect(),
+            ),
+        }
     }
 }
 
-/// Writes `id(offset + j)` for every set lane `j` of `lanes`, in order,
-/// into `out`, which holds exactly as many slots as there are set lanes.
-/// Branch-free: every lane up to the last set one writes its id at the
-/// cursor, and only a set lane advances it, so the next lane overwrites
-/// an unset lane's write. No lane after the last set one is visited, so
-/// every write lands inside `out`; a bin with no slot reads no lane.
-fn fill_run<T>(offset: usize, lanes: &[bool], out: &mut [T], id: impl Fn(usize) -> T) {
+/// One availability bin's eligibility: device `offset + j` is eligible
+/// when `lanes[j]` is set, and `count` lanes are set.
+struct Run<'a> {
+    offset: usize,
+    lanes: &'a [bool],
+    count: usize,
+}
+
+/// Writes `DeviceId(offset + j)` for every set lane `j` of `lanes`, in
+/// order, into `out`, which holds exactly as many slots as there are set
+/// lanes. Branch-free: every lane up to the last set one writes its id at
+/// the cursor, and only a set lane advances it, so the next lane
+/// overwrites an unset lane's write. No lane after the last set one is
+/// visited, so every write lands inside `out`; a bin with no slot reads no
+/// lane.
+fn fill_run(offset: usize, lanes: &[bool], out: &mut [DeviceId]) {
     if out.is_empty() {
         return;
     }
     let end = lanes.iter().rposition(|&e| e).map_or(0, |last| last + 1);
     let mut k = 0;
     for (j, &e) in lanes[..end].iter().enumerate() {
-        out[k] = id(offset + j);
+        out[k] = DeviceId(offset + j);
         k += usize::from(e);
     }
     assert_eq!(
@@ -1103,6 +1151,12 @@ mod tests {
         assert_eq!(ids.len(), view.eligible_count());
         assert!(ids.windows(2).all(|w| w[0] < w[1]), "fleet order");
         assert!(ids.iter().all(|id| view.is_eligible(id.0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5 past 5 eligible devices")]
+    fn eligible_ids_at_refuses_a_rank_past_the_count() {
+        AvailabilityView::Ideal { devices: 5 }.eligible_ids_at(&[1, 5]);
     }
 
     #[test]

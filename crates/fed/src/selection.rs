@@ -13,7 +13,9 @@ use autofl_nn::model::LayerCounts;
 use autofl_nn::zoo::Workload;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
+use rand::Rng;
 use std::cmp::Ordering;
+use std::collections::BTreeSet;
 
 /// Everything a selection policy may observe at the start of a round.
 ///
@@ -250,14 +252,25 @@ impl RandomSelector {
 }
 
 impl Selector for RandomSelector {
-    /// Shuffles the eligible ids as `u32` and keeps the first `K`. The
-    /// shuffle's draws depend only on the list's length, so this is the
-    /// permutation, cohort and RNG state of shuffling [`DeviceId`]s.
+    /// Draws `k = min(K, m)` distinct ranks over the `m` eligible devices
+    /// by Floyd's algorithm, one `gen_range(0..=j)` for each `j` in
+    /// `m − k..m`, and maps the sorted ranks to their devices
+    /// ([`AvailabilityView::eligible_ids_at`]). Every `k`-subset is
+    /// equally likely, the cohort comes out in fleet order, and the cost
+    /// follows `k`, not the fleet.
     fn select(&mut self, ctx: &RoundContext<'_>, rng: &mut SmallRng) -> SelectionDecision {
-        let mut ids = ctx.availability.eligible_ids_u32();
-        ids.shuffle(rng);
-        let k = ctx.params.num_participants.min(ids.len());
-        let participants = ids[..k].iter().map(|&i| DeviceId(i as usize)).collect();
+        let m = ctx.availability.eligible_count();
+        let k = ctx.params.num_participants.min(m);
+        let mut ranks = BTreeSet::new();
+        for j in m - k..m {
+            let t = rng.gen_range(0..=j);
+            // Every rank drawn so far is below `j`, so `j` is never taken.
+            if !ranks.insert(t) {
+                ranks.insert(j);
+            }
+        }
+        let ranks: Vec<usize> = ranks.into_iter().collect();
+        let participants = ctx.availability.eligible_ids_at(&ranks);
         SelectionDecision::cpu_max(ctx.fleet, participants)
     }
 
@@ -354,7 +367,7 @@ impl Selector for ClusterSelector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::ShardBin;
+    use crate::fleet::{FleetDynamics, FleetStore, ShardBin};
     use autofl_data::partition::DataDistribution;
     use autofl_data::FlData;
     use autofl_device::store::ConditionsStore;
@@ -409,18 +422,6 @@ mod tests {
         assert_eq!(d.plans.len(), 20);
     }
 
-    /// FedAvg-Random as it drew before its ids were `u32`: every eligible
-    /// [`DeviceId`], found by a scan of every device, shuffled, the first
-    /// `K` kept.
-    fn random_reference(ctx: &RoundContext<'_>, rng: &mut SmallRng) -> Vec<DeviceId> {
-        let mut ids: Vec<DeviceId> = ctx.fleet.ids();
-        ids.retain(|&id| ctx.is_eligible(id));
-        assert_eq!(ctx.eligible_ids(), ids, "the fill equals the scan");
-        ids.shuffle(rng);
-        ids.truncate(ctx.params.num_participants);
-        ids
-    }
-
     fn entry<'v>(value: &'v mut serde::Value, key: &str) -> &'v mut serde::Value {
         let serde::Value::Map(entries) = value else {
             panic!("expected a map holding `{key}`");
@@ -432,58 +433,134 @@ mod tests {
             .1
     }
 
-    #[test]
-    fn random_u32_draw_equals_the_device_id_reference() {
-        let (fleet, data, params, conditions) = context_fixture();
-        let dynamics = crate::fleet::FleetDynamics::realistic();
-        let mut store = crate::fleet::FleetStore::new(&dynamics, &fleet, 3, 4);
-        store.begin_round(&dynamics, &fleet, 0);
-        // The same store with no eligible device in its second shard,
-        // restored from an edited snapshot.
-        let mut snapshot = store.state_snapshot();
-        let serde::Value::Seq(shards) = entry(&mut snapshot, "shards") else {
-            panic!("shards are a sequence");
-        };
-        let serde::Value::Seq(lanes) = entry(&mut shards[1], "eligible") else {
-            panic!("a column is a sequence");
-        };
-        lanes.fill(serde::Value::Bool(false));
-        *entry(&mut shards[1], "eligible_count") = serde::Value::UInt(0);
-        let mut dark = store.clone();
-        dark.state_restore(&snapshot)
-            .expect("a consistent snapshot");
-        // A partition mask over the live store: every third device cut.
-        let reachable: Vec<bool> = (0..fleet.len())
-            .map(|i| store.is_eligible(i) && i % 3 != 0)
-            .collect();
-        let bins: Vec<ShardBin> = store
+    /// The stores and masks behind the availability views a draw must
+    /// handle, over `context_fixture`'s 200-device fleet.
+    struct Views {
+        /// A live dynamics store in 4 shards, after one begin pass.
+        store: FleetStore,
+        /// The same store with no eligible device in its second shard,
+        /// restored from an edited snapshot.
+        dark: FleetStore,
+        /// A partition mask over the live store: every third device cut.
+        reachable: Vec<bool>,
+        /// The mask's bins.
+        bins: Vec<ShardBin>,
+    }
+
+    impl Views {
+        fn new(fleet: &Fleet) -> Self {
+            let dynamics = FleetDynamics::realistic();
+            let mut store = FleetStore::new(&dynamics, fleet, 3, 4);
+            store.begin_round(&dynamics, fleet, 0);
+            let mut snapshot = store.state_snapshot();
+            let serde::Value::Seq(shards) = entry(&mut snapshot, "shards") else {
+                panic!("shards are a sequence");
+            };
+            let serde::Value::Seq(lanes) = entry(&mut shards[1], "eligible") else {
+                panic!("a column is a sequence");
+            };
+            lanes.fill(serde::Value::Bool(false));
+            *entry(&mut shards[1], "eligible_count") = serde::Value::UInt(0);
+            let mut dark = store.clone();
+            dark.state_restore(&snapshot)
+                .expect("a consistent snapshot");
+            assert_eq!(dark.bins()[1].eligible, 0);
+            let reachable: Vec<bool> = (0..fleet.len())
+                .map(|i| store.is_eligible(i) && i % 3 != 0)
+                .collect();
+            let bins = masked_bins(&store, &reachable);
+            Views {
+                store,
+                dark,
+                reachable,
+                bins,
+            }
+        }
+
+        /// Ideal, Dynamic, Dynamic with a dark shard, and Masked.
+        fn all(&self) -> [AvailabilityView<'_>; 4] {
+            [
+                AvailabilityView::Ideal {
+                    devices: self.store.len(),
+                },
+                AvailabilityView::Dynamic(&self.store),
+                AvailabilityView::Dynamic(&self.dark),
+                AvailabilityView::Masked {
+                    eligible: &self.reachable,
+                    bins: &self.bins,
+                    count: self.bins.iter().map(|b| b.eligible).sum(),
+                    store: Some(&self.store),
+                },
+            ]
+        }
+    }
+
+    /// `store`'s bins, each counting the set lanes of `mask`.
+    fn masked_bins(store: &FleetStore, mask: &[bool]) -> Vec<ShardBin> {
+        store
             .bins()
             .into_iter()
             .map(|b| ShardBin {
-                eligible: reachable[b.offset..b.offset + b.len]
+                eligible: mask[b.offset..b.offset + b.len]
                     .iter()
                     .filter(|&&e| e)
                     .count(),
                 ..b
             })
-            .collect();
-        let views = [
-            AvailabilityView::Ideal {
-                devices: fleet.len(),
-            },
-            AvailabilityView::Dynamic(&store),
-            AvailabilityView::Dynamic(&dark),
-            AvailabilityView::Masked {
-                eligible: &reachable,
-                bins: &bins,
-                count: bins.iter().map(|b| b.eligible).sum(),
-                store: Some(&store),
-            },
-        ];
-        assert_eq!(dark.bins()[1].eligible, 0);
-        for view in views {
+            .collect()
+    }
+
+    #[test]
+    fn rank_lookup_equals_the_eligible_list_on_every_view() {
+        let (fleet, ..) = context_fixture();
+        let views = Views::new(&fleet);
+        for view in views.all() {
+            let ids = view.eligible_ids();
+            let last = ids.len() - 1;
+            for (r, &id) in ids.iter().enumerate() {
+                assert_eq!(view.eligible_ids_at(&[r]), [id], "rank {r}");
+            }
+            assert_eq!(view.eligible_ids_at(&[0, last]), [ids[0], ids[last]]);
+            let every: Vec<usize> = (0..ids.len()).collect();
+            assert_eq!(view.eligible_ids_at(&every), ids);
+            for stride in [2, 7, 31] {
+                let ranks: Vec<usize> = (stride / 2..ids.len()).step_by(stride).collect();
+                let expect: Vec<DeviceId> = ranks.iter().map(|&r| ids[r]).collect();
+                assert_eq!(view.eligible_ids_at(&ranks), expect, "stride {stride}");
+            }
+            assert!(view.eligible_ids_at(&[]).is_empty());
+        }
+    }
+
+    /// Floyd's draw as `docs/determinism.md` states it, over the eligible
+    /// list: `min(K, m)` calls `gen_range(0..=j)`, a repeat replaced by
+    /// `j`, the ranks sorted and looked up in the list.
+    fn floyd_reference(ctx: &RoundContext<'_>, rng: &mut SmallRng) -> Vec<DeviceId> {
+        let ids = ctx.eligible_ids();
+        let m = ids.len();
+        let mut ranks = Vec::new();
+        for j in m - ctx.params.num_participants.min(m)..m {
+            let t = rng.gen_range(0..=j);
+            ranks.push(if ranks.contains(&t) { j } else { t });
+        }
+        ranks.sort_unstable();
+        ranks.into_iter().map(|r| ids[r]).collect()
+    }
+
+    #[test]
+    fn random_draws_min_k_distinct_eligible_ids_in_fleet_order() {
+        let (fleet, data, params, conditions) = context_fixture();
+        let views = Views::new(&fleet);
+        let nobody = vec![false; fleet.len()];
+        let empty_bins = masked_bins(&views.store, &nobody);
+        let empty = AvailabilityView::Masked {
+            eligible: &nobody,
+            bins: &empty_bins,
+            count: 0,
+            store: Some(&views.store),
+        };
+        for view in views.all().into_iter().chain([empty]) {
             let eligible = view.eligible_count();
-            assert!(eligible > 20, "a pool to draw from");
             for k in [1, 20, eligible, eligible + 7] {
                 let params = GlobalParams {
                     num_participants: k,
@@ -498,12 +575,56 @@ mod tests {
                     let mut rng = SmallRng::seed_from_u64(seed);
                     let mut reference_rng = rng.clone();
                     let drawn = RandomSelector.select(&c, &mut rng).participants;
-                    assert_eq!(drawn, random_reference(&c, &mut reference_rng), "k = {k}");
-                    assert_eq!(drawn.len(), k.min(eligible));
+                    assert_eq!(drawn.len(), k.min(eligible), "k = {k}");
+                    assert!(
+                        drawn.windows(2).all(|w| w[0] < w[1]),
+                        "distinct, fleet order"
+                    );
+                    assert!(drawn.iter().all(|id| view.is_eligible(id.0)));
+                    if k >= eligible {
+                        assert_eq!(drawn, view.eligible_ids(), "the whole pool");
+                    }
+                    // The reference makes exactly `min(K, m)` draws.
+                    assert_eq!(drawn, floyd_reference(&c, &mut reference_rng), "k = {k}");
                     assert_eq!(rng.gen::<u64>(), reference_rng.gen::<u64>(), "RNG state");
                 }
             }
         }
+    }
+
+    #[test]
+    fn random_draws_every_eligible_device_equally_often() {
+        // 20,000 cohorts of K = 20 from the m = 146 eligible devices. A
+        // device's count is a sum of 20,000 independent coins of
+        // probability p = K / m, so it stays within 6 σ = 6 √(n p (1 − p))
+        // of n p (≈ 11 % of it here) unless the draw favours some ranks.
+        let (fleet, data, params, conditions) = context_fixture();
+        let views = Views::new(&fleet);
+        let view = AvailabilityView::Dynamic(&views.store);
+        let c = RoundContext {
+            availability: view,
+            ..ctx(&fleet, &data, &params, &conditions)
+        };
+        let (n, k, m) = (20_000, params.num_participants, view.eligible_count());
+        assert!(m < fleet.len() && m > 2 * k, "a partly eligible pool: {m}");
+        let mut counts = vec![0usize; fleet.len()];
+        let mut rng = SmallRng::seed_from_u64(0x5e1ec7);
+        for _ in 0..n {
+            for id in RandomSelector.select(&c, &mut rng).participants {
+                counts[id.0] += 1;
+            }
+        }
+        let p = k as f64 / m as f64;
+        let (mean, sigma) = (n as f64 * p, (n as f64 * p * (1.0 - p)).sqrt());
+        for (i, &count) in counts.iter().enumerate() {
+            if view.is_eligible(i) {
+                let off = (count as f64 - mean).abs();
+                assert!(off <= 6.0 * sigma, "device {i}: {count} against {mean:.0}");
+            } else {
+                assert_eq!(count, 0, "ineligible device {i} drawn");
+            }
+        }
+        assert_eq!(counts.iter().sum::<usize>(), n * k);
     }
 
     #[test]

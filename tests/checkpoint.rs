@@ -172,10 +172,20 @@ fn corrupted_resume_error(
     records: usize,
     corrupt: impl FnOnce(&mut serde_json::Value),
 ) -> String {
+    corrupted_resume_error_when(label, policy, |run| run.records().len() == records, corrupt)
+}
+
+/// [`corrupted_resume_error`] of the run stepped until `ready` holds.
+fn corrupted_resume_error_when(
+    label: &str,
+    policy: &dyn Policy,
+    ready: impl Fn(&ExperimentRun) -> bool,
+    corrupt: impl FnOnce(&mut serde_json::Value),
+) -> String {
     let mut config = full_config(29, 1);
     config.runtime = Some(AsyncRuntime::buffered(2, 1.0).concurrent_cohorts(2));
     let mut run = ExperimentRun::new(&config, policy, None).expect("config validates");
-    for _ in 0..records {
+    while !ready(&run) {
         run.step().expect("no observers").expect("a record");
     }
     let mut payload = run.state_snapshot();
@@ -193,12 +203,23 @@ fn corrupted_resume_error(
     err.to_string()
 }
 
-/// [`corrupted_resume_error`] of a FedAvg-Random run after one record,
-/// with `corrupt` editing its scheduler state.
+/// [`corrupted_resume_error`] of a FedAvg-Random run stepped until a
+/// cohort is in flight with an upload still pending, with `corrupt`
+/// editing its scheduler state. Every edit below needs that state, and
+/// which record first holds it follows the run's draws.
 fn resume_error(label: &str, corrupt: impl FnOnce(&mut serde_json::Value)) -> String {
-    corrupted_resume_error(label, &RandomSelector, 1, |payload| {
-        corrupt(entry(entry(payload, "sim"), "scheduler"))
-    })
+    corrupted_resume_error_when(
+        label,
+        &RandomSelector,
+        |run| {
+            let mut payload = run.state_snapshot();
+            let scheduler = entry(entry(&mut payload, "sim"), "scheduler");
+            items(entry(scheduler, "events"))
+                .iter()
+                .any(|e| serde_json::to_string(e).unwrap().contains("Upload"))
+        },
+        |payload| corrupt(entry(entry(payload, "sim"), "scheduler")),
+    )
 }
 
 /// [`corrupted_resume_error`] of an AutoFL run after three records, with
@@ -290,17 +311,37 @@ fn resume_rejects_a_cohort_without_exactly_one_completion() {
     assert!(err.contains("without exactly one CohortDone"), "{err}");
 }
 
+/// The variant name and round of a scheduler event.
+fn event_kind(event: &mut serde_json::Value) -> (String, u64) {
+    let serde_json::Value::Map(kind) = entry(event, "kind") else {
+        panic!("event kinds are variant maps");
+    };
+    let (name, fields) = &mut kind[0];
+    let serde_json::Value::UInt(round) = *entry(fields, "round") else {
+        panic!("rounds are integers");
+    };
+    (name.clone(), round)
+}
+
 #[test]
 fn resume_rejects_an_upload_that_fires_after_its_cohort_completes() {
     // A run schedules every upload before its cohort's `CohortDone`, at
     // a time no later than the round time; moved past it, the upload
     // used to fire into a cohort already removed and panic.
     let err = resume_error("late-upload", |scheduler| {
-        let (events, done) = events_and_done(scheduler);
+        let events = items(entry(scheduler, "events"));
+        let kinds: Vec<(String, u64)> = events.iter_mut().map(event_kind).collect();
+        let upload = kinds
+            .iter()
+            .position(|(name, _)| name == "Upload")
+            .expect("an upload");
+        let done = kinds
+            .iter()
+            .position(|(name, round)| name == "CohortDone" && *round == kinds[upload].1)
+            .expect("the upload's cohort is in flight");
         let serde_json::Value::Float(end) = *entry(&mut events[done], "time") else {
             panic!("event times are floats");
         };
-        let upload = (0..events.len()).find(|&i| i != done).expect("an upload");
         *entry(&mut events[upload], "time") = serde_json::Value::Float(end + 1.0);
     });
     assert!(err.contains("fires after its CohortDone"), "{err}");
@@ -400,9 +441,10 @@ fn resume_rejects_a_participant_named_twice() {
 
 #[test]
 fn resume_rejects_an_eligible_count_that_disagrees_with_its_column() {
-    // `full_config(29, 1)`: one shard of all 12 devices. The eligible-id
-    // fill sizes each shard's run by its count, so a count off by one
-    // either way must be refused, not drawn from.
+    // `full_config(29, 1)`: one shard of all 12 devices. FedAvg-Random
+    // draws its ranks below the summed counts and the rank lookup walks
+    // each shard's count, so a count off by one either way must be
+    // refused, not drawn from.
     for delta in [-1i64, 1] {
         let err = corrupted_resume_error(&format!("count{delta}"), &RandomSelector, 1, |p| {
             let fleet = entry(entry(p, "sim"), "fleet_state");
@@ -425,28 +467,37 @@ fn resume_rejects_an_eligible_count_that_disagrees_with_its_column() {
 
 #[test]
 fn resume_rejects_in_flight_columns_that_disagree_with_the_cohort() {
-    // After one record, round 0 is still in flight with `tiny_test`'s 4
-    // participants. Its columns are checked in the order plans,
-    // completion times, update fractions, energies.
-    for (in_record, column, lengths) in [
-        (true, "plans", "[3, 4, 4, 4]"),
-        (false, "completion", "[4, 3, 4, 4]"),
-        (true, "update_fractions", "[4, 4, 3, 4]"),
-        (false, "per_participant_energy", "[4, 4, 4, 3]"),
-    ] {
+    // The first in-flight cohort loses one entry of one column. Its
+    // columns are checked in the order plans, completion times, update
+    // fractions, energies; the round and the cohort size are read from
+    // the snapshot being cut.
+    for (at, (in_record, column)) in [
+        (true, "plans"),
+        (false, "completion"),
+        (true, "update_fractions"),
+        (false, "per_participant_energy"),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let mut cohort = None;
         let err = resume_error(&format!("short-{column}"), |scheduler| {
             let outcome = entry(&mut items(entry(scheduler, "in_flight"))[0], "outcome");
-            let holder = if in_record {
-                entry(outcome, "record")
-            } else {
-                outcome
+            let record = entry(outcome, "record");
+            let serde_json::Value::UInt(round) = *entry(record, "round") else {
+                panic!("the round is an integer");
             };
+            cohort = Some((round, items(entry(record, "participants")).len()));
+            let holder = if in_record { record } else { outcome };
             let len = items(entry(holder, column)).len();
             resize(entry(holder, column), len - 1);
         });
+        let (round, n) = cohort.expect("a cohort in flight");
+        let mut lengths = [n; 4];
+        lengths[at] -= 1;
         let expected = format!(
-            "sim.scheduler.in_flight: round 0: per-participant columns {lengths} \
-             do not match 4 participants"
+            "sim.scheduler.in_flight: round {round}: per-participant columns {lengths:?} \
+             do not match {n} participants"
         );
         assert!(err.contains(&expected), "{column}: {err}");
     }
