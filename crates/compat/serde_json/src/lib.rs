@@ -4,20 +4,30 @@
 //! so call sites survive a swap to the crates.io package unchanged.
 //!
 //! Output is deterministic: struct fields keep declaration order and
-//! floats print via Rust's shortest round-trip formatting, so serialize →
-//! parse → serialize is a fixed point (used by the spec round-trip tests).
+//! floats print as the shortest decimal that parses back to the same
+//! bits, so serialize → parse → serialize is a fixed point (used by the
+//! spec round-trip tests). The crate formats numbers itself: a float's
+//! text is byte for byte what `format!("{f:?}")` prints and an integer's
+//! what `format!("{i}")` prints, and tests pin both.
 //!
 //! The writers take the tree through [`serde::Serialize::as_value`], so a
 //! [`Value`] is written in place rather than deep-copied first, and
 //! numbers and escape-free strings go straight into the output buffer.
 //! Writing a large tree (a checkpoint payload) therefore costs one pass
 //! over it and the output text, nothing more.
+//!
+//! The parser accepts exactly RFC 8259's grammar: a number with a leading
+//! zero, an empty fraction or exponent, a `\u` escape that is not four
+//! hex digits and a raw control character in a string are errors, each
+//! naming its byte offset.
 
 #![warn(missing_docs)]
 
 pub use serde::{Error, Value};
 
 use std::fmt::Write as _;
+
+mod num;
 
 /// Serializes any [`serde::Serialize`] type to its [`Value`] tree.
 pub fn to_value<T: serde::Serialize + ?Sized>(value: &T) -> Value {
@@ -69,26 +79,12 @@ pub fn parse(text: &str) -> Result<Value, Error> {
 // ---------------------------------------------------------------------------
 
 fn write_value(out: &mut String, value: &Value, indent: Option<usize>, level: usize) {
-    // `write!` into a `String` cannot fail.
     match value {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => {
-            let _ = write!(out, "{i}");
-        }
-        Value::UInt(u) => {
-            let _ = write!(out, "{u}");
-        }
-        Value::Float(f) => {
-            if f.is_finite() {
-                // `{:?}` is Rust's shortest representation that parses
-                // back to the same bits.
-                let _ = write!(out, "{f:?}");
-            } else {
-                // JSON has no Inf/NaN; mirror serde_json's `null`.
-                out.push_str("null");
-            }
-        }
+        Value::Int(i) => num::write_i64(out, *i),
+        Value::UInt(u) => num::write_u64(out, *u),
+        Value::Float(f) => num::write_f64(out, *f),
         Value::Str(s) => write_string(out, s),
         Value::Seq(items) => {
             if items.is_empty() {
@@ -154,6 +150,7 @@ fn write_string(out: &mut String, s: &str) {
             b'\r' => out.push_str("\\r"),
             b'\t' => out.push_str("\\t"),
             _ => {
+                // `write!` into a `String` cannot fail.
                 let _ = write!(out, "\\u{b:04x}");
             }
         }
@@ -295,9 +292,10 @@ impl Parser<'_> {
         let mut s = String::new();
         loop {
             let start = self.pos;
-            // Fast path: run of plain UTF-8 up to the next quote/escape.
+            // Fast path: run of plain UTF-8 up to the next quote, escape
+            // or control character.
             while let Some(&b) = self.bytes.get(self.pos) {
-                if b == b'"' || b == b'\\' {
+                if b == b'"' || b == b'\\' || b < 0x20 {
                     break;
                 }
                 self.pos += 1;
@@ -336,35 +334,55 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
-                _ => return Err(self.err("unterminated string")),
+                Some(_) => return Err(self.err("control character in string")),
+                None => return Err(self.err("unterminated string")),
             }
         }
     }
 
+    /// The four hex digits of a `\u` escape, and no sign or other byte.
     fn hex4(&mut self) -> Result<u32, Error> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
-            return Err(self.err("truncated \\u escape"));
+        let mut code = 0;
+        for _ in 0..4 {
+            let digit = self
+                .peek()
+                .and_then(|b| char::from(b).to_digit(16))
+                .ok_or_else(|| self.err("expected four hex digits in \\u escape"))?;
+            code = code * 16 + digit;
+            self.pos += 1;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let code = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
         Ok(code)
     }
 
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?`, read as an
+    /// integer when it has neither a fraction nor an exponent and fits in
+    /// 64 bits, else as a finite float.
     fn number(&mut self) -> Result<Value, Error> {
         let start = self.pos;
-        let mut is_float = false;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            match b {
-                b'0'..=b'9' | b'-' | b'+' => self.pos += 1,
-                b'.' | b'e' | b'E' => {
-                    is_float = true;
-                    self.pos += 1;
-                }
-                _ => break,
+        if self.peek() == Some(b'-') {
+            self.pos += 1;
+        }
+        if self.peek() == Some(b'0') {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'0'..=b'9')) {
+                return Err(self.err("leading zero in number"));
             }
+        } else {
+            self.digits()?;
+        }
+        let mut is_float = false;
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            self.digits()?;
+            is_float = true;
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            self.digits()?;
+            is_float = true;
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).expect("ASCII number characters");
@@ -385,10 +403,23 @@ impl Parser<'_> {
         match text.parse::<f64>() {
             Ok(f) if f.is_finite() => Ok(Value::Float(f)),
             Ok(_) => Err(Error::custom(format!(
-                "number `{text}` is out of the finite f64 range"
+                "number `{text}` at byte {start} is out of the finite f64 range"
             ))),
-            Err(_) => Err(Error::custom(format!("invalid number `{text}`"))),
+            Err(_) => Err(Error::custom(format!(
+                "invalid number `{text}` at byte {start}"
+            ))),
         }
+    }
+
+    /// One or more ASCII digits.
+    fn digits(&mut self) -> Result<(), Error> {
+        if !matches!(self.peek(), Some(b'0'..=b'9')) {
+            return Err(self.err("expected a digit"));
+        }
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        Ok(())
     }
 }
 
@@ -457,6 +488,51 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
+        // Outside RFC 8259's grammar: leading zeros, empty fractions and
+        // exponents, a signed or short `\u` escape, raw control characters.
+        for bad in [
+            "01",
+            "-01",
+            "00",
+            "[01]",
+            "1.",
+            "-.5",
+            "1.e5",
+            "1e",
+            "1e+",
+            "-",
+            "\"\\u+041\"",
+            "\"\\u04\"",
+            "\"\u{1}\"",
+            "\"\t\"",
+            "\"a\nb\"",
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.to_string().contains("at byte"), "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn each_valid_number_parses_to_its_value() {
+        for (text, value) in [
+            ("0", Value::UInt(0)),
+            ("-0", Value::Int(0)),
+            ("-0.0", Value::Float(-0.0)),
+            ("-0e0", Value::Float(-0.0)),
+            ("10", Value::UInt(10)),
+            ("-12", Value::Int(-12)),
+            ("0.5", Value::Float(0.5)),
+            ("1E5", Value::Float(1e5)),
+            ("1e+5", Value::Float(1e5)),
+            ("2.5e-3", Value::Float(2.5e-3)),
+            // Past 64 bits an integer falls back to a float.
+            ("18446744073709551616", Value::Float(18446744073709551616.0)),
+            ("-9223372036854775809", Value::Float(-9223372036854775809.0)),
+        ] {
+            assert_eq!(parse(text).unwrap(), value, "{text}");
+        }
+        let err = parse("1E400").unwrap_err();
+        assert!(err.to_string().contains("finite"), "{err}");
     }
 
     #[test]
